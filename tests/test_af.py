@@ -66,6 +66,20 @@ class TestGrounded:
     def test_three_cycle_grounds_to_nothing(self):
         assert THREE_CYCLE.grounded_extension().members == ()
 
+    def test_long_chain_accepts_every_other_argument(self):
+        # c0 -> c1 -> ... -> c4000; unpadded names so sorted order is not
+        # chain order
+        names = [f"c{i}" for i in range(4001)]
+        attacks = frozenset(zip(names, names[1:]))
+        af = ArgumentationFramework(tuple(names), attacks)
+        assert set(af.grounded_extension().members) == set(names[::2])
+
+    def test_long_odd_cycle_grounds_to_nothing(self):
+        names = [f"o{i}" for i in range(1001)]
+        attacks = frozenset(zip(names, names[1:] + names[:1]))
+        af = ArgumentationFramework(tuple(names), attacks)
+        assert af.grounded_extension().members == ()
+
 
 class TestEnumerate:
     def test_diagnosis_complete_unique(self, diagnosis):
@@ -112,6 +126,25 @@ class TestEnumerate:
         # grounded bypasses subset enumeration entirely
         assert len(af.grounded_extension().members) == 26
 
+    def test_mutual_attack_pairs(self):
+        pairs = [(f"p{i}", f"q{i}") for i in range(8)]
+        attacks = frozenset(pairs) | frozenset((b, a) for a, b in pairs)
+        af = ArgumentationFramework(sum(pairs, ()), attacks)
+        assert len(af.enumerate_extensions("complete")) == 3 ** 8
+        assert len(af.enumerate_extensions("preferred")) == 2 ** 8
+        assert len(af.enumerate_extensions("stable")) == 2 ** 8
+
+    def test_many_self_attackers_under_a_raised_cap(self):
+        # one walk level per argument: deeper than the recursion limit
+        af = ArgumentationFramework(
+            tuple(f"s{i}" for i in range(1200)),
+            frozenset((f"s{i}", f"s{i}") for i in range(1200)))
+        for semantics in ("conflict-free", "admissible", "complete",
+                          "preferred"):
+            assert members(af.enumerate_extensions(
+                semantics, max_args=2000)) == [set()], semantics
+        assert af.enumerate_extensions("stable", max_args=2000) == []
+
     def test_cap_is_configurable(self):
         af = ArgumentationFramework(("a", "b", "c"))
         with pytest.raises(CapExceededError):
@@ -150,6 +183,22 @@ class TestAgainstBruteForce:
                 got = members(af.enumerate_extensions(semantics))
                 assert sorted(map(sorted, got)) == \
                     sorted(map(sorted, (set(s) for s in family)), ), semantics
+
+    def test_grounded_first_semantics_agree_on_many_seeds(self):
+        self_attacks = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            af = random_framework(rng, max_args=8,
+                                  attack_p=(0.1, 0.2, 0.35)[seed % 3])
+            self_attacks += any(a == b for a, b in af.attacks)
+            expected = bf_semantics(af.arguments, af.attacks)
+            assert [frozenset(af.grounded_extension().members)] == \
+                expected["grounded"], seed
+            for semantics in ("complete", "preferred", "stable"):
+                got = members(af.enumerate_extensions(semantics))
+                assert sorted(map(sorted, got)) == \
+                    sorted(map(sorted, expected[semantics])), (seed, semantics)
+        assert self_attacks > 50
 
     def test_containment_chain(self):
         rng = random.Random(0xBEEF)

@@ -66,6 +66,15 @@ class TestSolve:
                            "--semantics", "gr")
         assert code == 0 and out.count("a0") > 0
 
+    def test_raised_cap_on_many_self_attackers(self, capsys, tmp_path):
+        path = tmp_path / "selfish.caf"
+        path.write_text("".join(f"arg(s{i}). att(s{i},s{i}).\n"
+                                for i in range(1200)))
+        code, out, _ = run(capsys, "solve", "--input", str(path),
+                           "--semantics", "pr", "--max-args", "2000")
+        assert code == 0
+        assert out == "{}\n"
+
     def test_json_output(self, capsys, diagnosis_caf):
         code, out, _ = run(capsys, "solve", "--input", diagnosis_caf,
                            "--semantics", "co", "--format", "json")
