@@ -7,13 +7,11 @@ dependency graph. Ships a `.caf` text format, JSON and DOT output, and a
 command-line front end (``credalarg``).
 """
 
-from .af import (DEFAULT_MAX_ARGS, SEMANTICS, ArgumentationFramework,
-                 Extension, defends, enumerate_extensions,
-                 grounded_extension, is_conflict_free)
+from .af import DEFAULT_MAX_ARGS, SEMANTICS, ArgumentationFramework, Extension
 from .bounds import (BoundsResult, CausalGroup, agent_valuation_oracle,
                      extension_bounds, rank_extensions, ul_bounds)
-from .causality import (CausalityGraph, CausalPartition, causal_ancestors,
-                        check_attack_disjointness, partition)
+from .causality import (CausalityGraph, CausalPartition,
+                        check_attack_disjointness)
 from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
                      RationalityViolation, dependent_bounds,
                      dependent_credal_set, independent_bounds, is_maximal,
@@ -28,14 +26,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentationFramework", "Extension", "SEMANTICS", "DEFAULT_MAX_ARGS",
-    "is_conflict_free", "defends", "grounded_extension",
-    "enumerate_extensions",
     "CredalSet", "CredalProfile", "ProbabilityInterval",
     "RationalityViolation", "single_bounds", "independent_bounds",
     "dependent_credal_set", "dependent_bounds", "rationality_report",
     "is_maximal", "is_uniform",
-    "CausalityGraph", "CausalPartition", "partition", "causal_ancestors",
-    "check_attack_disjointness",
+    "CausalityGraph", "CausalPartition", "check_attack_disjointness",
     "CausalGroup", "BoundsResult", "extension_bounds", "ul_bounds",
     "agent_valuation_oracle", "rank_extensions",
     "FrameworkDocument", "parse_caf", "emit_caf", "emit_json", "export_dot",

@@ -296,20 +296,3 @@ class ArgumentationFramework:
         exts = [Extension(self._names_of(m), semantics) for m in found]
         return sorted(exts, key=_canonical_key)
 
-
-def is_conflict_free(members: Iterable[str], af: ArgumentationFramework) -> bool:
-    return af.is_conflict_free(members)
-
-
-def defends(members: Iterable[str], name: str,
-            af: ArgumentationFramework) -> bool:
-    return af.defends(members, name)
-
-
-def grounded_extension(af: ArgumentationFramework) -> Extension:
-    return af.grounded_extension()
-
-
-def enumerate_extensions(af: ArgumentationFramework, semantics: str,
-                         max_args: int = DEFAULT_MAX_ARGS) -> list[Extension]:
-    return af.enumerate_extensions(semantics, max_args)

@@ -11,11 +11,11 @@ into causal parts before aggregating:
 * members without causal edges stay isolated;
 * causes whose direct effects all lie outside the extension are free.
 
-A single group with nothing else applies the dependent rule directly;
-otherwise groups, isolated members and free causes multiply as independent
-factors. Each member must be consumed by exactly one part — anything else
-raises :class:`~credalarg.errors.CoverageError` instead of silently
-producing a meaningless product.
+Groups, isolated members and free causes then multiply as independent
+factors in sorted order; a lone group is a product of one factor, which is
+its dependent bounds exactly. Each member must be consumed by exactly one
+part — anything else raises :class:`~credalarg.errors.CoverageError`
+instead of silently producing a meaningless product.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from typing import Iterable, Sequence
 from .af import Extension
 from .causality import CausalityGraph
 from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
-                     dependent_bounds, dependent_credal_set,
-                     independent_bounds, single_bounds)
+                     dependent_credal_set, independent_bounds, single_bounds)
 from .errors import CoverageError, ValidationError
 
 EMPTY_CASE = "empty"
@@ -61,7 +60,7 @@ def _check_domains(ext: Extension, profile: CredalProfile,
                    graph: CausalityGraph) -> None:
     for name in ext.members:
         profile.credal_set(name)  # raises on a domain mismatch
-        if name not in graph.arguments:
+        if name not in graph:
             raise ValidationError(
                 f"causality graph has no argument {name!r}")
 
@@ -84,25 +83,20 @@ def ul_bounds(members: Extension | Iterable[str], profile: CredalProfile,
         inside = (graph.ancestors_of(anchor) & member_set) | {anchor}
         groups.append(CausalGroup(anchor, tuple(sorted(inside))))
 
-    seen: dict[str, str] = {}
+    # owner[name] is the anchor of the one group holding name
+    owner: dict[str, str] = {}
     for group in groups:
         for name in group.members:
-            if name in seen:
+            if name in owner:
                 raise CoverageError(
-                    f"causal groups anchored at {seen[name]!r} and "
+                    f"causal groups anchored at {owner[name]!r} and "
                     f"{group.top!r} overlap on {name!r}")
-            seen[name] = group.top
+            owner[name] = group.top
 
-    isolated = member_set & graph.partition().isolated
-    free = graph.free_causes(member_set)
-
-    consumed: dict[str, int] = {name: 0 for name in ext.members}
-    for group in groups:
-        for name in group.members:
-            consumed[name] += 1
-    for name in isolated | free:
-        consumed[name] += 1
-    for name, count in consumed.items():
+    singles = ((member_set & graph.partition().isolated)
+               | graph.free_causes(member_set))
+    for name in ext.members:
+        count = (name in owner) + (name in singles)
         if count == 0:
             raise CoverageError(
                 f"member {name!r} not reachable by any causal group, "
@@ -112,20 +106,13 @@ def ul_bounds(members: Extension | Iterable[str], profile: CredalProfile,
                 f"member {name!r} consumed {count} times by the causal "
                 f"grouping")
 
-    group_sets = {
-        g.members: dependent_credal_set([profile.credal_set(n)
-                                         for n in g.members])
-        for g in groups}
-    if len(groups) == 1 and not isolated and not free:
-        interval = dependent_bounds(
-            [profile.credal_set(n) for n in groups[0].members])
-    else:
-        factors: list[tuple[tuple[str, ...], CredalSet]] = list(
-            group_sets.items())
-        factors.extend(((n,), profile.credal_set(n))
-                       for n in isolated | free)
-        factors.sort(key=lambda item: item[0])
-        interval = independent_bounds([k for _, k in factors])
+    factors: list[tuple[tuple[str, ...], CredalSet]] = [
+        (g.members,
+         dependent_credal_set([profile.credal_set(n) for n in g.members]))
+        for g in groups]
+    factors.extend(((n,), profile.credal_set(n)) for n in singles)
+    factors.sort(key=lambda item: item[0])
+    interval = independent_bounds([k for _, k in factors])
     return BoundsResult(ext, interval, ALGORITHM_CASE, tuple(groups))
 
 
@@ -134,13 +121,13 @@ def extension_bounds(members: Extension | Iterable[str],
                      graph: CausalityGraph) -> BoundsResult:
     """Dispatch on extension size: empty, singleton, or the full algorithm."""
     ext = _as_extension(members)
-    _check_domains(ext, profile, graph)
     if not ext.members:
         return BoundsResult(ext, ProbabilityInterval(0.0, 1.0), EMPTY_CASE)
-    if len(ext.members) == 1:
-        interval = single_bounds(profile.credal_set(ext.members[0]))
-        return BoundsResult(ext, interval, SINGLETON_CASE)
-    return ul_bounds(ext, profile, graph)
+    if len(ext.members) > 1:
+        return ul_bounds(ext, profile, graph)
+    _check_domains(ext, profile, graph)
+    interval = single_bounds(profile.credal_set(ext.members[0]))
+    return BoundsResult(ext, interval, SINGLETON_CASE)
 
 
 def agent_valuation_oracle(members: Extension | Iterable[str],

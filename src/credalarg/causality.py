@@ -54,6 +54,10 @@ class CausalityGraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_parents", parents)
         object.__setattr__(self, "_children", children)
+        effects = frozenset(b for _, b in edges)
+        causes = frozenset(a for a, _ in edges)
+        object.__setattr__(self, "_partition", CausalPartition(
+            effects, causes, frozenset(args) - effects - causes))
 
         try:
             order = tuple(graphlib.TopologicalSorter(parents).static_order())
@@ -78,16 +82,17 @@ class CausalityGraph:
             self, "_descendants",
             {a: frozenset(d) for a, d in descendants.items()})
 
+    def __contains__(self, name: object) -> bool:
+        return name in self._parents
+
     def _known(self, name: str) -> str:
-        if name not in self._parents:
+        if name not in self:
             raise UnknownArgumentError(f"unknown argument {name!r}")
         return name
 
     def partition(self) -> CausalPartition:
-        effects = frozenset(b for _, b in self.edges)
-        causes = frozenset(a for a, _ in self.edges)
-        isolated = frozenset(self.arguments) - effects - causes
-        return CausalPartition(effects, causes, isolated)
+        """The effect/cause/isolated split, computed once at construction."""
+        return self._partition
 
     def direct_causes_of(self, name: str) -> frozenset[str]:
         return frozenset(self._parents[self._known(name)])
@@ -110,10 +115,8 @@ class CausalityGraph:
         of itself plus its in-set ancestors.
         """
         members = frozenset(members)
-        effects = frozenset(b for _, b in self.edges)
-        return frozenset(
-            a for a in members & effects
-            if not self._descendants[self._known(a)] & members)
+        return frozenset(a for a in members & self._partition.effects
+                         if not self._descendants[a] & members)
 
     def free_causes(self, members: Iterable[str]) -> frozenset[str]:
         """Members with outgoing edges that feed no other member.
@@ -123,10 +126,8 @@ class CausalityGraph:
         anchors are excluded since they already root a group.
         """
         members = frozenset(members)
-        causes = frozenset(a for a, _ in self.edges)
-        candidates = frozenset(
-            a for a in members & causes
-            if not self._children[self._known(a)] & members)
+        candidates = frozenset(a for a in members & self._partition.causes
+                               if not self._children[a] & members)
         return candidates - self.group_anchors(members)
 
 
@@ -137,11 +138,3 @@ def check_attack_disjointness(graph: CausalityGraph,
         if (a, b) in graph.edges or (b, a) in graph.edges:
             raise ValidationError(
                 f"attack ({a},{b}) clashes with a causal edge")
-
-
-def partition(graph: CausalityGraph) -> CausalPartition:
-    return graph.partition()
-
-
-def causal_ancestors(name: str, graph: CausalityGraph) -> frozenset[str]:
-    return graph.ancestors_of(name)

@@ -20,7 +20,8 @@ from .bounds import (BoundsResult, agent_valuation_oracle, extension_bounds,
                      rank_extensions)
 from .credal import is_maximal, is_uniform, rationality_report
 from .errors import CapExceededError, CoverageError, CredalArgError
-from .formats import FrameworkDocument, emit_json, export_dot, load_caf
+from .formats import (FrameworkDocument, emit_json, export_dot,
+                      extensions_payload, load_caf, results_payload)
 from .samples import REPORTED_FIXTURES, diagnosis_document
 
 EXIT_OK = 0
@@ -149,19 +150,15 @@ def _build_config(ns: argparse.Namespace,
     )
 
 
-def _load(cfg: RunConfiguration) -> FrameworkDocument:
-    return load_caf(cfg.input_path)
-
-
 def _fmt(interval) -> str:
     return f"{interval.lower:.6f} {interval.upper:.6f}"
 
 
 def cmd_solve(cfg: RunConfiguration) -> int:
-    doc = _load(cfg)
+    doc = load_caf(cfg.input_path)
     exts = doc.framework.enumerate_extensions(cfg.semantics, cfg.max_args)
     if cfg.output_format == "json":
-        print(emit_json(exts, semantics=cfg.semantics))
+        print(emit_json(extensions_payload(cfg.semantics, exts)))
     elif not exts:
         print("no extensions")
     else:
@@ -224,7 +221,7 @@ def _render_bounds_row(entry: dict, use_oracle: bool) -> str:
 def cmd_bounds(cfg: RunConfiguration) -> int:
     if cfg.paper_fixtures:
         return _cmd_paper_fixtures(cfg)
-    doc = _load(cfg)
+    doc = load_caf(cfg.input_path)
     if cfg.explicit_set is not None:
         targets = [doc.framework.extension(cfg.explicit_set)]
         semantics = None
@@ -281,7 +278,7 @@ def _cmd_paper_fixtures(cfg: RunConfiguration) -> int:
 
 
 def cmd_check(cfg: RunConfiguration) -> int:
-    doc = _load(cfg)
+    doc = load_caf(cfg.input_path)
     violations = rationality_report(doc.profile, doc.framework)
     maximal = is_maximal(doc.profile)
     uniform = is_uniform(doc.profile)
@@ -320,13 +317,13 @@ def cmd_check(cfg: RunConfiguration) -> int:
 
 
 def cmd_export_dot(cfg: RunConfiguration) -> int:
-    doc = _load(cfg)
+    doc = load_caf(cfg.input_path)
     sys.stdout.write(export_dot(doc))
     return EXIT_OK
 
 
 def cmd_rank(cfg: RunConfiguration) -> int:
-    doc = _load(cfg)
+    doc = load_caf(cfg.input_path)
     exts = doc.framework.enumerate_extensions(cfg.semantics, cfg.max_args)
     results: list[BoundsResult] = []
     failures: list[tuple[Extension, str]] = []
@@ -337,16 +334,11 @@ def cmd_rank(cfg: RunConfiguration) -> int:
             failures.append((ext, str(exc)))
     ranked = rank_extensions(results)
     if cfg.output_format == "json":
-        payload = {
-            "semantics": cfg.semantics,
-            "extensions": [
-                {"rank": i, "members": list(r.extension.members),
-                 "lower": r.interval.lower, "upper": r.interval.upper,
-                 "case": r.case}
-                for i, r in enumerate(ranked, start=1)],
-            "unranked": [{"members": list(e.members), "error": msg}
-                         for e, msg in failures],
-        }
+        payload = results_payload(cfg.semantics, ranked)
+        for i, row in enumerate(payload["extensions"], start=1):
+            row["rank"] = i
+        payload["unranked"] = [{"members": list(e.members), "error": msg}
+                               for e, msg in failures]
         print(emit_json(payload))
     else:
         if not ranked and not failures:

@@ -12,9 +12,10 @@ statement kinds (several may share a line):
 Plain `arg`/`att` solver benchmarks load as-is: without any ``p``
 statements the profile defaults to all-ones, which reduces the analysis to
 classical acceptance. ``% name: ...`` and ``% description: ...`` comments
-carry optional metadata. JSON output uses the stable schema
-``{arguments, attacks, causality, agents, opinions}`` for documents and
-``{semantics, extensions: [{members, lower, upper, case}]}`` for results.
+carry optional metadata. :func:`emit_json` takes a payload dict; the
+payload helpers build the stable schemas ``{arguments, attacks, causality,
+agents, opinions}`` for documents and ``{semantics, extensions: [{members,
+lower, upper, case}]}`` for results.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .errors import ParseError, ValidationError
 
 _STATEMENT = re.compile(r"\s*(arg|att|cau|agents|p)\s*\(\s*([^()]*?)\s*\)\s*\.")
 _ARITY = {"arg": 1, "att": 2, "cau": 2, "agents": 1, "p": 3}
+
+# A file without p(...) lines gets an all-ones profile of this many agents,
+# so the count is bounded before anything of that size is allocated.
+MAX_AGENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,9 @@ def parse_caf(text: str) -> FrameworkDocument:
                 agents = _int(parts[0], line_no, "agent count")
                 if agents < 1:
                     raise ParseError(line_no, "agent count must be >= 1")
+                if agents > MAX_AGENTS:
+                    raise ParseError(
+                        line_no, f"agent count must be <= {MAX_AGENTS}")
             else:  # p
                 agent = _int(parts[0], line_no, "agent index")
                 arg = _name(parts[1], line_no)
@@ -255,18 +263,8 @@ def extensions_payload(semantics: str | None,
     }
 
 
-def emit_json(payload, semantics: str | None = None) -> str:
-    """JSON for a document or a sequence of bounds results/extensions."""
-    if isinstance(payload, FrameworkDocument):
-        data = document_payload(payload)
-    elif isinstance(payload, dict):
-        data = payload
-    else:
-        items = list(payload)
-        if items and isinstance(items[0], Extension):
-            data = extensions_payload(semantics, items)
-        else:
-            data = results_payload(semantics, items)
+def emit_json(data: dict) -> str:
+    """Stable JSON text (sorted keys, two-space indent) for a payload dict."""
     return json.dumps(data, indent=2, sort_keys=True)
 
 

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from credalarg import (ArgumentationFramework, CausalGroup, CausalityGraph,
                        CoverageError, CredalProfile, CredalSet, Extension,
                        ProbabilityInterval, ValidationError,
-                       agent_valuation_oracle, extension_bounds,
-                       independent_bounds, rank_extensions, ul_bounds)
+                       agent_valuation_oracle, dependent_bounds,
+                       extension_bounds, independent_bounds, rank_extensions,
+                       ul_bounds)
 from credalarg.bounds import BoundsResult
-from randgen import random_causality, random_framework, random_profile
+from randgen import (random_causality, random_document, random_framework,
+                     random_profile)
 
 TOL = 1e-9
 
@@ -78,6 +80,14 @@ class TestGrouping:
         profile = CredalProfile.of({"A": [0.5]})
         with pytest.raises(ValidationError):
             ul_bounds(("A", "E"), profile, diagnosis.causality)
+
+    def test_graph_domain_mismatch_rejected(self):
+        profile = CredalProfile.of({"x": [0.5], "y": [0.5]})
+        graph = CausalityGraph(("x",))
+        for members in (("y",), ("x", "y")):
+            with pytest.raises(ValidationError,
+                               match="causality graph has no argument 'y'"):
+                extension_bounds(members, profile, graph)
 
 
 class TestCoverage:
@@ -231,3 +241,28 @@ def test_agent_subset_bounds_stay_within_the_full_range():
                 continue
             assert part.lower >= full.lower - TOL
             assert part.upper <= full.upper + TOL
+
+
+def test_lone_group_product_equals_the_dependent_rule_exactly():
+    # An extension that is one causal group and nothing else goes through
+    # the same sorted-factor product as every other extension; a product of
+    # one factor must be that group's dependent bounds bit for bit.
+    rng = random.Random(0x1D)
+    lone = 0
+    for _ in range(200):
+        doc = random_document(rng)
+        for ext in doc.framework.enumerate_extensions("conflict-free"):
+            if len(ext.members) < 2:
+                continue
+            try:
+                result = extension_bounds(ext, doc.profile, doc.causality)
+            except CoverageError:
+                continue
+            if (len(result.groups) != 1
+                    or result.groups[0].members != ext.members):
+                continue
+            lone += 1
+            expected = dependent_bounds(
+                [doc.profile.credal_set(n) for n in ext.members])
+            assert result.interval == expected
+    assert lone > 50

@@ -4,7 +4,7 @@ import pytest
 
 from credalarg import (ArgumentationFramework, CausalityGraph,
                        UnknownArgumentError, ValidationError,
-                       causal_ancestors, check_attack_disjointness, partition)
+                       check_attack_disjointness)
 from randgen import random_causality, random_framework
 
 CORE = {"C", "D", "E", "F", "G", "H"}
@@ -20,7 +20,7 @@ class TestPartition:
 
     def test_no_edges_means_all_isolated(self):
         graph = CausalityGraph(("x", "y"))
-        split = partition(graph)
+        split = graph.partition()
         assert split.isolated == {"x", "y"}
         assert not split.effects and not split.causes
 
@@ -48,7 +48,7 @@ class TestAncestors:
 
     def test_transitive_closure(self, diagnosis):
         # H reaches A both directly and through G
-        assert causal_ancestors("A", diagnosis.causality) == \
+        assert diagnosis.causality.ancestors_of("A") == \
             {"D", "F", "G", "H"}
 
     def test_source_has_none(self, diagnosis):
@@ -61,6 +61,10 @@ class TestAncestors:
     def test_unknown_argument(self, diagnosis):
         with pytest.raises(UnknownArgumentError):
             diagnosis.causality.ancestors_of("Z")
+
+    def test_membership(self, diagnosis):
+        assert "E" in diagnosis.causality
+        assert "Z" not in diagnosis.causality
 
     def test_monotone_under_edge_addition(self):
         rng = random.Random(21)

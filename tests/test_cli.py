@@ -197,6 +197,15 @@ class TestCheck:
         assert len(data["violations"]) == 3
 
 
+    def test_huge_agent_count_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "crowd.caf"
+        path.write_text("arg(a). agents(10000000000000000000).\n")
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 1" in err and "agent count" in err
+
+
 class TestExportDot:
     def test_contains_both_edge_styles(self, capsys, diagnosis_caf):
         code, out, _ = run(capsys, "export-dot", "--input", diagnosis_caf)

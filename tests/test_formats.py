@@ -7,7 +7,7 @@ from credalarg import (ArgumentationFramework, CausalityGraph, CredalProfile,
                        FrameworkDocument, ParseError, ValidationError,
                        emit_caf, emit_json, export_dot, extension_bounds,
                        parse_caf)
-from credalarg.formats import document_payload
+from credalarg.formats import document_payload, results_payload
 from randgen import random_document
 
 
@@ -59,6 +59,12 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_caf("agents(1).\nagents(2).")
         assert err.value.line == 2
+
+    def test_huge_agent_count_rejected_on_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_caf("arg(a).\nagents(10000000000000000000).")
+        assert err.value.line == 2
+        assert "agent count" in str(err.value)
 
     def test_agent_index_beyond_declared_count(self):
         with pytest.raises(ParseError) as err:
@@ -131,7 +137,7 @@ class TestRandomRoundTrip:
 
 class TestJson:
     def test_document_schema(self, diagnosis):
-        data = json.loads(emit_json(diagnosis))
+        data = json.loads(emit_json(document_payload(diagnosis)))
         assert set(data) == {"arguments", "attacks", "causality", "agents",
                              "opinions"}
         assert data["agents"] == 4
@@ -141,14 +147,14 @@ class TestJson:
     def test_empty_framework(self):
         doc = FrameworkDocument(ArgumentationFramework(),
                                 CredalProfile(1, {}), CausalityGraph())
-        data = json.loads(emit_json(doc))
+        data = json.loads(emit_json(document_payload(doc)))
         assert data["arguments"] == []
         assert data["opinions"] == {}
 
     def test_singleton_bounds_payload(self, diagnosis):
         result = extension_bounds(("A",), diagnosis.profile,
                                   diagnosis.causality)
-        data = json.loads(emit_json([result], semantics=None))
+        data = json.loads(emit_json(results_payload(None, [result])))
         row = data["extensions"][0]
         assert row["members"] == ["A"]
         assert row["lower"] == 0.2
@@ -156,7 +162,8 @@ class TestJson:
         assert row["case"] == "singleton"
 
     def test_output_is_deterministic(self, diagnosis):
-        assert emit_json(diagnosis) == emit_json(diagnosis)
+        assert emit_json(document_payload(diagnosis)) == \
+            emit_json(document_payload(diagnosis))
         assert document_payload(diagnosis) == document_payload(diagnosis)
 
 
