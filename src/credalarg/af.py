@@ -36,6 +36,14 @@ DEFAULT_MAX_ARGS = 25
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not NAME_PATTERN.match(name):
         raise ValidationError(f"invalid argument name: {name!r}")
@@ -118,13 +126,12 @@ class ArgumentationFramework:
         return mask
 
     def _names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(a for i, a in enumerate(self.arguments) if mask >> i & 1)
+        return tuple(self.arguments[i] for i in set_bits(mask))
 
     def _attacked_by_mask(self, mask: int) -> int:
         hit = 0
-        for i, out in enumerate(self._out):
-            if mask >> i & 1:
-                hit |= out
+        for i in set_bits(mask):
+            hit |= self._out[i]
         return hit
 
     # -- predicates -------------------------------------------------------
@@ -137,10 +144,7 @@ class ArgumentationFramework:
     def is_conflict_free(self, members: Iterable[str]) -> bool:
         """True iff no attack has both endpoints inside ``members``."""
         mask = self._mask_of(members)
-        for i in range(len(self.arguments)):
-            if mask >> i & 1 and self._out[i] & mask:
-                return False
-        return True
+        return not any(self._out[i] & mask for i in set_bits(mask))
 
     def defends(self, members: Iterable[str], name: str) -> bool:
         """True iff every attacker of ``name`` is attacked from ``members``."""

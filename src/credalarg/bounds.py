@@ -16,6 +16,13 @@ factors in sorted order; a lone group is a product of one factor, which is
 its dependent bounds exactly. Each member must be consumed by exactly one
 part — anything else raises :class:`~credalarg.errors.CoverageError`
 instead of silently producing a meaningless product.
+
+The extension becomes one member mask over the graph's bits, so anchors,
+groups, the coverage checks and the singles are ``&``/``|`` on the graph's
+closure masks, and each group is walked over its own set bits only. The
+per-agent minimum and product run on the members' raw value tuples, through
+the same helpers that back :func:`~credalarg.credal.dependent_credal_set`
+and :func:`~credalarg.credal.independent_bounds`.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .af import Extension
+from .af import Extension, set_bits
 from .causality import CausalityGraph
-from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
-                     dependent_credal_set, independent_bounds, single_bounds)
+from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
+                     product_bounds, single_bounds)
 from .errors import CoverageError, ValidationError
 
 EMPTY_CASE = "empty"
@@ -57,12 +64,20 @@ def _as_extension(members: Extension | Iterable[str]) -> Extension:
 
 
 def _check_domains(ext: Extension, profile: CredalProfile,
-                   graph: CausalityGraph) -> None:
+                   graph: CausalityGraph) -> tuple[int, dict[int, tuple]]:
+    """Check every member in order; return the member mask and each
+    member's opinion values by bit."""
+    mask = 0
+    rows = {}
     for name in ext.members:
-        profile.credal_set(name)  # raises on a domain mismatch
-        if name not in graph:
+        values = profile.credal_set(name).values  # raises on a mismatch
+        bit = graph.index.get(name)
+        if bit is None:
             raise ValidationError(
                 f"causality graph has no argument {name!r}")
+        mask |= 1 << bit
+        rows[bit] = values
+    return mask, rows
 
 
 def ul_bounds(members: Extension | Iterable[str], profile: CredalProfile,
@@ -75,44 +90,42 @@ def ul_bounds(members: Extension | Iterable[str], profile: CredalProfile,
     ext = _as_extension(members)
     if len(ext.members) <= 1:
         raise ValidationError("ul_bounds needs more than one member")
-    _check_domains(ext, profile, graph)
-    member_set = ext.member_set
+    mask, rows = _check_domains(ext, profile, graph)
+    names = graph.arguments
 
+    # parts[lowest bit of a part] = its per-agent values; parts are
+    # disjoint, so ordering by lowest bit is ordering by sorted members
+    parts = {}
     groups = []
-    for anchor in sorted(graph.group_anchors(member_set)):
-        inside = (graph.ancestors_of(anchor) & member_set) | {anchor}
-        groups.append(CausalGroup(anchor, tuple(sorted(inside))))
-
-    # owner[name] is the anchor of the one group holding name
-    owner: dict[str, str] = {}
-    for group in groups:
-        for name in group.members:
-            if name in owner:
-                raise CoverageError(
-                    f"causal groups anchored at {owner[name]!r} and "
-                    f"{group.top!r} overlap on {name!r}")
-            owner[name] = group.top
-
-    singles = ((member_set & graph.partition().isolated)
-               | graph.free_causes(member_set))
-    for name in ext.members:
-        count = (name in owner) + (name in singles)
-        if count == 0:
+    grouped = 0
+    anchors = graph.anchor_mask(mask)
+    for top in set_bits(anchors):
+        inside = graph.ancestor_masks[top] & mask | 1 << top
+        clash = inside & grouped
+        if clash:
+            name = names[next(set_bits(clash))]
+            first = next(g.top for g in groups if name in g.members)
             raise CoverageError(
-                f"member {name!r} not reachable by any causal group, "
+                f"causal groups anchored at {first!r} and "
+                f"{names[top]!r} overlap on {name!r}")
+        grouped |= inside
+        bits = list(set_bits(inside))
+        groups.append(CausalGroup(names[top], tuple(names[i] for i in bits)))
+        parts[bits[0]] = agent_minimum([rows[i] for i in bits])
+
+    singles = mask & graph.isolated_mask | graph.free_mask(mask, anchors)
+    stray = mask & ~(grouped | singles) | grouped & singles
+    if stray:
+        i = next(set_bits(stray))
+        if not grouped >> i & 1:
+            raise CoverageError(
+                f"member {names[i]!r} not reachable by any causal group, "
                 f"isolated or free part")
-        if count > 1:
-            raise CoverageError(
-                f"member {name!r} consumed {count} times by the causal "
-                f"grouping")
-
-    factors: list[tuple[tuple[str, ...], CredalSet]] = [
-        (g.members,
-         dependent_credal_set([profile.credal_set(n) for n in g.members]))
-        for g in groups]
-    factors.extend(((n,), profile.credal_set(n)) for n in singles)
-    factors.sort(key=lambda item: item[0])
-    interval = independent_bounds([k for _, k in factors])
+        raise CoverageError(
+            f"member {names[i]!r} consumed 2 times by the causal grouping")
+    for i in set_bits(singles):
+        parts[i] = rows[i]
+    interval = product_bounds([parts[i] for i in sorted(parts)])
     return BoundsResult(ext, interval, ALGORITHM_CASE, tuple(groups))
 
 

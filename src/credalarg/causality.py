@@ -5,6 +5,12 @@ acyclic cause -> effect edges, disjoint from the attack relation. It only
 controls how an extension is cut into aggregation parts: chains of causally
 related members collapse into dependent groups, everything else multiplies
 independently.
+
+Construction compiles the graph to bitmasks over the sorted ``arguments``
+(bit i is ``arguments[i]``, see ``index``): per argument its direct effects,
+ancestors and descendants, plus the effect, cause and isolated masks. Anchors
+and free causes of a member mask are then one mask test per candidate
+member; the name-level queries decode masks on demand.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import graphlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .af import set_bits
 from .errors import UnknownArgumentError, ValidationError
 
 
@@ -37,75 +44,89 @@ class CausalityGraph:
     def __post_init__(self):
         args = tuple(sorted(set(self.arguments)))
         object.__setattr__(self, "arguments", args)
-        known = set(args)
+        index = {name: i for i, name in enumerate(args)}
         edges = frozenset((a, b) for a, b in self.edges)
         parents: dict[str, set[str]] = {a: set() for a in args}
-        children: dict[str, set[str]] = {a: set() for a in args}
+        children = [0] * len(args)
+        effects = causes = 0
         for cause, effect in edges:
             for end in (cause, effect):
-                if end not in known:
+                if end not in index:
                     raise UnknownArgumentError(
                         f"causal edge ({cause},{effect}) mentions unknown "
                         f"argument {end!r}")
             if cause == effect:
                 raise ValidationError(f"causal self-edge on {cause!r}")
             parents[effect].add(cause)
-            children[cause].add(effect)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_parents", parents)
-        object.__setattr__(self, "_children", children)
-        effects = frozenset(b for _, b in edges)
-        causes = frozenset(a for a, _ in edges)
-        object.__setattr__(self, "_partition", CausalPartition(
-            effects, causes, frozenset(args) - effects - causes))
+            children[index[cause]] |= 1 << index[effect]
+            effects |= 1 << index[effect]
+            causes |= 1 << index[cause]
 
         try:
-            order = tuple(graphlib.TopologicalSorter(parents).static_order())
+            order = [index[name] for name in
+                     graphlib.TopologicalSorter(parents).static_order()]
         except graphlib.CycleError as exc:
             cycle = exc.args[1]
             raise ValidationError(
                 "causal cycle: " + " -> ".join(cycle)) from None
-        # ancestor closure in topological order (parents come first)
-        ancestors: dict[str, frozenset[str]] = {}
-        for name in order:
-            acc: set[str] = set()
-            for p in parents[name]:
-                acc.add(p)
-                acc |= ancestors[p]
-            ancestors[name] = frozenset(acc)
-        descendants: dict[str, set[str]] = {a: set() for a in args}
-        for name, up in ancestors.items():
-            for p in up:
-                descendants[p].add(name)
-        object.__setattr__(self, "_ancestors", ancestors)
-        object.__setattr__(
-            self, "_descendants",
-            {a: frozenset(d) for a, d in descendants.items()})
+        # parents come before their children in ``order``
+        ancestors = [0] * len(args)
+        for i in order:
+            for p in parents[args[i]]:
+                j = index[p]
+                ancestors[i] |= ancestors[j] | 1 << j
+        descendants = [0] * len(args)
+        for i in reversed(order):
+            for j in set_bits(children[i]):
+                descendants[i] |= descendants[j] | 1 << j
+
+        for name, value in (
+                ("edges", edges), ("index", index),
+                ("child_masks", children), ("ancestor_masks", ancestors),
+                ("descendant_masks", descendants), ("effect_mask", effects),
+                ("cause_mask", causes),
+                ("isolated_mask", (1 << len(args)) - 1 & ~(effects | causes))):
+            object.__setattr__(self, name, value)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._parents
+        return name in self.index
 
-    def _known(self, name: str) -> str:
-        if name not in self:
-            raise UnknownArgumentError(f"unknown argument {name!r}")
-        return name
+    def _bit(self, name: str) -> int:
+        try:
+            return self.index[name]
+        except KeyError:
+            raise UnknownArgumentError(f"unknown argument {name!r}") from None
+
+    def _names(self, mask: int) -> frozenset[str]:
+        return frozenset(self.arguments[i] for i in set_bits(mask))
+
+    def _mask_of(self, names: Iterable[str]) -> int:
+        """Member mask of ``names``; names outside the graph are ignored."""
+        return sum(1 << self.index[a] for a in set(names) if a in self.index)
 
     def partition(self) -> CausalPartition:
-        """The effect/cause/isolated split, computed once at construction."""
-        return self._partition
-
-    def direct_causes_of(self, name: str) -> frozenset[str]:
-        return frozenset(self._parents[self._known(name)])
-
-    def direct_effects_of(self, name: str) -> frozenset[str]:
-        return frozenset(self._children[self._known(name)])
+        """The effect/cause/isolated split, decoded from its masks."""
+        return CausalPartition(self._names(self.effect_mask),
+                               self._names(self.cause_mask),
+                               self._names(self.isolated_mask))
 
     def ancestors_of(self, name: str) -> frozenset[str]:
         """Every argument with a directed causal path into ``name``."""
-        return self._ancestors[self._known(name)]
+        return self._names(self.ancestor_masks[self._bit(name)])
 
     def descendants_of(self, name: str) -> frozenset[str]:
-        return self._descendants[self._known(name)]
+        return self._names(self.descendant_masks[self._bit(name)])
+
+    def anchor_mask(self, members: int) -> int:
+        """Mask form of :meth:`group_anchors` for a member mask."""
+        return sum(1 << i for i in set_bits(members & self.effect_mask)
+                   if not self.descendant_masks[i] & members)
+
+    def free_mask(self, members: int, anchors: int) -> int:
+        """Mask form of :meth:`free_causes`, given the members' anchors."""
+        candidates = members & self.cause_mask & ~anchors
+        return sum(1 << i for i in set_bits(candidates)
+                   if not self.child_masks[i] & members)
 
     def group_anchors(self, members: Iterable[str]) -> frozenset[str]:
         """Members that terminate a causal chain inside the given set.
@@ -114,21 +135,17 @@ class CausalityGraph:
         ancestor of no other member; each one roots a dependent group made
         of itself plus its in-set ancestors.
         """
-        members = frozenset(members)
-        return frozenset(a for a in members & self._partition.effects
-                         if not self._descendants[a] & members)
+        return self._names(self.anchor_mask(self._mask_of(members)))
 
     def free_causes(self, members: Iterable[str]) -> frozenset[str]:
         """Members with outgoing edges that feed no other member.
 
-        Decided on direct successors (switching `self._children[a]` to
-        `self._descendants[a]` here would give the transitive reading);
+        Decided on direct successors, the ``child_masks`` (testing the
+        ``descendant_masks`` instead would give the transitive reading);
         anchors are excluded since they already root a group.
         """
-        members = frozenset(members)
-        candidates = frozenset(a for a in members & self._partition.causes
-                               if not self._children[a] & members)
-        return candidates - self.group_anchors(members)
+        mask = self._mask_of(members)
+        return self._names(self.free_mask(mask, self.anchor_mask(mask)))
 
 
 def check_attack_disjointness(graph: CausalityGraph,

@@ -10,12 +10,23 @@ taking the min/max across agents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import CredalSetError, ValidationError
 
 if TYPE_CHECKING:
     from .af import ArgumentationFramework
+
+MAX_AGENTS = 10_000  # caps what an all-ones profile allocates per argument
+
+
+def _checked_agent_count(count: int) -> int:
+    if count < 1:
+        raise CredalSetError("agent count must be >= 1")
+    if count > MAX_AGENTS:
+        raise CredalSetError(f"agent count must be <= {MAX_AGENTS}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -61,8 +72,7 @@ class CredalProfile:
     assignment: Mapping[str, CredalSet] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.agent_count < 1:
-            raise CredalSetError("agent count must be >= 1")
+        _checked_agent_count(self.agent_count)
         norm = {name: k for name, k in sorted(self.assignment.items())}
         for name, k in norm.items():
             if len(k) != self.agent_count:
@@ -84,7 +94,7 @@ class CredalProfile:
     def maximal(cls, arguments: Iterable[str],
                 agent_count: int = 1) -> "CredalProfile":
         """All-ones profile: every agent fully believes every argument."""
-        ones = CredalSet((1.0,) * agent_count)
+        ones = CredalSet((1.0,) * _checked_agent_count(agent_count))
         return cls(agent_count, {name: ones for name in arguments})
 
     def credal_set(self, name: str) -> CredalSet:
@@ -99,12 +109,26 @@ class CredalProfile:
         return tuple(self.assignment)
 
 
+def agent_minimum(rows: Sequence[tuple[float, ...]]) -> tuple[float, ...]:
+    """Per-agent minimum of equal-length value rows (the dependent rule)."""
+    return rows[0] if len(rows) == 1 else tuple(map(min, *rows))
+
+
+def product_bounds(rows: Sequence[tuple[float, ...]]) -> ProbabilityInterval:
+    """Per-agent product of value rows, then min/max (the independent rule);
+    it runs left to right, so canonically ordered rows are bit-reproducible."""
+    products = [1.0] * len(rows[0])
+    for row in rows:
+        products = list(map(mul, products, row))
+    return ProbabilityInterval(min(products), max(products))
+
+
 def single_bounds(k: CredalSet) -> ProbabilityInterval:
     """Lower/upper probability of one event: min/max of its credal set."""
     return ProbabilityInterval(min(k.values), max(k.values))
 
 
-def _check_same_cardinality(ks: Sequence[CredalSet]) -> int:
+def _check_same_cardinality(ks: Sequence[CredalSet]) -> None:
     if not ks:
         raise CredalSetError("need at least one credal set")
     m = len(ks[0])
@@ -112,27 +136,18 @@ def _check_same_cardinality(ks: Sequence[CredalSet]) -> int:
         if len(k) != m:
             raise CredalSetError(
                 f"mismatched credal set cardinalities: {len(k)} vs {m}")
-    return m
 
 
 def independent_bounds(ks: Sequence[CredalSet]) -> ProbabilityInterval:
-    """Bounds for independent events: per-agent product, then min/max.
-
-    The caller controls factor order; products run left to right over ``ks``
-    so a canonically sorted input is bit-reproducible.
-    """
-    m = _check_same_cardinality(ks)
-    products = [1.0] * m
-    for k in ks:
-        for j in range(m):
-            products[j] *= k.values[j]
-    return ProbabilityInterval(min(products), max(products))
+    """Bounds for independent events; the caller controls factor order."""
+    _check_same_cardinality(ks)
+    return product_bounds([k.values for k in ks])
 
 
 def dependent_credal_set(ks: Sequence[CredalSet]) -> CredalSet:
     """Joint credal set for dependent events: per-agent minimum."""
-    m = _check_same_cardinality(ks)
-    return CredalSet(tuple(min(k.values[j] for k in ks) for j in range(m)))
+    _check_same_cardinality(ks)
+    return CredalSet(agent_minimum([k.values for k in ks]))
 
 
 def dependent_bounds(ks: Sequence[CredalSet]) -> ProbabilityInterval:

@@ -28,15 +28,11 @@ from typing import Sequence
 from .af import NAME_PATTERN, ArgumentationFramework, Extension
 from .bounds import BoundsResult
 from .causality import CausalityGraph, check_attack_disjointness
-from .credal import CredalProfile, CredalSet
+from .credal import MAX_AGENTS, CredalProfile, CredalSet
 from .errors import ParseError, ValidationError
 
 _STATEMENT = re.compile(r"\s*(arg|att|cau|agents|p)\s*\(\s*([^()]*?)\s*\)\s*\.")
 _ARITY = {"arg": 1, "att": 2, "cau": 2, "agents": 1, "p": 3}
-
-# A file without p(...) lines gets an all-ones profile of this many agents,
-# so the count is bounded before anything of that size is allocated.
-MAX_AGENTS = 10_000
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -266,3 +267,62 @@ def test_lone_group_product_equals_the_dependent_rule_exactly():
                 [doc.profile.credal_set(n) for n in ext.members])
             assert result.interval == expected
     assert lone > 50
+
+
+def test_large_grounded_extension_matches_the_oracle():
+    # No attack reaches the chains, isolated arguments or free causes, so
+    # the grounded extension holds 2,300 members: 300 four-link causal
+    # chains (one group each), 500 isolated arguments, and 300 causes whose
+    # only effect is defeated by an unattacked, isolated argument.
+    rng = random.Random(0x2000)
+    chains = [[f"c{i}_{k}" for k in range(4)] for i in range(300)]
+    isolated = [f"i{i}" for i in range(500)]
+    free = [(f"f{i}", f"t{i}", f"u{i}") for i in range(300)]
+    edges = {(c[k], c[k + 1]) for c in chains for k in range(3)}
+    edges |= {(f, t) for f, t, _ in free}
+    args = [a for c in chains for a in c] + isolated + \
+        [a for triple in free for a in triple]
+    af = ArgumentationFramework(args, frozenset((u, t) for _, t, u in free))
+    graph = CausalityGraph(af.arguments, frozenset(edges))
+    # opinions near 1, so a product of 1,400 factors does not underflow
+    profile = CredalProfile.of(
+        {a: [1.0 - rng.random() * 1e-3 for _ in range(4)] for a in args})
+    ext = af.grounded_extension()
+    assert len(ext.members) == 2300
+    result = extension_bounds(ext, profile, graph)
+    assert len(result.groups) == 300
+    expected = agent_valuation_oracle(ext, profile, graph)
+    assert abs(result.interval.lower - expected.lower) <= 1e-12
+    assert abs(result.interval.upper - expected.upper) <= 1e-12
+    assert 0.0 < result.interval.lower < result.interval.upper < 1.0
+
+
+# SHA-256 of the sweep below, recorded before the grouping was compiled to
+# bitmasks; any change to an interval, a group or a refusal text moves it
+SWEEP_DIGEST = \
+    "c7eef406abd460c3d236a7cf1f396906ac73a25f0576a3d2b1a4a4452228efc7"
+
+
+def test_oracle_sweep_is_bit_for_bit_frozen():
+    # criterion 7's generator: every conflict-free set of 1,000 random
+    # (framework, causality, profile) triples, hashed by the repr of its
+    # interval and groups, or by the text of its CoverageError
+    rng = random.Random(0x73)
+    digest = hashlib.sha256()
+    extensions = refused = 0
+    for _ in range(1000):
+        af = random_framework(rng, max_args=10)
+        graph = random_causality(rng, af)
+        profile = random_profile(rng, af, agent_count=rng.randint(1, 5))
+        for ext in af.enumerate_extensions("conflict-free"):
+            try:
+                result = extension_bounds(ext, profile, graph)
+                line = f"{ext.members!r} {result.interval!r} " \
+                       f"{result.groups!r}"
+            except CoverageError as exc:
+                line = f"{ext.members!r} refused {exc}"
+                refused += 1
+            extensions += 1
+            digest.update(line.encode() + b"\n")
+    assert (extensions, refused) == (17905, 1376)
+    assert digest.hexdigest() == SWEEP_DIGEST

@@ -149,3 +149,49 @@ class TestValidation:
         for graph in (aligned, reversed_):
             with pytest.raises(ValidationError):
                 check_attack_disjointness(graph, af.attacks)
+
+
+def _reach(edges, start, forward):
+    found, stack = set(), [start]
+    while stack:
+        node = stack.pop()
+        for cause, effect in edges:
+            src, dst = (cause, effect) if forward else (effect, cause)
+            if src == node and dst not in found:
+                found.add(dst)
+                stack.append(dst)
+    return found
+
+
+def test_mask_queries_match_a_derivation_from_raw_edges():
+    # Every name-level query decodes the closure masks; rebuild each answer
+    # from ``edges`` alone and compare on random member subsets.
+    rng = random.Random(0x3A5C)
+    graphs = closed = 0
+    while graphs < 200:
+        af = random_framework(rng, max_args=10, min_args=2)
+        graph = random_causality(rng, af, edge_p=rng.choice((0.15, 0.3)))
+        if not graph.edges:
+            continue
+        graphs += 1
+        edges = sorted(graph.edges)
+        up = {a: _reach(edges, a, forward=False) for a in graph.arguments}
+        down = {a: _reach(edges, a, forward=True) for a in graph.arguments}
+        closed += any(up.values())
+        effects = {b for _, b in edges}
+        causes = {a for a, _ in edges}
+        split = graph.partition()
+        assert (split.effects, split.causes) == (effects, causes)
+        assert split.isolated == set(graph.arguments) - effects - causes
+        for a in graph.arguments:
+            assert graph.ancestors_of(a) == up[a]
+            assert graph.descendants_of(a) == down[a]
+        for _ in range(5):
+            subset = {a for a in graph.arguments if rng.random() < 0.6}
+            anchors = {a for a in subset & effects
+                       if not any(a in up[b] for b in subset)}
+            free = {a for a in subset & causes
+                    if not any((a, b) in graph.edges for b in subset)}
+            assert graph.group_anchors(subset) == anchors
+            assert graph.free_causes(subset) == free - anchors
+    assert closed > 50

@@ -111,6 +111,14 @@ class TestValidation:
             CredalProfile(2, {"a": CredalSet((0.5, 0.5)),
                               "b": CredalSet((0.5,))})
 
+    def test_huge_agent_count_rejected_before_allocation(self):
+        # 10**19 does not fit an index-sized integer: allocating first
+        # would end in an untyped OverflowError
+        with pytest.raises(CredalSetError, match="agent count must be <="):
+            CredalProfile.maximal(["a"], 10**19)
+        with pytest.raises(CredalSetError, match="agent count must be <="):
+            CredalProfile(10**19, {})
+
     def test_profile_lookup_miss(self):
         profile = CredalProfile.of({"a": [0.5]})
         with pytest.raises(ValidationError):
