@@ -33,7 +33,8 @@ SEMANTICS = ("conflict-free", "admissible", "complete", "preferred",
 
 DEFAULT_MAX_ARGS = 25
 
-NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
+NAME_REGEX = r"[A-Za-z0-9_]+"
+NAME_PATTERN = re.compile(NAME_REGEX + r"\Z")
 
 
 def set_bits(mask: int) -> Iterator[int]:

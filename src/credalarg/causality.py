@@ -8,16 +8,17 @@ independently.
 
 Construction compiles the graph to bitmasks over the sorted ``arguments``
 (bit i is ``arguments[i]``, see ``index``): per argument its direct effects,
-ancestors and descendants, plus the effect, cause and isolated masks. Anchors
-and free causes of a member mask are then one mask test per candidate
-member; the name-level queries decode masks on demand.
+ancestors and descendants, plus the effect, cause and isolated masks. The
+closures follow one topological order, found by Kahn's algorithm over the
+bit indices. Anchors and free causes of a member mask are then one mask
+test per candidate member; the name-level queries decode masks on demand.
 """
 
 from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .af import set_bits
 from .errors import UnknownArgumentError, ValidationError
@@ -38,6 +39,13 @@ class CausalPartition:
 
 @dataclass(frozen=True)
 class CausalityGraph:
+    """Acyclic cause -> effect edges over a set of argument names.
+
+    Construction rejects an edge with an unknown end, a self-edge and a
+    cycle (``ValidationError``); only in that last case does graphlib run,
+    to name the cycle. ``arguments`` is stored sorted.
+    """
+
     arguments: tuple[str, ...] = ()
     edges: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
@@ -46,7 +54,7 @@ class CausalityGraph:
         object.__setattr__(self, "arguments", args)
         index = {name: i for i, name in enumerate(args)}
         edges = frozenset((a, b) for a, b in self.edges)
-        parents: dict[str, set[str]] = {a: set() for a in args}
+        parents: list[list[int]] = [[] for _ in args]
         children = [0] * len(args)
         effects = causes = 0
         for cause, effect in edges:
@@ -57,28 +65,30 @@ class CausalityGraph:
                         f"argument {end!r}")
             if cause == effect:
                 raise ValidationError(f"causal self-edge on {cause!r}")
-            parents[effect].add(cause)
-            children[index[cause]] |= 1 << index[effect]
-            effects |= 1 << index[effect]
-            causes |= 1 << index[cause]
+            i, j = index[cause], index[effect]
+            parents[j].append(i)
+            children[i] |= 1 << j
+            effects |= 1 << j
+            causes |= 1 << i
 
-        try:
-            order = [index[name] for name in
-                     graphlib.TopologicalSorter(parents).static_order()]
-        except graphlib.CycleError as exc:
-            cycle = exc.args[1]
-            raise ValidationError(
-                "causal cycle: " + " -> ".join(cycle)) from None
-        # parents come before their children in ``order``
-        ancestors = [0] * len(args)
+        # Kahn's algorithm: parents come before their children in ``order``
+        waiting = [len(p) for p in parents]
+        order = [i for i, count in enumerate(waiting) if not count]
         for i in order:
-            for p in parents[args[i]]:
-                j = index[p]
-                ancestors[i] |= ancestors[j] | 1 << j
-        descendants = [0] * len(args)
-        for i in reversed(order):
             for j in set_bits(children[i]):
-                descendants[i] |= descendants[j] | 1 << j
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+        if len(order) < len(args):
+            _raise_cycle(args, edges)
+        ancestors = [0] * len(args)
+        descendants = [0] * len(args)
+        for i in order:
+            for j in parents[i]:
+                ancestors[i] |= ancestors[j] | 1 << j
+        for i in reversed(order):
+            for j in parents[i]:
+                descendants[j] |= descendants[i] | 1 << i
 
         for name, value in (
                 ("edges", edges), ("index", index),
@@ -146,6 +156,20 @@ class CausalityGraph:
         """
         mask = self._mask_of(members)
         return self._names(self.free_mask(mask, self.anchor_mask(mask)))
+
+
+def _raise_cycle(arguments: tuple[str, ...],
+                 edges: frozenset[tuple[str, str]]) -> NoReturn:
+    """Raise the error that names one cycle of a graph known to have one."""
+    parents: dict[str, set[str]] = {a: set() for a in arguments}
+    for cause, effect in edges:
+        parents[effect].add(cause)
+    try:
+        graphlib.TopologicalSorter(parents).prepare()
+    except graphlib.CycleError as exc:
+        raise ValidationError(
+            "causal cycle: " + " -> ".join(exc.args[1])) from None
+    raise AssertionError("no causal cycle")
 
 
 def check_attack_disjointness(graph: CausalityGraph,

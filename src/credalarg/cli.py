@@ -128,7 +128,7 @@ def _build_config(ns: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> RunConfiguration:
     if ns.max_args < 1:
         parser.error("--max-args must be >= 1")
-    if ns.tolerance <= 0:
+    if not ns.tolerance > 0:  # also rejects NaN
         parser.error("--tolerance must be > 0")
     explicit = getattr(ns, "explicit_set", None)
     if explicit is not None:

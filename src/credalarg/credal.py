@@ -174,15 +174,14 @@ def rationality_report(profile: CredalProfile,
     attacked argument to at most 0.5. Violations are diagnostics, never a
     rejection: perfectly sensible multi-agent tables break the rule.
     """
-    violations = []
-    for attacker, target in af.attacks:
-        ka = profile.credal_set(attacker)
-        kt = profile.credal_set(target)
-        for j in range(profile.agent_count):
-            if ka.values[j] > 0.5 and kt.values[j] > 0.5:
-                violations.append(RationalityViolation(
-                    j + 1, attacker, target, ka.values[j], kt.values[j]))
-    return sorted(violations)
+    rows = [(attacker, target, profile.credal_set(attacker).values,
+             profile.credal_set(target).values)
+            for attacker, target in sorted(af.attacks)]
+    # agent first, then the sorted attacks: the dataclass order, built as is
+    return [RationalityViolation(j + 1, attacker, target, a[j], t[j])
+            for j in range(profile.agent_count)
+            for attacker, target, a, t in rows
+            if a[j] > 0.5 and t[j] > 0.5]
 
 
 def is_maximal(profile: CredalProfile) -> bool:

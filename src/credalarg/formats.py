@@ -1,7 +1,12 @@
 """Parsing, serialization and DOT export for framework documents.
 
-The `.caf` text format is line-oriented with `%` comments and five
-statement kinds (several may share a line):
+The `.caf` text format is line-oriented (lines as ``str.splitlines`` cuts
+them), and ``%`` starts a comment anywhere on a line. A line that is blank
+before its ``%`` is a comment-only line; the first ``% name: ...`` and the
+first ``% description: ...`` among those carry the document's metadata,
+trimmed, and any other comment is ignored. Every other line holds one or
+more statements, each closed by a full stop, with any whitespace
+(``str.isspace``) allowed around tokens:
 
     arg(A).            declare an argument
     att(A,B).          A attacks B
@@ -9,13 +14,31 @@ statement kinds (several may share a line):
     agents(4).         number of agents
     p(1,A,0.2).        opinion of agent 1 about A
 
+Names match ``[A-Za-z0-9_]+``. Agent counts and indices are read by
+``int()`` and opinion values by ``float()``, so ``+2`` and ``1_0`` are
+numbers and ``nan`` is a value outside [0, 1]. Repeated ``arg``, ``att``
+and ``cau`` statements are allowed; the first line counts. The first
+failed check raises :class:`ParseError` with its line, in this order:
+
+1. statement by statement, in text order: syntax, then arity; for
+   ``arg``, ``att`` and ``cau`` an invalid name, from the left; for
+   ``agents`` a second declaration, an invalid count, a count outside
+   1..``MAX_AGENTS``; for ``p`` an invalid agent index, name or value,
+   in that order, a value outside [0, 1], an index below 1, and a
+   repeated (agent, argument) pair;
+2. attacks, by first line: an undeclared endpoint;
+3. causal edges, by first line: an undeclared endpoint, a self-edge, a
+   clash with an attack; then a causal cycle, on its edges' lowest line;
+4. opinions: none allowed without ``agents``; then, by line, an index
+   above the count and an undeclared argument;
+5. arguments, by declaration: a missing opinion, on the ``arg`` line.
+
 Plain `arg`/`att` solver benchmarks load as-is: without any ``p``
 statements the profile defaults to all-ones, which reduces the analysis to
-classical acceptance. ``% name: ...`` and ``% description: ...`` comments
-carry optional metadata. :func:`emit_json` takes a payload dict; the
-payload helpers build the stable schemas ``{arguments, attacks, causality,
-agents, opinions}`` for documents and ``{semantics, extensions: [{members,
-lower, upper, case}]}`` for results.
+classical acceptance. :func:`emit_json` takes a payload dict; the payload
+helpers build the stable schemas ``{arguments, attacks, causality, agents,
+opinions}`` for documents and ``{semantics, extensions: [{members, lower,
+upper, case}]}`` for results.
 """
 
 from __future__ import annotations
@@ -23,14 +46,28 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
-from .af import NAME_PATTERN, ArgumentationFramework, Extension
+from .af import NAME_PATTERN, NAME_REGEX, ArgumentationFramework, Extension
 from .bounds import BoundsResult
 from .causality import CausalityGraph, check_attack_disjointness
 from .credal import MAX_AGENTS, CredalProfile, CredalSet
 from .errors import ParseError, ValidationError
 
+_NAME = f"({NAME_REGEX})"
+# a number token for int()/float(): no comma or bracket, trimmed of spaces
+_NUMBER = r"([^,()\s][^,()]*?)"
+_COMMA = r"\s*,\s*"
+# One statement whose fields the checks below can take as they are. The
+# group that closes last names the kind: 1 arg, 4 att/cau, 5 agents, 8 p.
+_GRAMMAR = re.compile(
+    r"\s*(?:arg\s*\(\s*" + _NAME
+    + r"|(att|cau)\s*\(\s*" + _NAME + _COMMA + _NAME
+    + r"|agents\s*\(\s*" + _NUMBER
+    + r"|p\s*\(\s*" + _NUMBER + _COMMA + _NAME + _COMMA + _NUMBER
+    + r")\s*\)\s*\.")
+# Any bracketed statement; read only to word the error for one the grammar
+# rejected.
 _STATEMENT = re.compile(r"\s*(arg|att|cau|agents|p)\s*\(\s*([^()]*?)\s*\)\s*\.")
 _ARITY = {"arg": 1, "att": 2, "cau": 2, "agents": 1, "p": 3}
 
@@ -53,12 +90,18 @@ class FrameworkDocument:
             raise ValidationError(
                 "profile domain does not match the framework's arguments")
         check_attack_disjointness(self.causality, self.framework.attacks)
+        for field_name in ("name", "description"):
+            value = getattr(self, field_name)
+            # emit_caf writes it on one comment line that parse_caf strips
+            if len(value.splitlines()) > 1 or value != value.strip():
+                raise ValidationError(
+                    f"document {field_name} {value!r} must be one line "
+                    "without outer whitespace")
 
 
-def _name(token: str, line: int) -> str:
+def _name(token: str, line: int) -> None:
     if not NAME_PATTERN.match(token):
         raise ParseError(line, f"invalid argument name {token!r}")
-    return token
 
 
 def _int(token: str, line: int, what: str) -> int:
@@ -68,6 +111,37 @@ def _int(token: str, line: int, what: str) -> int:
         raise ParseError(line, f"invalid {what} {token!r}") from None
 
 
+def _float(token: str, line: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(line, f"invalid opinion value {token!r}") from None
+
+
+def _raise_statement_error(code: str, pos: int, line: int) -> NoReturn:
+    """Raise the error for the statement at ``pos``, which ``_GRAMMAR``
+    rejected: syntax, then arity, then the first bad field from the left.
+
+    Such a statement always fails one of these checks, since the grammar
+    accepts every statement that passes them all.
+    """
+    match = _STATEMENT.match(code, pos)
+    if match:
+        kw, body = match.groups()
+        parts = [p.strip() for p in body.split(",")] if body else []
+        if len(parts) != _ARITY[kw]:
+            raise ParseError(line, f"{kw} expects {_ARITY[kw]} argument(s), "
+                                   f"got {len(parts)}")
+        if kw == "p":
+            _int(parts[0], line, "agent index")
+            _name(parts[1], line)
+            _float(parts[2], line)
+        elif kw != "agents":  # agents of arity 1 always matches the grammar
+            for token in parts:
+                _name(token, line)
+    raise ParseError(line, f"syntax error near {code[pos:].strip()!r}")
+
+
 def parse_caf(text: str) -> FrameworkDocument:
     """Parse `.caf` text; every error names the offending 1-based line."""
     name = description = None
@@ -75,78 +149,62 @@ def parse_caf(text: str) -> FrameworkDocument:
     attacks: dict[tuple[str, str], int] = {}
     causal: dict[tuple[str, str], int] = {}
     agents: int | None = None
-    first_opinion_line: int | None = None
-    opinions: dict[tuple[int, str], float] = {}
-    opinion_lines: dict[tuple[int, str], int] = {}
+    opinions: dict[tuple[int, str], tuple[float, int]] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
+        code, comment_mark, comment = raw.partition("%")
+        end = len(code.rstrip())
+        if not end:
+            if comment_mark:  # metadata lives on comment-only lines
+                body = comment.strip()
+                if body.startswith("name:") and name is None:
+                    name = body[len("name:"):].strip()
+                elif body.startswith("description:") and description is None:
+                    description = body[len("description:"):].strip()
             continue
-        if stripped.startswith("%"):
-            body = stripped[1:].strip()
-            if body.startswith("name:") and name is None:
-                name = body[len("name:"):].strip()
-            elif body.startswith("description:") and description is None:
-                description = body[len("description:"):].strip()
-            continue
-        code = raw.split("%", 1)[0]
         pos = 0
-        while pos < len(code) and code[pos:].strip():
-            match = _STATEMENT.match(code, pos)
-            if not match:
-                raise ParseError(line_no,
-                                 f"syntax error near {code[pos:].strip()!r}")
+        while pos < end:
+            match = _GRAMMAR.match(code, pos)
+            if match is None:
+                _raise_statement_error(code, pos, line_no)
             pos = match.end()
-            kw, body = match.group(1), match.group(2)
-            parts = [p.strip() for p in body.split(",")] if body.strip() else []
-            if len(parts) != _ARITY[kw]:
-                raise ParseError(
-                    line_no, f"{kw} expects {_ARITY[kw]} argument(s), "
-                    f"got {len(parts)}")
-            if kw == "arg":
-                arg_lines.setdefault(_name(parts[0], line_no), line_no)
-            elif kw == "att":
-                pair = (_name(parts[0], line_no), _name(parts[1], line_no))
-                attacks.setdefault(pair, line_no)
-            elif kw == "cau":
-                pair = (_name(parts[0], line_no), _name(parts[1], line_no))
-                causal.setdefault(pair, line_no)
-            elif kw == "agents":
-                if agents is not None:
-                    raise ParseError(line_no, "duplicate agents declaration")
-                agents = _int(parts[0], line_no, "agent count")
-                if agents < 1:
-                    raise ParseError(line_no, "agent count must be >= 1")
-                if agents > MAX_AGENTS:
-                    raise ParseError(
-                        line_no, f"agent count must be <= {MAX_AGENTS}")
-            else:  # p
-                agent = _int(parts[0], line_no, "agent index")
-                arg = _name(parts[1], line_no)
-                try:
-                    value = float(parts[2])
-                except ValueError:
-                    raise ParseError(
-                        line_no, f"invalid opinion value {parts[2]!r}") from None
+            kind = match.lastindex
+            if kind == 8:  # p
+                agent = _int(match[6], line_no, "agent index")
+                arg, token = match[7], match[8]
+                value = _float(token, line_no)
                 if not 0.0 <= value <= 1.0:
-                    raise ParseError(
-                        line_no, f"opinion {parts[2]} outside [0, 1]")
+                    raise ParseError(line_no, f"opinion {token} outside [0, 1]")
                 if agent < 1:
                     raise ParseError(line_no, "agent index must be >= 1")
                 if (agent, arg) in opinions:
                     raise ParseError(
                         line_no, f"duplicate opinion p({agent},{arg},...)")
-                if first_opinion_line is None:
-                    first_opinion_line = line_no
-                opinions[(agent, arg)] = value
-                opinion_lines[(agent, arg)] = line_no
+                opinions[agent, arg] = (value, line_no)
+            elif kind == 1:
+                arg_lines.setdefault(match[1], line_no)
+            elif kind == 4:
+                pair = (match[3], match[4])
+                if match[2] == "att":
+                    attacks.setdefault(pair, line_no)
+                else:
+                    causal.setdefault(pair, line_no)
+            else:  # agents
+                if agents is not None:
+                    raise ParseError(line_no, "duplicate agents declaration")
+                agents = _int(match[5], line_no, "agent count")
+                if agents < 1:
+                    raise ParseError(line_no, "agent count must be >= 1")
+                if agents > MAX_AGENTS:
+                    raise ParseError(
+                        line_no, f"agent count must be <= {MAX_AGENTS}")
 
-    for (a, b), line in sorted(attacks.items(), key=lambda kv: kv[1]):
+    # each dict lists its keys in the order of their first line
+    for (a, b), line in attacks.items():
         for end in (a, b):
             if end not in arg_lines:
                 raise ParseError(line, f"att uses undeclared argument {end!r}")
-    for (a, b), line in sorted(causal.items(), key=lambda kv: kv[1]):
+    for (a, b), line in causal.items():
         for end in (a, b):
             if end not in arg_lines:
                 raise ParseError(line, f"cau uses undeclared argument {end!r}")
@@ -155,34 +213,37 @@ def parse_caf(text: str) -> FrameworkDocument:
         if (a, b) in attacks or (b, a) in attacks:
             raise ParseError(
                 line, f"causal edge ({a},{b}) clashes with an attack")
-    _reject_causal_cycle(causal)
+    try:
+        graph = CausalityGraph(tuple(arg_lines), frozenset(causal))
+    except ValidationError:  # a cycle: name it, with its first line
+        _reject_causal_cycle(causal)
+        raise
 
     if opinions:
         if agents is None:
-            raise ParseError(first_opinion_line,
+            raise ParseError(next(iter(opinions.values()))[1],
                              "opinions require an agents(M) declaration")
-        for (agent, arg), line in sorted(opinion_lines.items(),
-                                         key=lambda kv: kv[1]):
+        for (agent, arg), (_, line) in opinions.items():
             if agent > agents:
                 raise ParseError(
                     line, f"agent index {agent} exceeds agents({agents})")
             if arg not in arg_lines:
                 raise ParseError(line, f"p uses undeclared argument {arg!r}")
-        for arg, decl_line in arg_lines.items():
-            for j in range(1, agents + 1):
-                if (j, arg) not in opinions:
-                    raise ParseError(
-                        decl_line,
-                        f"argument {arg!r} is missing the opinion of agent {j}")
+        if len(opinions) < len(arg_lines) * agents:
+            for arg, decl_line in arg_lines.items():
+                for j in range(1, agents + 1):
+                    if (j, arg) not in opinions:
+                        raise ParseError(
+                            decl_line, f"argument {arg!r} is missing the "
+                            f"opinion of agent {j}")
         profile = CredalProfile(agents, {
-            arg: CredalSet(tuple(opinions[(j, arg)]
-                                 for j in range(1, agents + 1)))
+            arg: CredalSet(tuple([opinions[j, arg][0]
+                                  for j in range(1, agents + 1)]))
             for arg in arg_lines})
     else:
         profile = CredalProfile.maximal(arg_lines, agents or 1)
 
     framework = ArgumentationFramework(tuple(arg_lines), frozenset(attacks))
-    graph = CausalityGraph(tuple(arg_lines), frozenset(causal))
     return FrameworkDocument(framework, profile, graph,
                              name or "", description or "")
 

@@ -134,6 +134,22 @@ class TestValidation:
         with pytest.raises(ValidationError, match="cycle"):
             CausalityGraph(("x", "y"), frozenset({("x", "y"), ("y", "x")}))
 
+    def test_cycle_message_names_a_real_cycle(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            args = [f"n{i}" for i in range(rng.randint(2, 12))]
+            edges = {(a, b) for a in args for b in args
+                     if a != b and rng.random() < 0.2}
+            ring = rng.sample(args, rng.randint(2, len(args)))
+            edges |= set(zip(ring, ring[1:] + ring[:1]))
+            with pytest.raises(ValidationError) as err:
+                CausalityGraph(tuple(args), frozenset(edges))
+            prefix, _, walk = str(err.value).partition(": ")
+            nodes = walk.split(" -> ")
+            assert prefix == "causal cycle"
+            assert nodes[0] == nodes[-1] and len(nodes) > 2
+            assert all(pair in edges for pair in zip(nodes, nodes[1:]))
+
     def test_self_edge_rejected(self):
         with pytest.raises(ValidationError):
             CausalityGraph(("x",), frozenset({("x", "x")}))

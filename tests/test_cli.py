@@ -274,6 +274,14 @@ class TestUsage:
                          "--set", "A", "--tolerance", "-1")
         assert code == 1
 
+    def test_nan_tolerance_is_a_usage_error(self, capsys):
+        # NaN fails every comparison, so every row would read "matches"
+        code, out, err = run(capsys, "bounds", "--paper-fixtures",
+                             "--tolerance", "nan")
+        assert code == 1
+        assert out == ""
+        assert "--tolerance must be > 0" in err
+
     def test_set_and_semantics_conflict(self, capsys, diagnosis_caf):
         code, _, _ = run(capsys, "bounds", "--input", diagnosis_caf,
                          "--set", "A", "--semantics", "gr")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from credalarg import (ArgumentationFramework, CredalProfile, CredalSet,
                        dependent_bounds, dependent_credal_set,
                        independent_bounds, is_maximal, is_uniform,
                        rationality_report, single_bounds)
+from randgen import random_framework, random_profile
 
 TOL = 1e-9
 
@@ -141,6 +144,21 @@ class TestRationality:
         af = ArgumentationFramework(("a", "b"))
         profile = CredalProfile.maximal(af.arguments, 3)
         assert rationality_report(profile, af) == []
+
+    def test_report_is_every_violation_in_sorted_order(self):
+        rng = random.Random(17)
+        af = random_framework(rng, min_args=30, max_args=30, attack_p=0.3)
+        profile = random_profile(rng, af, agent_count=4)
+        report = rationality_report(profile, af)
+        expected = {
+            RationalityViolation(j + 1, a, b, profile.credal_set(a).values[j],
+                                 profile.credal_set(b).values[j])
+            for a, b in af.attacks for j in range(4)
+            if profile.credal_set(a).values[j] > 0.5
+            and profile.credal_set(b).values[j] > 0.5}
+        assert len(report) > 150
+        assert report == sorted(report)
+        assert set(report) == expected and len(report) == len(expected)
 
 
 class TestMaximalUniform:

@@ -1,7 +1,11 @@
+import dataclasses
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credalarg import (ArgumentationFramework, CausalityGraph, CredalProfile,
                        FrameworkDocument, ParseError, ValidationError,
@@ -9,6 +13,7 @@ from credalarg import (ArgumentationFramework, CausalityGraph, CredalProfile,
                        parse_caf)
 from credalarg.formats import document_payload, results_payload
 from randgen import random_document
+from reference_caf import parse_caf as reference_parse_caf
 
 
 class TestParse:
@@ -120,6 +125,25 @@ class TestParse:
         assert doc.description == "tiny case"
         assert parse_caf(emit_caf(doc)) == doc
 
+    def test_valid_documents_take_neither_fallback(self, monkeypatch,
+                                                   diagnosis):
+        # graphlib only names a cycle, the lenient regex only words an error
+        import graphlib
+
+        from credalarg import formats
+
+        def unused(*args, **kwargs):
+            raise AssertionError("fallback used on a valid document")
+
+        texts = [emit_caf(diagnosis), "arg(a).  arg(b). att(a,b). % c\n"]
+        rng = random.Random(99)
+        texts += [emit_caf(random_document(rng)) for _ in range(50)]
+        monkeypatch.setattr(graphlib, "TopologicalSorter", unused)
+        monkeypatch.setattr(formats, "_STATEMENT",
+                            type("Unused", (), {"match": unused})())
+        for text in texts:
+            parse_caf(text)
+
 
 class TestRandomRoundTrip:
     def test_two_hundred_documents(self):
@@ -191,8 +215,164 @@ class TestDocumentValidation:
             FrameworkDocument(af, CredalProfile.maximal(("a",)),
                               CausalityGraph(("a", "b")))
 
+    @pytest.mark.parametrize("field", ["name", "description"])
+    @pytest.mark.parametrize("value", ["demo\narg(zz).", "two\x85lines",
+                                       " padded", "padded\t", "a\r"])
+    def test_metadata_that_cannot_round_trip_is_rejected(self, diagnosis,
+                                                         field, value):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(diagnosis, **{field: value})
+
+    @pytest.mark.parametrize("value", ["", "demo", "a % b", "name: x",
+                                       "inner  spaces"])
+    def test_metadata_round_trips(self, diagnosis, value):
+        doc = dataclasses.replace(diagnosis, name=value, description=value)
+        assert parse_caf(emit_caf(doc)) == doc
+
     def test_profile_domain_must_match(self):
         af = ArgumentationFramework(("a", "b"))
         with pytest.raises(ValidationError):
             FrameworkDocument(af, CredalProfile.maximal(("a",)),
                               CausalityGraph(("a", "b")))
+
+
+# -- differential test against the reference parser ------------------------
+
+_NAMES = ["a", "b", "c", "B_2", "0"]
+_BAD_NAMES = ["a-b", "\u00e9", "a b", "", "(a)", "a.b"]
+_NUMBERS = ["1", "2", "3", "0", "-1", "+2", "1_0", "\u0661", " 2 ", "0.5",
+            "1e-1", ".25", "1.5", "nan", "inf", "-inf", "", "x", "1 2",
+            "10000000000000000000"]
+_SPACES = ["", "", "", " ", "\t", "\xa0", "\x1f", "\u3000"]
+_SEPARATORS = [" ", "", "\n", "\n", "\r\n", "\r", "\x0c", "\x85",
+               " % trailing note\n", "%\n", "\n\n"]
+_META = ["% name: demo", "%name:x", "% description: a case",
+         "  % name:  padded  ", "% note", "% description:", "%% name: y"]
+_ARITY = {"arg": 1, "att": 2, "cau": 2, "agents": 1, "p": 3}
+
+
+def _pad(rng: random.Random, token: str) -> str:
+    return rng.choice(_SPACES) + token + rng.choice(_SPACES)
+
+
+def _statement(rng: random.Random, kw: str, fields: list[str]) -> str:
+    """One statement with random padding, and now and then a broken
+    keyword, arity, bracket or full stop."""
+    roll = rng.random()
+    if roll < 0.005:
+        kw = rng.choice(["args", "ar g", "P", "bogus", ""])
+    elif roll < 0.02:
+        fields = fields[:-1] if rng.random() < 0.5 else fields + ["a"]
+    body = ",".join(_pad(rng, f) for f in fields)
+    text = f"{rng.choice(_SPACES)}{kw}{rng.choice(_SPACES)}({body})"
+    roll = rng.random()
+    if roll < 0.003:
+        text = text[:-1]
+    elif roll < 0.006:
+        text = text.replace("(", "((", 1)
+    return text + ("" if rng.random() < 0.003 else rng.choice(_SPACES) + ".")
+
+
+def _field(rng: random.Random, kind: str, names: list[str]) -> str:
+    if kind == "name":
+        return rng.choice(_BAD_NAMES if rng.random() < 0.03 else names)
+    return rng.choice(_NUMBERS)
+
+
+def _fragment_text(rng: random.Random) -> str:
+    """A mostly valid document cut into statement fragments: every
+    argument, some attacks and causal edges, an agent count and the full
+    opinion table, each fragment now and then broken, dropped, repeated
+    or swapped for a random one."""
+    names = rng.sample(_NAMES, rng.randint(1, len(_NAMES)))
+    agents = rng.randint(1, 3)
+    statements = [("arg", [a]) for a in names]
+    pairs = [(a, b) for a in names for b in names]
+    rng.shuffle(pairs)
+    cut = rng.randint(0, len(pairs))
+    statements += [(rng.choice(["att", "cau"]), list(pair))
+                   for pair in pairs[:cut][:6]]
+    statements.append(("agents", [str(agents)]))
+    statements += [("p", [str(j), a, rng.choice(["0.25", "1", "0", ".7"])])
+                   for j in range(1, agents + 1) for a in names]
+    if rng.random() < 0.3:
+        statements = [s for s in statements if rng.random() > 0.1]
+    if statements and rng.random() < 0.3:
+        statements.append(rng.choice(statements))
+    fragments = []
+    for kw, fields in statements:
+        if rng.random() < 0.05:
+            kinds = {"p": ["number", "name", "number"], "agents": ["number"]}
+            fields = [_field(rng, kind, names) for kind in
+                      kinds.get(kw, ["name"] * _ARITY[kw])]
+        fragments.append(_statement(rng, kw, fields))
+    if rng.random() < 0.5:
+        rng.shuffle(fragments)
+    parts = [rng.choice(_META) + "\n" for _ in range(rng.randint(0, 2))]
+    for fragment in fragments:
+        parts += [fragment, rng.choice(_SEPARATORS)]
+    return "".join(parts)
+
+
+def _outcome(parse, text: str):
+    try:
+        doc = parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return doc, doc.name, doc.description
+
+
+_FAMILIES = ["syntax error", "expects", "invalid argument name",
+             "invalid agent count", "invalid agent index",
+             "invalid opinion value", "outside", "agent count must be >=",
+             "agent count must be <=", "agent index must be >=",
+             "duplicate opinion", "duplicate agents", "att uses undeclared",
+             "cau uses undeclared", "causal self-edge", "clashes",
+             "causal cycle", "require an agents", "exceeds agents",
+             "p uses undeclared", "missing the opinion"]
+
+
+class TestAgainstReference:
+    def test_fragment_texts_match_the_reference_parser(self):
+        rng = random.Random(0xCAF)
+        reached = dict.fromkeys(_FAMILIES + ["ok"], 0)
+        for _ in range(4000):
+            text = _fragment_text(rng)
+            outcome = _outcome(parse_caf, text)
+            assert outcome == _outcome(reference_parse_caf, text), text
+            if outcome[0] is ParseError:
+                message = re.sub(r"^line \d+: ", "", outcome[2])
+                family = next(f for f in _FAMILIES if f in message)
+                reached[family] += 1
+            else:
+                reached["ok"] += 1
+        assert all(reached.values()), reached
+        assert reached["ok"] > 200, reached
+
+    @pytest.mark.parametrize("text", [
+        "agents().", "agents( ).", "agents(,).", "p(,a,0.5).", "p(1,a,).",
+        "att(a).", "arg(a). arg(b). att(a,b). cau(b,a).",
+        "arg(a).\targ(b)\xa0.att(a , b).% x\n% name: late",
+        "arg(a).\x1farg(b).\x85cau(a,b).\x0ccau(b,a).",
+        "arg(a). agents(+2). p(1_0,a,1). p(1,a,nan).",
+        "arg(a). agents(\u0661). p(\u0661,a,\u0661).",
+        "% name: first\n% name: second\n%description:  d  \narg(a).",
+    ])
+    def test_edge_cases_match_the_reference_parser(self, text):
+        assert _outcome(parse_caf, text) == _outcome(reference_parse_caf, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text_raises_only_parse_or_validation_errors(self, text):
+        assert _outcome(parse_caf, text) == _outcome(reference_parse_caf, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["arg(a).", "arg(b).", "att(a,b).", "cau(b,a).", "agents(1).",
+         "p(1,a,0.5).", "p(1,b,1).", "p(2,a,0).", "% name: n", "%",
+         "agents().", "arg(a-b).", "arg( a ).", "p(1,a,inf)."]),
+        max_size=8), st.lists(st.sampled_from(_SEPARATORS), min_size=8,
+                              max_size=8))
+    def test_joined_fragments_match_the_reference_parser(self, parts, seps):
+        text = "".join(p + s for p, s in zip(parts, seps))
+        assert _outcome(parse_caf, text) == _outcome(reference_parse_caf, text)
