@@ -9,16 +9,16 @@ command-line front end (``credalarg``).
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS, ArgumentationFramework, Extension
 from .bounds import (BoundsResult, CausalGroup, agent_valuation_oracle,
-                     extension_bounds, rank_extensions, ul_bounds)
+                     extension_bounds, rank_extensions)
 from .causality import (CausalityGraph, CausalPartition,
                         check_attack_disjointness)
 from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
                      RationalityViolation, dependent_bounds,
                      dependent_credal_set, independent_bounds, is_maximal,
                      is_uniform, rationality_report, single_bounds)
-from .errors import (CapExceededError, CoverageError, CredalArgError,
-                     CredalSetError, ParseError, UnknownArgumentError,
-                     ValidationError)
+from .errors import (CapExceededError, CausalCycleError, CoverageError,
+                     CredalArgError, CredalSetError, ParseError,
+                     UnknownArgumentError, ValidationError)
 from .formats import (FrameworkDocument, dump_caf, emit_caf, emit_json,
                       export_dot, load_caf, parse_caf)
 
@@ -31,10 +31,11 @@ __all__ = [
     "dependent_credal_set", "dependent_bounds", "rationality_report",
     "is_maximal", "is_uniform",
     "CausalityGraph", "CausalPartition", "check_attack_disjointness",
-    "CausalGroup", "BoundsResult", "extension_bounds", "ul_bounds",
+    "CausalGroup", "BoundsResult", "extension_bounds",
     "agent_valuation_oracle", "rank_extensions",
     "FrameworkDocument", "parse_caf", "emit_caf", "emit_json", "export_dot",
     "load_caf", "dump_caf",
     "CredalArgError", "UnknownArgumentError", "ValidationError",
-    "CredalSetError", "CoverageError", "CapExceededError", "ParseError",
+    "CausalCycleError", "CredalSetError", "CoverageError", "CapExceededError",
+    "ParseError",
 ]

@@ -70,10 +70,6 @@ class Extension:
         if self.semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {self.semantics!r}")
 
-    @property
-    def member_set(self) -> frozenset[str]:
-        return frozenset(self.members)
-
     def __str__(self) -> str:
         return "{%s}" % ",".join(self.members)
 

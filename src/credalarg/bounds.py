@@ -1,9 +1,8 @@
 """Lower/upper probability bounds of extensions.
 
-Three cases drive :func:`extension_bounds`: the empty extension means
-ignorance (0, 1); a singleton takes the min/max of its own credal set;
-anything larger goes through :func:`ul_bounds`, which cuts the extension
-into causal parts before aggregating:
+:func:`extension_bounds` has two size cases: the empty extension means
+ignorance (0, 1); any other extension is cut into causal parts before
+aggregating:
 
 * every group anchor (a member caused by something, ancestor of no other
   member) collects itself plus its in-extension causal ancestors into one
@@ -13,9 +12,11 @@ into causal parts before aggregating:
 
 Groups, isolated members and free causes then multiply as independent
 factors in sorted order; a lone group is a product of one factor, which is
-its dependent bounds exactly. Each member must be consumed by exactly one
-part — anything else raises :class:`~credalarg.errors.CoverageError`
-instead of silently producing a meaningless product.
+its dependent bounds exactly, and a singleton's one factor is its own
+credal set, so its bounds are that set's min/max. Each member must be
+consumed by exactly one part — anything else raises
+:class:`~credalarg.errors.CoverageError` instead of silently producing a
+meaningless product.
 
 The extension becomes one member mask over the graph's bits, so anchors,
 groups, the coverage checks and the singles are ``&``/``|`` on the graph's
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 from .af import Extension, set_bits
 from .causality import CausalityGraph
 from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
-                     product_bounds, single_bounds)
+                     product_bounds)
 from .errors import CoverageError, ValidationError
 
 EMPTY_CASE = "empty"
@@ -80,16 +81,18 @@ def _check_domains(ext: Extension, profile: CredalProfile,
     return mask, rows
 
 
-def ul_bounds(members: Extension | Iterable[str], profile: CredalProfile,
-              graph: CausalityGraph) -> BoundsResult:
-    """Bounds of a multi-member extension via causal grouping.
+def extension_bounds(members: Extension | Iterable[str],
+                     profile: CredalProfile,
+                     graph: CausalityGraph) -> BoundsResult:
+    """Bounds of an extension: (0, 1) if empty, else via causal grouping.
 
     Factors multiply in sorted member order, so results are
-    bit-reproducible for a given input.
+    bit-reproducible for a given input. A singleton reports its own case
+    and no groups.
     """
     ext = _as_extension(members)
-    if len(ext.members) <= 1:
-        raise ValidationError("ul_bounds needs more than one member")
+    if not ext.members:
+        return BoundsResult(ext, ProbabilityInterval(0.0, 1.0), EMPTY_CASE)
     mask, rows = _check_domains(ext, profile, graph)
     names = graph.arguments
 
@@ -126,21 +129,9 @@ def ul_bounds(members: Extension | Iterable[str], profile: CredalProfile,
     for i in set_bits(singles):
         parts[i] = rows[i]
     interval = product_bounds([parts[i] for i in sorted(parts)])
+    if len(ext.members) == 1:
+        return BoundsResult(ext, interval, SINGLETON_CASE)
     return BoundsResult(ext, interval, ALGORITHM_CASE, tuple(groups))
-
-
-def extension_bounds(members: Extension | Iterable[str],
-                     profile: CredalProfile,
-                     graph: CausalityGraph) -> BoundsResult:
-    """Dispatch on extension size: empty, singleton, or the full algorithm."""
-    ext = _as_extension(members)
-    if not ext.members:
-        return BoundsResult(ext, ProbabilityInterval(0.0, 1.0), EMPTY_CASE)
-    if len(ext.members) > 1:
-        return ul_bounds(ext, profile, graph)
-    _check_domains(ext, profile, graph)
-    interval = single_bounds(profile.credal_set(ext.members[0]))
-    return BoundsResult(ext, interval, SINGLETON_CASE)
 
 
 def agent_valuation_oracle(members: Extension | Iterable[str],
@@ -151,8 +142,9 @@ def agent_valuation_oracle(members: Extension | Iterable[str],
     Re-derives the same semantics from raw causal edges: each agent values
     the extension as a product over parts (group parts contribute their
     member minimum), and the bounds are the min/max across agents. Shares
-    no traversal or aggregation code with :func:`ul_bounds`, and raises the
-    same :class:`~credalarg.errors.CoverageError` on partition defects.
+    no traversal or aggregation code with :func:`extension_bounds`, and
+    raises the same :class:`~credalarg.errors.CoverageError` on partition
+    defects.
     """
     ext = _as_extension(members)
     if not ext.members:

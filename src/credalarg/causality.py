@@ -12,16 +12,21 @@ ancestors and descendants, plus the effect, cause and isolated masks. The
 closures follow one topological order, found by Kahn's algorithm over the
 bit indices. Anchors and free causes of a member mask are then one mask
 test per candidate member; the name-level queries decode masks on demand.
+
+When Kahn's pass leaves nodes over, the graph has a cycle, and the same
+pass names it: every left-over node has a left-over parent, so a walk from
+the lowest left-over bit to its lowest left-over parent, and on, must
+repeat a node. The cycle it closes depends only on the argument names and
+the edge set, never on hash or input order.
 """
 
 from __future__ import annotations
 
-import graphlib
 from dataclasses import dataclass, field
-from typing import Iterable, NoReturn
+from typing import Iterable
 
 from .af import set_bits
-from .errors import UnknownArgumentError, ValidationError
+from .errors import CausalCycleError, UnknownArgumentError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,10 @@ class CausalPartition:
 class CausalityGraph:
     """Acyclic cause -> effect edges over a set of argument names.
 
-    Construction rejects an edge with an unknown end, a self-edge and a
-    cycle (``ValidationError``); only in that last case does graphlib run,
-    to name the cycle. ``arguments`` is stored sorted.
+    Construction rejects an edge with an unknown end
+    (``UnknownArgumentError``), a self-edge (``ValidationError``) and a
+    cycle (``CausalCycleError``, which names one). ``arguments`` is stored
+    sorted.
     """
 
     arguments: tuple[str, ...] = ()
@@ -80,7 +86,14 @@ class CausalityGraph:
                 if not waiting[j]:
                     order.append(j)
         if len(order) < len(args):
-            _raise_cycle(args, edges)
+            # walk up lowest left-over parents until a node repeats
+            node = next(j for j, count in enumerate(waiting) if count)
+            step: dict[int, int] = {}
+            while node not in step:
+                step[node] = len(step)
+                node = min(i for i in parents[node] if waiting[i])
+            cycle = list(step)[step[node]:] + [node]  # effect -> cause
+            raise CausalCycleError([args[i] for i in reversed(cycle)])
         ancestors = [0] * len(args)
         descendants = [0] * len(args)
         for i in order:
@@ -156,20 +169,6 @@ class CausalityGraph:
         """
         mask = self._mask_of(members)
         return self._names(self.free_mask(mask, self.anchor_mask(mask)))
-
-
-def _raise_cycle(arguments: tuple[str, ...],
-                 edges: frozenset[tuple[str, str]]) -> NoReturn:
-    """Raise the error that names one cycle of a graph known to have one."""
-    parents: dict[str, set[str]] = {a: set() for a in arguments}
-    for cause, effect in edges:
-        parents[effect].add(cause)
-    try:
-        graphlib.TopologicalSorter(parents).prepare()
-    except graphlib.CycleError as exc:
-        raise ValidationError(
-            "causal cycle: " + " -> ".join(exc.args[1])) from None
-    raise AssertionError("no causal cycle")
 
 
 def check_attack_disjointness(graph: CausalityGraph,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS, Extension
 from .bounds import (BoundsResult, agent_valuation_oracle, extension_bounds,
@@ -39,20 +38,6 @@ SEMANTICS_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfiguration:
-    command: str
-    input_path: str | None
-    semantics: str | None
-    explicit_set: tuple[str, ...] | None
-    output_format: str
-    max_args: int
-    tolerance: float
-    use_oracle: bool = False
-    strict: bool = False
-    paper_fixtures: bool = False
-
-
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, not argparse's default 2
     def error(self, message):
@@ -75,6 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, default=1e-9, metavar="X",
                         help="absolute tolerance for interval comparisons")
 
+    # fields that only some subcommands define
+    parser.set_defaults(semantics=None, explicit_set=None, use_oracle=False,
+                        strict=False, paper_fixtures=False)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -124,41 +112,30 @@ def _resolve_semantics(token: str | None, parser: argparse.ArgumentParser):
     return name
 
 
-def _build_config(ns: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> RunConfiguration:
+def _check_args(ns: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> None:
+    """Validate ``ns`` and normalize its set list and semantics in place."""
     if ns.max_args < 1:
         parser.error("--max-args must be >= 1")
     if not ns.tolerance > 0:  # also rejects NaN
         parser.error("--tolerance must be > 0")
-    explicit = getattr(ns, "explicit_set", None)
-    if explicit is not None:
-        explicit = tuple(t.strip() for t in explicit.split(",") if t.strip())
-    paper_fixtures = getattr(ns, "paper_fixtures", False)
-    if ns.input is None and not paper_fixtures:
+    if ns.explicit_set is not None:
+        ns.explicit_set = tuple(
+            t.strip() for t in ns.explicit_set.split(",") if t.strip())
+    if ns.input is None and not ns.paper_fixtures:
         parser.error("--input is required")
-    return RunConfiguration(
-        command=ns.command,
-        input_path=ns.input,
-        semantics=_resolve_semantics(getattr(ns, "semantics", None), parser),
-        explicit_set=explicit,
-        output_format=ns.output_format,
-        max_args=ns.max_args,
-        tolerance=ns.tolerance,
-        use_oracle=getattr(ns, "use_oracle", False),
-        strict=getattr(ns, "strict", False),
-        paper_fixtures=paper_fixtures,
-    )
+    ns.semantics = _resolve_semantics(ns.semantics, parser)
 
 
 def _fmt(interval) -> str:
     return f"{interval.lower:.6f} {interval.upper:.6f}"
 
 
-def cmd_solve(cfg: RunConfiguration) -> int:
-    doc = load_caf(cfg.input_path)
-    exts = doc.framework.enumerate_extensions(cfg.semantics, cfg.max_args)
-    if cfg.output_format == "json":
-        print(emit_json(extensions_payload(cfg.semantics, exts)))
+def cmd_solve(ns: argparse.Namespace) -> int:
+    doc = load_caf(ns.input)
+    exts = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
+    if ns.output_format == "json":
+        print(emit_json(extensions_payload(ns.semantics, exts)))
     elif not exts:
         print("no extensions")
     else:
@@ -167,7 +144,7 @@ def cmd_solve(cfg: RunConfiguration) -> int:
     return EXIT_OK
 
 
-def _bounds_entry(cfg: RunConfiguration, doc: FrameworkDocument,
+def _bounds_entry(ns: argparse.Namespace, doc: FrameworkDocument,
                   ext: Extension) -> dict:
     entry: dict = {"members": list(ext.members)}
     result: BoundsResult | None = None
@@ -177,10 +154,10 @@ def _bounds_entry(cfg: RunConfiguration, doc: FrameworkDocument,
                      upper=result.interval.upper,
                      case=result.case)
     except CoverageError as exc:
-        if cfg.explicit_set is not None:
+        if ns.explicit_set is not None:
             raise
         entry["error"] = str(exc)
-    if cfg.use_oracle and ext.members:
+    if ns.use_oracle and ext.members:
         oracle = None
         try:
             oracle = agent_valuation_oracle(ext, doc.profile, doc.causality)
@@ -190,8 +167,8 @@ def _bounds_entry(cfg: RunConfiguration, doc: FrameworkDocument,
             entry["oracle_error"] = str(exc)
         if result is not None and oracle is not None:
             entry["oracle_match"] = (
-                abs(result.interval.lower - oracle.lower) <= cfg.tolerance
-                and abs(result.interval.upper - oracle.upper) <= cfg.tolerance)
+                abs(result.interval.lower - oracle.lower) <= ns.tolerance
+                and abs(result.interval.upper - oracle.upper) <= ns.tolerance)
         else:
             # consistent only if both sides refused for the same reason
             entry["oracle_match"] = result is None and oracle is None
@@ -218,39 +195,38 @@ def _render_bounds_row(entry: dict, use_oracle: bool) -> str:
     return row
 
 
-def cmd_bounds(cfg: RunConfiguration) -> int:
-    if cfg.paper_fixtures:
-        return _cmd_paper_fixtures(cfg)
-    doc = load_caf(cfg.input_path)
-    if cfg.explicit_set is not None:
-        targets = [doc.framework.extension(cfg.explicit_set)]
+def cmd_bounds(ns: argparse.Namespace) -> int:
+    if ns.paper_fixtures:
+        return _cmd_paper_fixtures(ns)
+    doc = load_caf(ns.input)
+    if ns.explicit_set is not None:
+        targets = [doc.framework.extension(ns.explicit_set)]
         semantics = None
     else:
-        targets = doc.framework.enumerate_extensions(cfg.semantics,
-                                                     cfg.max_args)
-        semantics = cfg.semantics
-    entries = [_bounds_entry(cfg, doc, ext) for ext in targets]
-    if cfg.output_format == "json":
+        targets = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
+        semantics = ns.semantics
+    entries = [_bounds_entry(ns, doc, ext) for ext in targets]
+    if ns.output_format == "json":
         print(emit_json({"semantics": semantics, "extensions": entries}))
     else:
         for entry in entries:
-            print(_render_bounds_row(entry, cfg.use_oracle))
+            print(_render_bounds_row(entry, ns.use_oracle))
     return EXIT_OK
 
 
-def _cmd_paper_fixtures(cfg: RunConfiguration) -> int:
+def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
     doc = diagnosis_document()
     rows = []
     for fixture in REPORTED_FIXTURES:
         ext = doc.framework.extension(fixture.members)
         result = extension_bounds(ext, doc.profile, doc.causality)
         deviations = []
-        if abs(result.interval.lower - fixture.reported.lower) > cfg.tolerance:
+        if abs(result.interval.lower - fixture.reported.lower) > ns.tolerance:
             deviations.append("lower")
-        if abs(result.interval.upper - fixture.reported.upper) > cfg.tolerance:
+        if abs(result.interval.upper - fixture.reported.upper) > ns.tolerance:
             deviations.append("upper")
         rows.append((fixture, result, deviations))
-    if cfg.output_format == "json":
+    if ns.output_format == "json":
         payload = {"fixtures": [
             {"label": f.label,
              "members": list(f.members),
@@ -277,12 +253,12 @@ def _cmd_paper_fixtures(cfg: RunConfiguration) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfiguration) -> int:
-    doc = load_caf(cfg.input_path)
+def cmd_check(ns: argparse.Namespace) -> int:
+    doc = load_caf(ns.input)
     violations = rationality_report(doc.profile, doc.framework)
     maximal = is_maximal(doc.profile)
     uniform = is_uniform(doc.profile)
-    if cfg.output_format == "json":
+    if ns.output_format == "json":
         payload = {
             "arguments": len(doc.framework.arguments),
             "attacks": len(doc.framework.attacks),
@@ -311,20 +287,20 @@ def cmd_check(cfg: RunConfiguration) -> int:
         for v in violations:
             print(f"  agent {v.agent}: attack ({v.attacker},{v.target}) "
                   f"believed {v.attacker_value!r} and {v.target_value!r}")
-    if cfg.strict and violations:
+    if ns.strict and violations:
         return EXIT_INVALID
     return EXIT_OK
 
 
-def cmd_export_dot(cfg: RunConfiguration) -> int:
-    doc = load_caf(cfg.input_path)
+def cmd_export_dot(ns: argparse.Namespace) -> int:
+    doc = load_caf(ns.input)
     sys.stdout.write(export_dot(doc))
     return EXIT_OK
 
 
-def cmd_rank(cfg: RunConfiguration) -> int:
-    doc = load_caf(cfg.input_path)
-    exts = doc.framework.enumerate_extensions(cfg.semantics, cfg.max_args)
+def cmd_rank(ns: argparse.Namespace) -> int:
+    doc = load_caf(ns.input)
+    exts = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
     results: list[BoundsResult] = []
     failures: list[tuple[Extension, str]] = []
     for ext in exts:
@@ -333,8 +309,8 @@ def cmd_rank(cfg: RunConfiguration) -> int:
         except CoverageError as exc:
             failures.append((ext, str(exc)))
     ranked = rank_extensions(results)
-    if cfg.output_format == "json":
-        payload = results_payload(cfg.semantics, ranked)
+    if ns.output_format == "json":
+        payload = results_payload(ns.semantics, ranked)
         for i, row in enumerate(payload["extensions"], start=1):
             row["rank"] = i
         payload["unranked"] = [{"members": list(e.members), "error": msg}
@@ -363,11 +339,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _build_config(ns, parser)
+        _check_args(ns, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

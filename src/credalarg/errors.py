@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Sequence
+
 
 class CredalArgError(Exception):
     """Base class for every error raised by this package."""
@@ -11,6 +13,17 @@ class UnknownArgumentError(CredalArgError):
 
 class ValidationError(CredalArgError):
     """A structural invariant was violated (range, cycle, domain mismatch...)."""
+
+
+class CausalCycleError(ValidationError):
+    """A causal graph has a cycle.
+
+    ``nodes`` walks it in cause -> effect order and ends where it started.
+    """
+
+    def __init__(self, nodes: Sequence[str]):
+        self.nodes = tuple(nodes)
+        super().__init__("causal cycle: " + " -> ".join(self.nodes))
 
 
 class CredalSetError(CredalArgError):

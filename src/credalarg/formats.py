@@ -28,7 +28,9 @@ failed check raises :class:`ParseError` with its line, in this order:
    repeated (agent, argument) pair;
 2. attacks, by first line: an undeclared endpoint;
 3. causal edges, by first line: an undeclared endpoint, a self-edge, a
-   clash with an attack; then a causal cycle, on its edges' lowest line;
+   clash with an attack; then a causal cycle, the one
+   :class:`~credalarg.causality.CausalityGraph` names, on the lowest line
+   among its edges;
 4. opinions: none allowed without ``agents``; then, by line, an index
    above the count and an undeclared argument;
 5. arguments, by declaration: a missing opinion, on the ``arg`` line.
@@ -52,7 +54,7 @@ from .af import NAME_PATTERN, NAME_REGEX, ArgumentationFramework, Extension
 from .bounds import BoundsResult
 from .causality import CausalityGraph, check_attack_disjointness
 from .credal import MAX_AGENTS, CredalProfile, CredalSet
-from .errors import ParseError, ValidationError
+from .errors import CausalCycleError, ParseError, ValidationError
 
 _NAME = f"({NAME_REGEX})"
 # a number token for int()/float(): no comma or bracket, trimmed of spaces
@@ -215,9 +217,9 @@ def parse_caf(text: str) -> FrameworkDocument:
                 line, f"causal edge ({a},{b}) clashes with an attack")
     try:
         graph = CausalityGraph(tuple(arg_lines), frozenset(causal))
-    except ValidationError:  # a cycle: name it, with its first line
-        _reject_causal_cycle(causal)
-        raise
+    except CausalCycleError as exc:
+        line = min(causal[e] for e in zip(exc.nodes, exc.nodes[1:]))
+        raise ParseError(line, str(exc)) from None
 
     if opinions:
         if agents is None:
@@ -246,24 +248,6 @@ def parse_caf(text: str) -> FrameworkDocument:
     framework = ArgumentationFramework(tuple(arg_lines), frozenset(attacks))
     return FrameworkDocument(framework, profile, graph,
                              name or "", description or "")
-
-
-def _reject_causal_cycle(causal: dict[tuple[str, str], int]) -> None:
-    import graphlib
-
-    parents: dict[str, set[str]] = {}
-    for a, b in causal:
-        parents.setdefault(a, set())
-        parents.setdefault(b, set()).add(a)
-    try:
-        tuple(graphlib.TopologicalSorter(parents).static_order())
-    except graphlib.CycleError as exc:
-        nodes = exc.args[1]
-        lines = [causal[(nodes[i], nodes[i + 1])]
-                 for i in range(len(nodes) - 1)
-                 if (nodes[i], nodes[i + 1]) in causal]
-        raise ParseError(min(lines) if lines else 1,
-                         "causal cycle: " + " -> ".join(nodes)) from None
 
 
 def emit_caf(doc: FrameworkDocument) -> str:

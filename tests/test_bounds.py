@@ -9,8 +9,7 @@ from credalarg import (ArgumentationFramework, CausalGroup, CausalityGraph,
                        CoverageError, CredalProfile, CredalSet, Extension,
                        ProbabilityInterval, ValidationError,
                        agent_valuation_oracle, dependent_bounds,
-                       extension_bounds, independent_bounds, rank_extensions,
-                       ul_bounds)
+                       extension_bounds, independent_bounds, rank_extensions)
 from credalarg.bounds import BoundsResult
 from randgen import (random_causality, random_document, random_framework,
                      random_profile)
@@ -46,20 +45,21 @@ class TestCaseDispatch:
 
 class TestGrouping:
     def test_accepted_core_parts(self, diagnosis):
-        result = ul_bounds(CORE, diagnosis.profile, diagnosis.causality)
+        result = extension_bounds(CORE, diagnosis.profile, diagnosis.causality)
         assert result.groups == (CausalGroup("G", ("G", "H")),)
         assert result.interval.lower == pytest.approx(0.0117, abs=TOL)
         assert result.interval.upper == pytest.approx(0.088, abs=TOL)
 
     def test_pure_group_takes_the_dependent_rule(self, diagnosis):
-        result = ul_bounds(("G", "H"), diagnosis.profile, diagnosis.causality)
+        result = extension_bounds(("G", "H"), diagnosis.profile,
+                                  diagnosis.causality)
         assert pair(result.interval) == (0.7, 1.0)
         assert result.groups == (CausalGroup("G", ("G", "H")),)
 
     def test_two_isolated_believers_multiply_to_one(self):
         graph = CausalityGraph(("x", "y"))
         profile = CredalProfile.maximal(("x", "y"), 2)
-        result = ul_bounds(("x", "y"), profile, graph)
+        result = extension_bounds(("x", "y"), profile, graph)
         assert pair(result.interval) == (1.0, 1.0)
 
     def test_empty_causal_graph_degenerates_to_the_product_rule(self):
@@ -69,18 +69,14 @@ class TestGrouping:
         profile = random_profile(rng, af)
         expected = independent_bounds(
             [profile.credal_set(a) for a in af.arguments])
-        got = ul_bounds(af.arguments, profile, graph)
+        got = extension_bounds(af.arguments, profile, graph)
         assert got.interval.lower == pytest.approx(expected.lower, abs=TOL)
         assert got.interval.upper == pytest.approx(expected.upper, abs=TOL)
-
-    def test_needs_more_than_one_member(self, diagnosis):
-        with pytest.raises(ValidationError):
-            ul_bounds(("A",), diagnosis.profile, diagnosis.causality)
 
     def test_domain_mismatch_rejected(self, diagnosis):
         profile = CredalProfile.of({"A": [0.5]})
         with pytest.raises(ValidationError):
-            ul_bounds(("A", "E"), profile, diagnosis.causality)
+            extension_bounds(("A", "E"), profile, diagnosis.causality)
 
     def test_graph_domain_mismatch_rejected(self):
         profile = CredalProfile.of({"x": [0.5], "y": [0.5]})
@@ -105,7 +101,7 @@ class TestCoverage:
 
     def test_double_consumption_raises(self):
         with pytest.raises(CoverageError):
-            ul_bounds(("x", "z"), self.CHAIN_PROFILE, self.CHAIN)
+            extension_bounds(("x", "z"), self.CHAIN_PROFILE, self.CHAIN)
 
     def test_oracle_raises_the_same_way(self):
         with pytest.raises(CoverageError):
@@ -113,13 +109,14 @@ class TestCoverage:
 
     def test_overlapping_groups_raise(self):
         with pytest.raises(CoverageError):
-            ul_bounds(("s", "t1", "t2"), self.FORK_PROFILE, self.FORK)
+            extension_bounds(("s", "t1", "t2"), self.FORK_PROFILE, self.FORK)
         with pytest.raises(CoverageError):
             agent_valuation_oracle(("s", "t1", "t2"), self.FORK_PROFILE,
                                    self.FORK)
 
     def test_full_chain_is_fine(self):
-        result = ul_bounds(("x", "y", "z"), self.CHAIN_PROFILE, self.CHAIN)
+        result = extension_bounds(("x", "y", "z"), self.CHAIN_PROFILE,
+                                  self.CHAIN)
         assert pair(result.interval) == (0.5, 0.5)
 
 

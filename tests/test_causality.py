@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from credalarg import (ArgumentationFramework, CausalityGraph,
-                       UnknownArgumentError, ValidationError,
+import credalarg
+from credalarg import (ArgumentationFramework, CausalCycleError,
+                       CausalityGraph, UnknownArgumentError, ValidationError,
                        check_attack_disjointness)
 from randgen import random_causality, random_framework
 
@@ -142,13 +147,24 @@ class TestValidation:
                      if a != b and rng.random() < 0.2}
             ring = rng.sample(args, rng.randint(2, len(args)))
             edges |= set(zip(ring, ring[1:] + ring[:1]))
-            with pytest.raises(ValidationError) as err:
+            with pytest.raises(CausalCycleError) as err:
                 CausalityGraph(tuple(args), frozenset(edges))
             prefix, _, walk = str(err.value).partition(": ")
             nodes = walk.split(" -> ")
             assert prefix == "causal cycle"
+            assert tuple(nodes) == err.value.nodes
             assert nodes[0] == nodes[-1] and len(nodes) > 2
+            assert len(set(nodes)) == len(nodes) - 1
             assert all(pair in edges for pair in zip(nodes, nodes[1:]))
+
+    def test_ring_of_five_thousand_names_every_node(self):
+        args = [f"r{i}" for i in range(5000)]
+        edges = frozenset(zip(args, args[1:] + args[:1]))
+        with pytest.raises(CausalCycleError) as err:
+            CausalityGraph(tuple(args), edges)
+        nodes = err.value.nodes
+        assert len(nodes) == 5001 and nodes[0] == nodes[-1] == "r0"
+        assert set(zip(nodes, nodes[1:])) == edges
 
     def test_self_edge_rejected(self):
         with pytest.raises(ValidationError):
@@ -165,6 +181,56 @@ class TestValidation:
         for graph in (aligned, reversed_):
             with pytest.raises(ValidationError):
                 check_attack_disjointness(graph, af.attacks)
+
+
+# Prints the cycle named for 2,000 random cyclic graphs, for the same
+# graphs written one statement per line in shuffled order, and for one
+# document whose cycle x0 <-> x54 a search in set order may start at either
+# node. It catches ValidationError, so it also runs against code without
+# CausalCycleError.
+_HASH_SEED_PROBE = r"""
+import random
+from credalarg import CausalityGraph, ParseError, ValidationError, parse_caf
+
+rng = random.Random(0xC1C)
+for _ in range(2000):
+    args = [f"x{i}" for i in rng.sample(range(100), rng.randint(2, 9))]
+    edges = [(a, b) for a in args for b in args
+             if a != b and rng.random() < 0.3]
+    ring = rng.sample(args, rng.randint(2, len(args)))
+    edges += zip(ring, ring[1:] + ring[:1])
+    try:
+        CausalityGraph(tuple(args), frozenset(edges))
+    except ValidationError as exc:
+        print(exc)
+    lines = [f"arg({a})." for a in args] + [f"cau({a},{b})." for a, b in edges]
+    rng.shuffle(lines)
+    try:
+        parse_caf("\n".join(lines))
+    except ParseError as exc:
+        print(exc)
+try:
+    parse_caf("arg(x0). arg(x20). arg(x54). arg(x55).\n"
+              "cau(x20,x55). cau(x54,x0). cau(x0,x20). cau(x0,x54). "
+              "cau(x54,x20).\n")
+except ParseError as exc:
+    print(exc)
+"""
+
+
+def test_cycle_names_do_not_depend_on_the_hash_seed():
+    src = str(Path(credalarg.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    lines = outputs.pop().splitlines()
+    assert len(lines) == 4001
+    assert lines[-1] == "line 2: causal cycle: x0 -> x54 -> x0"
 
 
 def _reach(edges, start, forward):
