@@ -15,7 +15,7 @@ from .causality import (CausalityGraph, CausalPartition,
 from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
                      RationalityViolation, dependent_bounds,
                      dependent_credal_set, independent_bounds, is_maximal,
-                     is_uniform, rationality_report, single_bounds)
+                     rationality_report, single_bounds)
 from .errors import (CapExceededError, CausalCycleError, CoverageError,
                      CredalArgError, CredalSetError, ParseError,
                      UnknownArgumentError, ValidationError)
@@ -29,7 +29,7 @@ __all__ = [
     "CredalSet", "CredalProfile", "ProbabilityInterval",
     "RationalityViolation", "single_bounds", "independent_bounds",
     "dependent_credal_set", "dependent_bounds", "rationality_report",
-    "is_maximal", "is_uniform",
+    "is_maximal",
     "CausalityGraph", "CausalPartition", "check_attack_disjointness",
     "CausalGroup", "BoundsResult", "extension_bounds",
     "agent_valuation_oracle", "rank_extensions",

@@ -4,6 +4,12 @@ An :class:`ArgumentationFramework` is a finite set of named arguments plus
 a binary attack relation. Six acceptance semantics are supported:
 conflict-free, admissible, complete, preferred, grounded and stable.
 
+:func:`compile_relation` compiles the attacks, and the causal edges of a
+:class:`~credalarg.causality.CausalityGraph`, to per-argument source and
+target bitmasks (bit i is ``arguments[i]``). A framework rejects first an
+invalid name (in given order), then the lowest pair with an unknown end,
+so the error never depends on hash or input order.
+
 The grounded extension comes from the grounded labelling (Modgil &
 Caminada 2009): an argument is IN once all its attackers are OUT, and
 everything an IN argument attacks is OUT. A queue of arguments whose
@@ -51,6 +57,34 @@ def _check_name(name: str) -> str:
     return name
 
 
+def compile_relation(arguments: Iterable[str],
+                     pairs: Iterable[tuple[str, str]], kind: str) -> tuple:
+    """Index ``pairs`` over the sorted ``arguments`` in one pass.
+
+    Returns the sorted arguments, the name -> bit index, the pairs as a
+    frozenset, and per bit the mask of its sources and the mask of its
+    targets. A pair with an unknown end raises ``UnknownArgumentError``
+    naming the lowest such pair; ``kind`` names the relation in it.
+    """
+    args = tuple(sorted(set(arguments)))
+    index = {name: i for i, name in enumerate(args)}
+    pairs = frozenset((a, b) for a, b in pairs)
+    sources, targets, unknown = [0] * len(args), [0] * len(args), []
+    for a, b in pairs:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            unknown.append((a, b))
+        else:
+            targets[i] |= 1 << j
+            sources[j] |= 1 << i
+    if unknown:  # by text, so ends that are not strings still compare
+        a, b = min(unknown, key=lambda pair: [str(end) for end in pair])
+        raise UnknownArgumentError(
+            f"{kind} ({a},{b}) mentions unknown argument "
+            f"{a if a not in index else b!r}")
+    return args, index, pairs, sources, targets
+
+
 @dataclass(frozen=True, order=True)
 class Extension:
     """A set of arguments accepted together under one semantics.
@@ -90,26 +124,12 @@ class ArgumentationFramework:
     attacks: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        args = tuple(sorted({_check_name(a) for a in self.arguments}))
-        object.__setattr__(self, "arguments", args)
-        index = {name: i for i, name in enumerate(args)}
-        attacks = frozenset((a, b) for a, b in self.attacks)
-        for a, b in attacks:
-            for end in (a, b):
-                if end not in index:
-                    raise UnknownArgumentError(
-                        f"attack ({a},{b}) mentions unknown argument {end!r}")
-        object.__setattr__(self, "attacks", attacks)
-        object.__setattr__(self, "_index", index)
-        # in/out attack bitmasks per argument index
-        n = len(args)
-        in_masks = [0] * n
-        out_masks = [0] * n
-        for a, b in attacks:
-            out_masks[index[a]] |= 1 << index[b]
-            in_masks[index[b]] |= 1 << index[a]
-        object.__setattr__(self, "_in", in_masks)
-        object.__setattr__(self, "_out", out_masks)
+        args, index, attacks, in_masks, out_masks = compile_relation(
+            map(_check_name, self.arguments), self.attacks, "attack")
+        for name, value in (("arguments", args), ("attacks", attacks),
+                            ("_index", index), ("_in", in_masks),
+                            ("_out", out_masks)):
+            object.__setattr__(self, name, value)
 
     # -- mask helpers -----------------------------------------------------
 
@@ -177,27 +197,17 @@ class ArgumentationFramework:
         # happens to an OUT argument, whose IN attacker stays live, so a
         # self-attacker is never accepted. An argument attacked by several
         # IN arguments is labelled OUT, and counted down from, only once.
-        n = len(self.arguments)
-        index = self._index
-        targets: list[list[int]] = [[] for _ in range(n)]
-        live = [0] * n
-        for a, b in self.attacks:
-            targets[index[a]].append(index[b])
-            live[index[b]] += 1
-        is_out = [False] * n
-        queue = [i for i in range(n) if live[i] == 0]
+        live = [m.bit_count() for m in self._in]
+        queue = [i for i, count in enumerate(live) if not count]
         in_mask = out_mask = 0
         while queue:
             i = queue.pop()
             in_mask |= 1 << i
-            for j in targets[i]:
-                if is_out[j]:
-                    continue
-                is_out[j] = True
+            for j in set_bits(self._out[i] & ~out_mask):
                 out_mask |= 1 << j
-                for k in targets[j]:
+                for k in set_bits(self._out[j]):
                     live[k] -= 1
-                    if live[k] == 0:
+                    if not live[k]:
                         queue.append(k)
         return in_mask, out_mask
 

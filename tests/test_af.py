@@ -151,6 +151,29 @@ class TestEnumerate:
             af.enumerate_extensions("conflict-free", max_args=2)
 
 
+class TestConstruction:
+    def test_lowest_unknown_attack_named(self):
+        with pytest.raises(UnknownArgumentError) as err:
+            ArgumentationFramework(("a", "b"), frozenset(
+                {("a", "zz"), ("yy", "b"), ("a", "xx")}))
+        assert str(err.value) == "attack (a,xx) mentions unknown argument 'xx'"
+
+    def test_unknown_source_named_before_unknown_target(self):
+        with pytest.raises(UnknownArgumentError) as err:
+            ArgumentationFramework(("b",), frozenset({("yy", "zz")}))
+        assert str(err.value) == "attack (yy,zz) mentions unknown argument 'yy'"
+
+    def test_invalid_name_rejected_before_unknown_ends(self):
+        with pytest.raises(ValidationError) as err:
+            ArgumentationFramework(("a", "b-c"), frozenset({("a", "zz")}))
+        assert str(err.value) == "invalid argument name: 'b-c'"
+
+    def test_ends_that_are_not_names_are_unknown(self):
+        with pytest.raises(UnknownArgumentError) as err:
+            ArgumentationFramework(("a",), frozenset({("a", "zz"), ("a", 1)}))
+        assert str(err.value) == "attack (a,1) mentions unknown argument 1"
+
+
 class TestExtensionType:
     def test_members_are_sorted_and_deduplicated(self):
         ext = Extension(("b", "a", "b"))

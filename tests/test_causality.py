@@ -174,6 +174,28 @@ class TestValidation:
         with pytest.raises(UnknownArgumentError):
             CausalityGraph(("x",), frozenset({("x", "y")}))
 
+    def test_lowest_unknown_edge_named_before_any_self_edge(self):
+        with pytest.raises(UnknownArgumentError) as err:
+            CausalityGraph(("a", "b", "c"), frozenset(
+                {("b", "b"), ("c", "zz"), ("a", "zz"), ("yy", "a")}))
+        assert str(err.value) == \
+            "causal edge (a,zz) mentions unknown argument 'zz'"
+
+    def test_lowest_self_edge_named_before_any_cycle(self):
+        with pytest.raises(ValidationError) as err:
+            CausalityGraph(tuple("abcde"), frozenset(
+                {("e", "e"), ("c", "c"), ("d", "d"), ("a", "b"), ("b", "a")}))
+        assert type(err.value) is ValidationError
+        assert str(err.value) == "causal self-edge on 'c'"
+
+    def test_lowest_clashing_attack_named(self):
+        graph = CausalityGraph(tuple("abcdef"),
+                               frozenset({("f", "e"), ("c", "d"), ("b", "a")}))
+        attacks = {("e", "f"), ("c", "d"), ("a", "b")}
+        with pytest.raises(ValidationError) as err:
+            check_attack_disjointness(graph, attacks)
+        assert str(err.value) == "attack (a,b) clashes with a causal edge"
+
     def test_attack_overlap_rejected_both_directions(self):
         af = ArgumentationFramework(("x", "y"), frozenset({("x", "y")}))
         aligned = CausalityGraph(af.arguments, frozenset({("x", "y")}))
@@ -187,10 +209,13 @@ class TestValidation:
 # graphs written one statement per line in shuffled order, and for one
 # document whose cycle x0 <-> x54 a search in set order may start at either
 # node. It catches ValidationError, so it also runs against code without
-# CausalCycleError.
+# CausalCycleError. Then it prints the type and text of the error each
+# library validator raises for inputs with several faults.
 _HASH_SEED_PROBE = r"""
 import random
-from credalarg import CausalityGraph, ParseError, ValidationError, parse_caf
+from credalarg import (ArgumentationFramework, CausalityGraph, CredalArgError,
+                       CredalProfile, FrameworkDocument, ParseError,
+                       ValidationError, check_attack_disjointness, parse_caf)
 
 rng = random.Random(0xC1C)
 for _ in range(2000):
@@ -215,6 +240,25 @@ try:
               "cau(x54,x20).\n")
 except ParseError as exc:
     print(exc)
+
+args = tuple("abcdefgh")
+attacks = frozenset({("e", "f"), ("c", "d"), ("a", "b"), ("g", "h")})
+clashing = CausalityGraph(args, frozenset({("f", "e"), ("c", "d"),
+                                           ("b", "a")}))
+for build in (
+        lambda: CausalityGraph(("a", "b", "c"),
+                               frozenset({("a", "zz"), ("b", "b")})),
+        lambda: CausalityGraph(args, frozenset({("g", "g"), ("c", "c"),
+                                                ("e", "e"), ("d", "d")})),
+        lambda: ArgumentationFramework(
+            ("a", "b"), frozenset({("a", "zz"), ("yy", "b"), ("a", "xx")})),
+        lambda: check_attack_disjointness(clashing, attacks),
+        lambda: FrameworkDocument(ArgumentationFramework(args, attacks),
+                                  CredalProfile.maximal(args, 2), clashing)):
+    try:
+        build()
+    except CredalArgError as exc:
+        print(type(exc).__name__, exc)
 """
 
 
@@ -229,8 +273,15 @@ def test_cycle_names_do_not_depend_on_the_hash_seed():
         outputs.add(done.stdout)
     assert len(outputs) == 1
     lines = outputs.pop().splitlines()
-    assert len(lines) == 4001
-    assert lines[-1] == "line 2: causal cycle: x0 -> x54 -> x0"
+    assert len(lines) == 4006
+    assert lines[4000] == "line 2: causal cycle: x0 -> x54 -> x0"
+    assert lines[4001:] == [
+        "UnknownArgumentError causal edge (a,zz) mentions unknown "
+        "argument 'zz'",
+        "ValidationError causal self-edge on 'c'",
+        "UnknownArgumentError attack (a,xx) mentions unknown argument 'xx'",
+        "ValidationError attack (a,b) clashes with a causal edge",
+        "ValidationError attack (a,b) clashes with a causal edge"]
 
 
 def _reach(edges, start, forward):

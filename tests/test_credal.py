@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from credalarg import (ArgumentationFramework, CredalProfile, CredalSet,
                        CredalSetError, RationalityViolation, ValidationError,
                        dependent_bounds, dependent_credal_set,
-                       independent_bounds, is_maximal, is_uniform,
+                       independent_bounds, is_maximal,
                        rationality_report, single_bounds)
 from randgen import random_framework, random_profile
 
@@ -165,11 +165,9 @@ class TestMaximalUniform:
     def test_all_ones_profile(self):
         profile = CredalProfile.maximal(("a", "b"), 4)
         assert is_maximal(profile)
-        assert is_uniform(profile)
 
     def test_diagnosis_profile(self, diagnosis):
         assert not is_maximal(diagnosis.profile)
-        assert is_uniform(diagnosis.profile)
 
 
 @settings(max_examples=120, deadline=None)
