@@ -6,9 +6,10 @@ conflict-free, admissible, complete, preferred, grounded and stable.
 
 :func:`compile_relation` compiles the attacks, and the causal edges of a
 :class:`~credalarg.causality.CausalityGraph`, to per-argument source and
-target bitmasks (bit i is ``arguments[i]``). A framework rejects first an
-invalid name (in given order), then the lowest pair with an unknown end,
-so the error never depends on hash or input order.
+target bitmasks (bit i is ``arguments[i]``). It rejects first an invalid
+name (in given order), then the lowest pair that is not a 2-tuple, then
+the lowest pair with an unknown end, so the error never depends on hash
+or input order.
 
 The grounded extension comes from the grounded labelling (Modgil &
 Caminada 2009): an argument is IN once all its attackers are OUT, and
@@ -16,12 +17,17 @@ everything an IN argument attacks is OUT. A queue of arguments whose
 live-attacker count has dropped to zero computes it in O(n + m) for n
 arguments and m attacks, so it needs no cap.
 
-Enumeration walks the conflict-free subsets depth-first with an explicit
-stack and bitmask pruning, which is exact and fast enough for desk-scale
-frameworks. Every complete, preferred and stable extension contains the
-grounded extension and excludes what it attacks, so for those semantics
-the walk starts with the IN arguments chosen and the OUT ones banned and
-searches only the undecided rest. A hard argument-count cap (default 25),
+Enumeration is one include/exclude depth-first walk whose stack entries
+carry the chosen set, the set it attacks and the set of its attackers as
+bitmasks, so admissibility and stability are O(1) tests. After Doutre &
+Mengin (IJCAR 2001) and Nofal, Atkinson & Dunne (AIJ 207, 2014), it cuts a
+branch once an argument needs an attacker and none is *choosable* (ahead
+in the walk and in conflict with nothing chosen): for admissible, complete
+and preferred, an attacker of the chosen set not yet attacked back; for
+stable, an argument that can be neither chosen nor attacked any more.
+Complete, preferred and stable extensions contain the grounded extension
+and exclude what it attacks, so their walk starts with its IN arguments
+chosen and its OUT ones banned. A hard argument-count cap (default 25),
 which counts every argument, decided or not, guards against accidental
 exponential blow-ups.
 """
@@ -63,12 +69,19 @@ def compile_relation(arguments: Iterable[str],
 
     Returns the sorted arguments, the name -> bit index, the pairs as a
     frozenset, and per bit the mask of its sources and the mask of its
-    targets. A pair with an unknown end raises ``UnknownArgumentError``
-    naming the lowest such pair; ``kind`` names the relation in it.
+    targets. An invalid name raises ``ValidationError`` (first in given
+    order), then a pair that is not a 2-tuple (lowest by text), then a
+    pair with an unknown end ``UnknownArgumentError`` (lowest pair);
+    ``kind`` names the relation in the last two.
     """
-    args = tuple(sorted(set(arguments)))
+    args = tuple(sorted(set(map(_check_name, arguments))))
     index = {name: i for i, name in enumerate(args)}
-    pairs = frozenset((a, b) for a, b in pairs)
+    pairs = list(pairs)
+    malformed = [p for p in pairs if not isinstance(p, tuple) or len(p) != 2]
+    if malformed:
+        raise ValidationError(
+            f"{kind} {min(malformed, key=repr)!r} is not a 2-tuple")
+    pairs = frozenset(pairs)
     sources, targets, unknown = [0] * len(args), [0] * len(args), []
     for a, b in pairs:
         i, j = index.get(a), index.get(b)
@@ -107,9 +120,14 @@ class Extension:
     def __str__(self) -> str:
         return "{%s}" % ",".join(self.members)
 
-
-def _canonical_key(ext: Extension) -> tuple[int, tuple[str, ...]]:
-    return (len(ext.members), ext.members)
+    @classmethod
+    def _trusted(cls, members: tuple[str, ...], semantics: str) -> Extension:
+        # no re-sort, for names decoded from a mask; set fields as __init__
+        # does, since touching __dict__ would make each instance larger
+        ext = object.__new__(cls)
+        object.__setattr__(ext, "members", members)
+        object.__setattr__(ext, "semantics", semantics)
+        return ext
 
 
 @dataclass(frozen=True)
@@ -125,7 +143,7 @@ class ArgumentationFramework:
 
     def __post_init__(self):
         args, index, attacks, in_masks, out_masks = compile_relation(
-            map(_check_name, self.arguments), self.attacks, "attack")
+            self.arguments, self.attacks, "attack")
         for name, value in (("arguments", args), ("attacks", attacks),
                             ("_index", index), ("_in", in_masks),
                             ("_out", out_masks)):
@@ -220,30 +238,70 @@ class ArgumentationFramework:
         attacks, so it stays cheap on frameworks far beyond the
         enumeration cap.
         """
-        return Extension(self._names_of(self._grounded_labelling()[0]),
-                         "grounded")
+        return Extension._trusted(
+            self._names_of(self._grounded_labelling()[0]), "grounded")
 
-    def _conflict_free_masks(self, chosen: int = 0,
-                             banned: int = 0) -> Iterator[int]:
-        # Include/exclude DFS over the sorted arguments that are neither
-        # ``chosen`` nor ``banned``, each yielded set containing
-        # ``chosen``. conflict[k] holds everything free[k] attacks or is
-        # attacked by (including itself for a self-attack), so one AND
-        # rejects a branch and all its supersets.
-        free = [i for i in range(len(self.arguments))
-                if not (chosen | banned) >> i & 1]
-        conflict = [self._in[i] | self._out[i] for i in free]
-        depth = len(free)
-        stack = [(0, chosen)]
+    def _extension_masks(self, semantics: str) -> list[int]:
+        # Include/exclude DFS over the free arguments: those the grounded
+        # seed leaves undecided, less the self-attackers. An entry is
+        # (k, chosen, attacked, attackers), the last two the OR of _out
+        # and of _in over chosen; ahead[k] masks free[k:].
+        ins, outs = self._in, self._out
+        n = len(ins)
+        full = (1 << n) - 1
+        chosen = banned = 0
+        if semantics not in ("conflict-free", "admissible"):
+            chosen, banned = self._grounded_labelling()
+        free = [i for i in range(n)
+                if not ((chosen | banned) >> i | outs[i] >> i) & 1]
+        ahead = [0] * (len(free) + 1)
+        for k in range(len(free) - 1, -1, -1):
+            ahead[k] = ahead[k + 1] | 1 << free[k]
+        attacked = attackers = 0
+        for i in set_bits(chosen):
+            attacked |= outs[i]
+            attackers |= ins[i]
+        stable = semantics == "stable"
+        guard = 0 if semantics == "conflict-free" else full  # cf never cuts
+        complete = semantics in ("complete", "preferred")
+        found: list[int] = []
+        stack = [(0, chosen, attacked, attackers)]
         while stack:
-            k, chosen = stack.pop()
-            if k == depth:
-                yield chosen
+            k, chosen, attacked, attackers = stack.pop()
+            choosable = ahead[k] & ~(attacked | attackers)
+            # cut if an argument needing an attacker has none choosable: for
+            # stable, one that can be neither chosen nor attacked any more,
+            # else an attacker of chosen not yet attacked back
+            need = (full & ~(chosen | attacked | choosable) if stable
+                    else attackers & ~attacked & guard)
+            while need:
+                low = need & -need
+                if not ins[low.bit_length() - 1] & choosable:
+                    break
+                need ^= low
+            if need:
                 continue
-            bit = 1 << free[k]
-            if conflict[k] & (chosen | bit) == 0:
-                stack.append((k + 1, chosen | bit))
-            stack.append((k + 1, chosen))
+            if choosable:
+                i = free[k]
+                bit = 1 << i
+                if bit & choosable:
+                    stack.append((k + 1, chosen | bit, attacked | outs[i],
+                                  attackers | ins[i]))
+                stack.append((k + 1, chosen, attacked, attackers))
+            elif not complete or all(
+                    ins[i] & ~attacked for i in set_bits(full & ~chosen)):
+                # nothing left to choose, so chosen is the only completion;
+                # complete also needs no outside argument defended
+                found.append(chosen)
+        if semantics == "preferred":
+            # Largest first: a mask is maximal iff no mask kept before it
+            # is a superset, since every strict superset is larger.
+            kept: list[int] = []
+            for m in sorted(found, key=int.bit_count, reverse=True):
+                if all(m | k != k for k in kept):
+                    kept.append(m)
+            found = kept
+        return found
 
     def enumerate_extensions(self, semantics: str,
                              max_args: int = DEFAULT_MAX_ARGS) -> list[Extension]:
@@ -254,11 +312,14 @@ class ArgumentationFramework:
         single extension and bypasses both the subset walk and the
         ``max_args`` cap; ``stable`` may yield none.
 
-        ``complete``, ``preferred`` and ``stable`` walk only the arguments
-        the grounded labelling leaves undecided, with its IN arguments
-        already chosen and its OUT arguments excluded. ``conflict-free``
-        and ``admissible`` walk every argument. The cap counts every
-        argument in either case.
+        One depth-first walk carries the chosen, attacked and attacker
+        masks. ``admissible``, ``complete`` and ``preferred`` cut a branch
+        once an attacker of the chosen set is neither attacked nor
+        attackable from the arguments still choosable; ``stable`` once an
+        argument can be neither chosen nor attacked. ``complete``,
+        ``preferred`` and ``stable`` start from the grounded labelling and
+        ``preferred`` keeps the maximal complete sets. The cap counts every
+        argument, whatever the walk visits.
         """
         if semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {semantics!r}")
@@ -270,40 +331,8 @@ class ArgumentationFramework:
         if n > max_args:
             raise CapExceededError(
                 f"framework has {n} arguments, enumeration capped at {max_args}")
-
-        if semantics in ("conflict-free", "admissible"):
-            walk = self._conflict_free_masks()
-        else:
-            walk = self._conflict_free_masks(*self._grounded_labelling())
-        full = (1 << n) - 1
-        found: list[int] = []
-        for mask in walk:
-            if semantics == "conflict-free":
-                found.append(mask)
-                continue
-            counter = self._attacked_by_mask(mask)
-            if semantics == "stable":
-                if counter | mask == full:
-                    found.append(mask)
-                continue
-            defended = 0
-            for i in range(n):
-                if self._in[i] & ~counter == 0:
-                    defended |= 1 << i
-            if semantics == "admissible":
-                if mask & ~defended == 0:
-                    found.append(mask)
-            else:  # complete and preferred both start from completeness
-                if mask == defended:
-                    found.append(mask)
-        if semantics == "preferred":
-            # Largest first: a mask is maximal iff no mask kept before it
-            # is a superset, since every strict superset is larger.
-            kept: list[int] = []
-            for m in sorted(found, key=int.bit_count, reverse=True):
-                if all(m | k != k for k in kept):
-                    kept.append(m)
-            found = kept
-        exts = [Extension(self._names_of(m), semantics) for m in found]
-        return sorted(exts, key=_canonical_key)
-
+        # bit order is sorted-name order: sorting the decoded tuples by
+        # name, then stably by size, gives the (size, members) order
+        names = sorted(map(self._names_of, self._extension_masks(semantics)))
+        names.sort(key=len)
+        return [Extension._trusted(m, semantics) for m in names]

@@ -109,6 +109,8 @@ class TestEnumerate:
         exts = diagnosis.framework.enumerate_extensions("admissible")
         keys = [(len(e.members), e.members) for e in exts]
         assert keys == sorted(keys)
+        # the enumerated objects equal those the public constructor builds
+        assert exts == [Extension(e.members[::-1], "admissible") for e in exts]
 
     def test_deterministic_across_runs(self, diagnosis):
         one = diagnosis.framework.enumerate_extensions("conflict-free")
@@ -151,6 +153,53 @@ class TestEnumerate:
             af.enumerate_extensions("conflict-free", max_args=2)
 
 
+def ring(n: int, closed: bool) -> ArgumentationFramework:
+    # a0 -> a1 -> ... -> a(n-1), and back to a0 if closed; unpadded names,
+    # so the walk's sorted order is not ring order
+    names = [f"a{i}" for i in range(n)]
+    attacks = set(zip(names, names[1:]))
+    if closed:
+        attacks.add((names[-1], names[0]))
+    return ArgumentationFramework(tuple(names), frozenset(attacks))
+
+
+class TestBeyondTheCap:
+    # Closed forms on frameworks whose conflict-free sets number up to
+    # about 2.3e8 (the 40-cycle): the walk must cut what cannot be
+    # defended rather than visit every conflict-free set.
+
+    def test_long_chain(self):
+        af = ring(60, closed=False)
+        evens = [f"a{i}" for i in range(0, 60, 2)]
+        assert members(af.enumerate_extensions("admissible", max_args=64)) \
+            == [set()] + [set(evens[:k]) for k in range(1, 31)]
+        for semantics in ("complete", "preferred", "stable"):
+            assert members(af.enumerate_extensions(
+                semantics, max_args=64)) == [set(evens)], semantics
+
+    def test_even_cycle(self):
+        af = ring(40, closed=True)
+        evens = {f"a{i}" for i in range(0, 40, 2)}
+        odds = {f"a{i}" for i in range(1, 40, 2)}
+        for semantics in ("admissible", "complete"):
+            assert members(af.enumerate_extensions(
+                semantics, max_args=64)) == [set(), evens, odds], semantics
+        for semantics in ("preferred", "stable"):
+            assert members(af.enumerate_extensions(
+                semantics, max_args=64)) == [evens, odds], semantics
+
+    def test_odd_cycle(self):
+        af = ring(41, closed=True)
+        for semantics in ("admissible", "complete", "preferred"):
+            assert members(af.enumerate_extensions(
+                semantics, max_args=64)) == [set()], semantics
+        assert af.enumerate_extensions("stable", max_args=64) == []
+
+    def test_cap_still_counts_every_argument(self):
+        with pytest.raises(CapExceededError):
+            ring(60, closed=False).enumerate_extensions("stable", max_args=59)
+
+
 class TestConstruction:
     def test_lowest_unknown_attack_named(self):
         with pytest.raises(UnknownArgumentError) as err:
@@ -172,6 +221,20 @@ class TestConstruction:
         with pytest.raises(UnknownArgumentError) as err:
             ArgumentationFramework(("a",), frozenset({("a", "zz"), ("a", 1)}))
         assert str(err.value) == "attack (a,1) mentions unknown argument 1"
+
+    def test_pair_that_is_not_a_2_tuple_rejected(self):
+        for attacks, message in (
+                (frozenset({("a",)}), "attack ('a',) is not a 2-tuple"),
+                ([["a", "a"]], "attack ['a', 'a'] is not a 2-tuple")):
+            with pytest.raises(ValidationError) as err:
+                ArgumentationFramework(("a",), attacks)
+            assert str(err.value) == message
+
+    def test_lowest_malformed_pair_named_before_unknown_ends(self):
+        with pytest.raises(ValidationError) as err:
+            ArgumentationFramework(("a", "b"), frozenset(
+                {("b",), ("a", "zz"), ("a", "b", "c"), ("a",)}))
+        assert str(err.value) == "attack ('a', 'b', 'c') is not a 2-tuple"
 
 
 class TestExtensionType:
@@ -217,7 +280,8 @@ class TestAgainstBruteForce:
             expected = bf_semantics(af.arguments, af.attacks)
             assert [frozenset(af.grounded_extension().members)] == \
                 expected["grounded"], seed
-            for semantics in ("complete", "preferred", "stable"):
+            for semantics in ("conflict-free", "admissible", "complete",
+                              "preferred", "stable"):
                 got = members(af.enumerate_extensions(semantics))
                 assert sorted(map(sorted, got)) == \
                     sorted(map(sorted, expected[semantics])), (seed, semantics)

@@ -166,6 +166,24 @@ class TestValidation:
         assert len(nodes) == 5001 and nodes[0] == nodes[-1] == "r0"
         assert set(zip(nodes, nodes[1:])) == edges
 
+    def test_name_that_is_not_a_string_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            CausalityGraph(("a", 1))
+        assert str(err.value) == "invalid argument name: 1"
+
+    def test_name_off_the_pattern_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            CausalityGraph(("a", "b-c"), frozenset({("a", "zz")}))
+        assert str(err.value) == "invalid argument name: 'b-c'"
+
+    def test_edge_that_is_not_a_2_tuple_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            CausalityGraph(("a", "b"), frozenset(
+                {("b",), ("a", "zz"), ("a", "b", "a")}))
+        assert type(err.value) is ValidationError
+        assert str(err.value) == \
+            "causal edge ('a', 'b', 'a') is not a 2-tuple"
+
     def test_self_edge_rejected(self):
         with pytest.raises(ValidationError):
             CausalityGraph(("x",), frozenset({("x", "x")}))
@@ -210,7 +228,7 @@ class TestValidation:
 # document whose cycle x0 <-> x54 a search in set order may start at either
 # node. It catches ValidationError, so it also runs against code without
 # CausalCycleError. Then it prints the type and text of the error each
-# library validator raises for inputs with several faults.
+# library validator raises for malformed inputs, most with several faults.
 _HASH_SEED_PROBE = r"""
 import random
 from credalarg import (ArgumentationFramework, CausalityGraph, CredalArgError,
@@ -254,7 +272,11 @@ for build in (
             ("a", "b"), frozenset({("a", "zz"), ("yy", "b"), ("a", "xx")})),
         lambda: check_attack_disjointness(clashing, attacks),
         lambda: FrameworkDocument(ArgumentationFramework(args, attacks),
-                                  CredalProfile.maximal(args, 2), clashing)):
+                                  CredalProfile.maximal(args, 2), clashing),
+        lambda: CausalityGraph(("a", 1)),
+        lambda: ArgumentationFramework(("a",), frozenset({("a",)})),
+        lambda: CausalityGraph(("a", "b"), frozenset(
+            {("b",), ("a", "zz"), ("a", "b", "a"), ("b", "a", "b")}))):
     try:
         build()
     except CredalArgError as exc:
@@ -273,7 +295,7 @@ def test_cycle_names_do_not_depend_on_the_hash_seed():
         outputs.add(done.stdout)
     assert len(outputs) == 1
     lines = outputs.pop().splitlines()
-    assert len(lines) == 4006
+    assert len(lines) == 4009
     assert lines[4000] == "line 2: causal cycle: x0 -> x54 -> x0"
     assert lines[4001:] == [
         "UnknownArgumentError causal edge (a,zz) mentions unknown "
@@ -281,7 +303,10 @@ def test_cycle_names_do_not_depend_on_the_hash_seed():
         "ValidationError causal self-edge on 'c'",
         "UnknownArgumentError attack (a,xx) mentions unknown argument 'xx'",
         "ValidationError attack (a,b) clashes with a causal edge",
-        "ValidationError attack (a,b) clashes with a causal edge"]
+        "ValidationError attack (a,b) clashes with a causal edge",
+        "ValidationError invalid argument name: 1",
+        "ValidationError attack ('a',) is not a 2-tuple",
+        "ValidationError causal edge ('a', 'b', 'a') is not a 2-tuple"]
 
 
 def _reach(edges, start, forward):
