@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, UnknownArgumentError, ValidationError
@@ -47,6 +48,9 @@ DEFAULT_MAX_ARGS = 25
 
 NAME_REGEX = r"[A-Za-z0-9_]+"
 NAME_PATTERN = re.compile(NAME_REGEX + r"\Z")
+
+# "0"/"1" digits of bin() to the 0/1 flags itertools.compress reads
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -161,7 +165,9 @@ class ArgumentationFramework:
         return mask
 
     def _names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.arguments[i] for i in set_bits(mask))
+        # bin() lists bits high first; reversed, byte i flags arguments[i]
+        return tuple(compress(self.arguments,
+                              bin(mask)[:1:-1].encode().translate(_BITS)))
 
     def _attacked_by_mask(self, mask: int) -> int:
         hit = 0

@@ -19,8 +19,9 @@ from .bounds import (BoundsResult, agent_valuation_oracle, extension_bounds,
                      rank_extensions)
 from .credal import is_maximal, rationality_report
 from .errors import CapExceededError, CoverageError, CredalArgError
-from .formats import (FrameworkDocument, emit_json, export_dot,
-                      extensions_payload, load_caf, results_payload)
+from .formats import (FrameworkDocument, bounds_payload, check_payload,
+                      emit_json, export_dot, extensions_payload,
+                      fixtures_payload, load_caf, results_payload)
 from .samples import REPORTED_FIXTURES, diagnosis_document
 
 EXIT_OK = 0
@@ -136,63 +137,61 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     exts = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
     if ns.output_format == "json":
         print(emit_json(extensions_payload(ns.semantics, exts)))
-    elif not exts:
-        print("no extensions")
     else:
-        for ext in exts:
-            print(ext)
+        print("\n".join(map(str, exts)) if exts else "no extensions")
     return EXIT_OK
 
 
-def _bounds_entry(ns: argparse.Namespace, doc: FrameworkDocument,
-                  ext: Extension) -> dict:
-    entry: dict = {"members": list(ext.members)}
-    result: BoundsResult | None = None
+def _bounds_row(ns: argparse.Namespace, doc: FrameworkDocument,
+               ext: Extension) -> tuple:
+    """``(ext, result, oracle, match)`` for one row of ``bounds``.
+
+    ``result`` is the :class:`BoundsResult` or the message of the
+    ``CoverageError`` refusing it; ``oracle`` the oracle's interval or
+    refusal message and ``match`` whether both sides agree, both None
+    unless ``--oracle`` ran on a non-empty extension.
+    """
+    # a refusal is kept as its message: the error's traceback would keep
+    # the frames of every refused extension alive
     try:
         result = extension_bounds(ext, doc.profile, doc.causality)
-        entry.update(lower=result.interval.lower,
-                     upper=result.interval.upper,
-                     case=result.case)
     except CoverageError as exc:
         if ns.explicit_set is not None:
             raise
-        entry["error"] = str(exc)
+        result = str(exc)
+    oracle = match = None
     if ns.use_oracle and ext.members:
-        oracle = None
         try:
             oracle = agent_valuation_oracle(ext, doc.profile, doc.causality)
-            entry["oracle_lower"] = oracle.lower
-            entry["oracle_upper"] = oracle.upper
         except CoverageError as exc:
-            entry["oracle_error"] = str(exc)
-        if result is not None and oracle is not None:
-            entry["oracle_match"] = (
+            oracle = str(exc)
+        refused = isinstance(result, str), isinstance(oracle, str)
+        if any(refused):
+            # consistent only if both sides refused
+            match = all(refused)
+        else:
+            match = (
                 abs(result.interval.lower - oracle.lower) <= ns.tolerance
                 and abs(result.interval.upper - oracle.upper) <= ns.tolerance)
-        else:
-            # consistent only if both sides refused for the same reason
-            entry["oracle_match"] = result is None and oracle is None
-    return entry
+    return ext, result, oracle, match
 
 
-def _render_bounds_row(entry: dict, use_oracle: bool) -> str:
-    members = "{%s}" % ",".join(entry["members"])
-    if "error" in entry:
-        row = f"{members} coverage-error: {entry['error']}"
+def _render_bounds_row(row: tuple, use_oracle: bool) -> str:
+    ext, result, oracle, match = row
+    if isinstance(result, str):
+        text = f"{ext} coverage-error: {result}"
     else:
-        row = (f"{members} {entry['lower']:.6f} {entry['upper']:.6f} "
-               f"{entry['case']}")
+        text = f"{ext} {_fmt(result.interval)} {result.case}"
     if use_oracle:
-        if "oracle_lower" in entry:
-            row += (f" oracle={entry['oracle_lower']:.6f},"
-                    f"{entry['oracle_upper']:.6f}")
-        elif "oracle_error" in entry:
-            row += " oracle=coverage-error"
+        if oracle is None:
+            text += " oracle=n/a"
+        elif isinstance(oracle, str):
+            text += " oracle=coverage-error"
         else:
-            row += " oracle=n/a"
-        if "oracle_match" in entry:
-            row += " ok" if entry["oracle_match"] else " MISMATCH"
-    return row
+            text += f" oracle={oracle.lower:.6f},{oracle.upper:.6f}"
+        if match is not None:
+            text += " ok" if match else " MISMATCH"
+    return text
 
 
 def cmd_bounds(ns: argparse.Namespace) -> int:
@@ -205,12 +204,12 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
     else:
         targets = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
         semantics = ns.semantics
-    entries = [_bounds_entry(ns, doc, ext) for ext in targets]
+    rows = [_bounds_row(ns, doc, ext) for ext in targets]
     if ns.output_format == "json":
-        print(emit_json({"semantics": semantics, "extensions": entries}))
-    else:
-        for entry in entries:
-            print(_render_bounds_row(entry, ns.use_oracle))
+        print(emit_json(bounds_payload(semantics, rows)))
+    elif rows:
+        print("\n".join([_render_bounds_row(row, ns.use_oracle)
+                         for row in rows]))
     return EXIT_OK
 
 
@@ -227,16 +226,7 @@ def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
             deviations.append("upper")
         rows.append((fixture, result, deviations))
     if ns.output_format == "json":
-        payload = {"fixtures": [
-            {"label": f.label,
-             "members": list(f.members),
-             "reported_lower": f.reported.lower,
-             "reported_upper": f.reported.upper,
-             "computed_lower": r.interval.lower,
-             "computed_upper": r.interval.upper,
-             "deviates": dev}
-            for f, r, dev in rows]}
-        print(emit_json(payload))
+        print(emit_json(fixtures_payload(rows)))
         return EXIT_OK
     print(f"{'fixture':<10} {'members':<16} {'reported':<20} "
           f"{'computed':<20} verdict")
@@ -258,23 +248,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
     violations = rationality_report(doc.profile, doc.framework)
     maximal = is_maximal(doc.profile)
     if ns.output_format == "json":
-        payload = {
-            "arguments": len(doc.framework.arguments),
-            "attacks": len(doc.framework.attacks),
-            "causal_edges": len(doc.causality.edges),
-            "agents": doc.profile.agent_count,
-            "causality_valid": True,
-            "maximal": maximal,
-            # a validated profile keeps every opinion in [0, 1]
-            "uniform": True,
-            "violations": [
-                {"agent": v.agent, "attacker": v.attacker,
-                 "target": v.target,
-                 "attacker_value": v.attacker_value,
-                 "target_value": v.target_value}
-                for v in violations],
-        }
-        print(emit_json(payload))
+        print(emit_json(check_payload(doc, violations, maximal)))
     else:
         print(f"arguments: {len(doc.framework.arguments)}")
         print(f"attacks: {len(doc.framework.attacks)}")
@@ -317,12 +291,11 @@ def cmd_rank(ns: argparse.Namespace) -> int:
                                for e, msg in failures]
         print(emit_json(payload))
     else:
-        if not ranked and not failures:
-            print("no extensions")
-        for i, r in enumerate(ranked, start=1):
-            print(f"{i}. {r.extension} {_fmt(r.interval)}")
-        for ext, msg in failures:
-            print(f"unranked {ext} coverage-error: {msg}")
+        rows = [f"{i}. {r.extension} {_fmt(r.interval)}"
+                for i, r in enumerate(ranked, start=1)]
+        rows += [f"unranked {ext} coverage-error: {msg}"
+                 for ext, msg in failures]
+        print("\n".join(rows) if rows else "no extensions")
     return EXIT_OK
 
 

@@ -39,8 +39,9 @@ Plain `arg`/`att` solver benchmarks load as-is: without any ``p``
 statements the profile defaults to all-ones, which reduces the analysis to
 classical acceptance. :func:`emit_json` takes a payload dict; the payload
 helpers build the stable schemas ``{arguments, attacks, causality, agents,
-opinions}`` for documents and ``{semantics, extensions: [{members, lower,
-upper, case}]}`` for results.
+opinions}`` for documents, ``{semantics, extensions: [{members, lower,
+upper, case}]}`` for results, and those ``check``, ``bounds`` and
+``bounds --paper-fixtures`` print.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
 from .af import NAME_PATTERN, NAME_REGEX, ArgumentationFramework, Extension
 from .bounds import BoundsResult
 from .causality import CausalityGraph, check_attack_disjointness
-from .credal import MAX_AGENTS, CredalProfile, CredalSet
+from .credal import (MAX_AGENTS, CredalProfile, CredalSet,
+                     RationalityViolation)
 from .errors import CausalCycleError, ParseError, ValidationError
 
 _NAME = f"({NAME_REGEX})"
@@ -283,17 +286,74 @@ def document_payload(doc: FrameworkDocument) -> dict:
     }
 
 
+def _result_entry(r: BoundsResult) -> dict:
+    return {"members": list(r.extension.members), "lower": r.interval.lower,
+            "upper": r.interval.upper, "case": r.case}
+
+
 def results_payload(semantics: str | None,
                     results: Sequence[BoundsResult]) -> dict:
+    return {"semantics": semantics,
+            "extensions": [_result_entry(r) for r in results]}
+
+
+def bounds_payload(semantics: str | None, rows: Sequence[tuple]) -> dict:
+    """The ``bounds`` schema for ``(extension, result, oracle, match)`` rows.
+
+    ``result`` is a :class:`BoundsResult` or the message refusing it
+    (``error``); ``oracle`` an interval, the message refusing it
+    (``oracle_error``) or None, and ``match`` a bool or None for no
+    ``oracle_match``.
+    """
+    entries = []
+    for ext, result, oracle, match in rows:
+        if isinstance(result, str):
+            entry = {"members": list(ext.members), "error": result}
+        else:
+            entry = _result_entry(result)
+        if isinstance(oracle, str):
+            entry["oracle_error"] = oracle
+        elif oracle is not None:
+            entry.update(oracle_lower=oracle.lower, oracle_upper=oracle.upper)
+        if match is not None:
+            entry["oracle_match"] = match
+        entries.append(entry)
+    return {"semantics": semantics, "extensions": entries}
+
+
+def check_payload(doc: FrameworkDocument,
+                  violations: Sequence[RationalityViolation],
+                  maximal: bool) -> dict:
+    """The ``check`` schema: counts, flags and one entry per violation."""
     return {
-        "semantics": semantics,
-        "extensions": [
-            {"members": list(r.extension.members),
-             "lower": r.interval.lower,
-             "upper": r.interval.upper,
-             "case": r.case}
-            for r in results],
+        "arguments": len(doc.framework.arguments),
+        "attacks": len(doc.framework.attacks),
+        "causal_edges": len(doc.causality.edges),
+        "agents": doc.profile.agent_count,
+        "causality_valid": True,
+        "maximal": maximal,
+        # a validated profile keeps every opinion in [0, 1]
+        "uniform": True,
+        "violations": [
+            {"agent": v.agent, "attacker": v.attacker, "target": v.target,
+             "attacker_value": v.attacker_value,
+             "target_value": v.target_value}
+            for v in violations],
     }
+
+
+def fixtures_payload(rows: Sequence[tuple]) -> dict:
+    """The ``--paper-fixtures`` schema for ``(fixture, result, deviations)``
+    rows: reported and computed bounds and the ends that deviate."""
+    return {"fixtures": [
+        {"label": f.label,
+         "members": list(f.members),
+         "reported_lower": f.reported.lower,
+         "reported_upper": f.reported.upper,
+         "computed_lower": r.interval.lower,
+         "computed_upper": r.interval.upper,
+         "deviates": deviations}
+        for f, r, deviations in rows]}
 
 
 def extensions_payload(semantics: str | None,
@@ -304,9 +364,56 @@ def extensions_payload(semantics: str | None,
     }
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+# The JSON text of each leaf type, looked up by exact type: a subclass such
+# as IntEnum is not found here and sends the payload to json.dumps.
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+           float: _float_text, bool: lambda flag: "true" if flag else "false",
+           type(None): lambda _: "null"}
+
+
+def _indented(value, indent: str) -> str:
+    # value as json.dumps(indent=2, sort_keys=True) writes it at indent;
+    # KeyError or TypeError for anything but the types it knows
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        return _LEAVES[kind](value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        body = sep.join([encode_basestring_ascii(key) + ": "
+                         + _indented(value[key], inner)
+                         for key in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    try:  # a list of names is one C call
+        body = sep.join(map(encode_basestring_ascii, value))
+    except TypeError:
+        body = sep.join([_indented(item, inner) for item in value])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def emit_json(data: dict) -> str:
-    """Stable JSON text (sorted keys, two-space indent) for a payload dict."""
-    return json.dumps(data, indent=2, sort_keys=True)
+    """Stable JSON text (sorted keys, two-space indent) for a payload dict.
+
+    The text is ``json.dumps(data, indent=2, sort_keys=True)``, written
+    without the stdlib's pure-Python indenting encoder: brackets and
+    separators here, leaves by the C string encoder and ``repr``.
+    """
+    try:
+        return _indented(data, "")
+    except (KeyError, TypeError, RecursionError):
+        # a tuple, a subclass, a key that is not a string, or a cycle: the
+        # stdlib writes the text or raises its own error
+        return json.dumps(data, indent=2, sort_keys=True)
 
 
 def export_dot(doc: FrameworkDocument) -> str:
@@ -321,9 +428,22 @@ def export_dot(doc: FrameworkDocument) -> str:
 
 
 def load_caf(path: str) -> FrameworkDocument:
-    """Read and parse a `.caf` file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_caf(handle.read())
+    """Read and parse a `.caf` file.
+
+    A file that is not UTF-8 raises :class:`ParseError` on the line of its
+    first bad byte.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines as parse_caf cuts them; the sentinel starts the bad one
+        before = exc.object[:exc.start].decode("utf-8")
+        raise ParseError(len((before + ".").splitlines()),
+                         f"byte 0x{exc.object[exc.start]:02x} is not "
+                         "valid UTF-8") from None
+    return parse_caf(text)
 
 
 def dump_caf(doc: FrameworkDocument, path: str) -> None:

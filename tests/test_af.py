@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from credalarg import (ArgumentationFramework, CapExceededError, Extension,
                        UnknownArgumentError, ValidationError)
+from credalarg.af import set_bits
 from bruteforce import bf_semantics
 from randgen import random_framework
 
@@ -235,6 +236,18 @@ class TestConstruction:
             ArgumentationFramework(("a", "b"), frozenset(
                 {("b",), ("a", "zz"), ("a", "b", "c"), ("a",)}))
         assert str(err.value) == "attack ('a', 'b', 'c') is not a 2-tuple"
+
+
+class TestNamesOf:
+    def test_agrees_with_set_bits(self):
+        rng = random.Random(7)
+        for n in range(1, 65):
+            af = ArgumentationFramework(tuple(f"a{i:02d}" for i in range(n)))
+            full = (1 << n) - 1
+            for mask in [0, full, 1, 1 << (n - 1)] + [
+                    rng.getrandbits(n) for _ in range(50)]:
+                assert af._names_of(mask) == tuple(
+                    af.arguments[i] for i in set_bits(mask))
 
 
 class TestExtensionType:

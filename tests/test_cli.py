@@ -254,6 +254,17 @@ def test_malformed_documents_always_exit_2(capsys, tmp_path, text):
         assert "error" in err
 
 
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.caf"
+    path.write_bytes(b"arg(a).\narg(b\xff).\n")
+    for command in (["solve", "--semantics", "gr"], ["check"],
+                    ["bounds", "--semantics", "cf"], ["export-dot"]):
+        code, out, err = run(capsys, *command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: byte 0xff is not valid UTF-8\n"
+
+
 def test_unknown_member_in_explicit_set_exits_2(capsys, diagnosis_caf):
     code, _, _ = run(capsys, "bounds", "--input", diagnosis_caf,
                      "--set", "A,nope")

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 import random
 import re
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from credalarg import (ArgumentationFramework, CausalCycleError,
                        CausalityGraph, CredalProfile, FrameworkDocument,
                        ParseError, ValidationError, emit_caf, emit_json,
-                       export_dot, extension_bounds, parse_caf)
+                       export_dot, extension_bounds, load_caf, parse_caf)
 from credalarg.formats import document_payload, results_payload
 from randgen import random_document
 from reference_caf import parse_caf as reference_parse_caf
@@ -124,6 +125,28 @@ class TestParse:
         assert doc.description == "tiny case"
         assert parse_caf(emit_caf(doc)) == doc
 
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"arg(a\xff).\n", 1, 0xff),
+        (b"\xfe", 1, 0xfe),
+        (b"arg(a).\r\narg(b).\r\n% \xc3\x28\n", 3, 0xc3),
+        (b"arg(\xc3\xa9).\n\narg(b).\xe2\x82", 3, 0xe2),
+        (b"arg(a).\xc2\x85\xed\xa0\x80", 2, 0xed),
+    ])
+    def test_file_that_is_not_utf8(self, tmp_path, data, line, byte):
+        path = tmp_path / "bad.caf"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_caf(str(path))
+        assert err.value.line == line
+        assert str(err.value) == \
+            f"line {line}: byte 0x{byte:02x} is not valid UTF-8"
+
+    def test_load_caf_reads_crlf_like_parse_caf(self, tmp_path):
+        text = "% name: n\r\narg(a).\r\narg(b).\ratt(a,b).\r\n"
+        path = tmp_path / "crlf.caf"
+        path.write_bytes(text.encode())
+        assert load_caf(str(path)) == parse_caf(text.replace("\r\n", "\n"))
+
     def test_valid_documents_take_neither_fallback(self, monkeypatch,
                                                    diagnosis):
         # the lenient regex only words an error
@@ -219,6 +242,86 @@ class TestJson:
         assert emit_json(document_payload(diagnosis)) == \
             emit_json(document_payload(diagnosis))
         assert document_payload(diagnosis) == document_payload(diagnosis)
+
+
+def _stdlib_json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+# every code point, control characters and lone surrogates included
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_LEAF = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+         | st.sampled_from([-0.0, 1e16, 5e-324, float("nan"), float("inf"),
+                            float("-inf"), True, 1, False, 0, "", "\u00e9"]))
+_PAYLOAD = st.dictionaries(_TEXT, st.recursive(
+    _LEAF, lambda inner: (st.lists(inner, max_size=5)
+                          | st.lists(_TEXT, max_size=5)
+                          | st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=25))
+
+
+class Color(enum.IntEnum):
+    RED = 1
+
+
+class TestJsonText:
+    """``emit_json`` writes exactly what ``json.dumps`` writes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_PAYLOAD)
+    def test_generated_payloads_match_the_stdlib(self, data):
+        assert emit_json(data) == _stdlib_json(data)
+
+    @pytest.mark.parametrize("data", [
+        {}, {"a": []}, {"a": {}}, {"a": [[], {}, [[]]]},
+        {"\x00\n\"\\\u2028": ["\x1f", "\ud800", "\U0001f600"]},
+        {"a": [-0.0, 1e16, 5e-324, float("nan"), float("inf"),
+               float("-inf")]},
+        {"a": [True, 1, "1", None, 1.0, False, 0]},
+        {"b": 1, "a": 2, "B": 3, "": 4, "\u00e9": 5},
+    ])
+    def test_fixed_payloads_match_the_stdlib(self, data):
+        assert emit_json(data) == _stdlib_json(data)
+
+    @pytest.mark.parametrize("data", [
+        {"a": ("x", "y")}, {"a": [("x", 1)]}, {"a": Color.RED},
+        {"a": [Color.RED, "x"]}, {1: "x", 2: [1]}, {None: 1},
+        {True: 1}, {1.5: 2},
+    ])
+    def test_types_the_writer_does_not_take_match_the_stdlib(self, data):
+        assert emit_json(data) == _stdlib_json(data)
+
+    @pytest.mark.parametrize("data", [{1: 1, "a": 2}, {"a": object()}])
+    def test_stdlib_errors_are_raised(self, data):
+        with pytest.raises(TypeError):
+            _stdlib_json(data)
+        with pytest.raises(TypeError):
+            emit_json(data)
+
+    def test_self_containing_list_raises_as_the_stdlib(self):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(Exception) as expected:
+            _stdlib_json({"a": loop})
+        with pytest.raises(Exception) as got:
+            emit_json({"a": loop})
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_cli_payloads_do_not_reach_the_stdlib(self, diagnosis,
+                                                  monkeypatch):
+        exts = diagnosis.framework.enumerate_extensions("conflict-free")
+        results = [extension_bounds(e, diagnosis.profile, diagnosis.causality)
+                   for e in exts if len(e.members) < 2]
+        payloads = [document_payload(diagnosis),
+                    results_payload("conflict-free", results)]
+        expected = [_stdlib_json(p) for p in payloads]
+
+        def unused(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", unused)
+        assert [emit_json(p) for p in payloads] == expected
 
 
 class TestDot:
