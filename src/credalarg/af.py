@@ -117,7 +117,13 @@ class Extension:
     semantics: str = "conflict-free"
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        members = tuple(self.members)
+        invalid = [m for m in members
+                   if not isinstance(m, str) or not NAME_PATTERN.match(m)]
+        if invalid:
+            # the lowest by repr, so the error does not follow hash order
+            _check_name(min(invalid, key=repr))
+        object.__setattr__(self, "members", tuple(sorted(set(members))))
         if self.semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {self.semantics!r}")
 

@@ -5,6 +5,11 @@ intervals per extension or for an explicit set), ``check`` (profile and
 graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 (heuristic interval ordering).
 
+Each command builds its rows once and renders them here, as text lines or
+as a payload for :func:`~credalarg.formats.emit_json`. ``bounds`` and
+``rank`` share their rows, ``--oracle`` and ``--paper-fixtures`` one
+tolerance test.
+
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
 a missing input file), 3 enumeration cap exceeded.
 """
@@ -15,13 +20,10 @@ import argparse
 import sys
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS, Extension
-from .bounds import (BoundsResult, agent_valuation_oracle, extension_bounds,
-                     rank_extensions)
+from .bounds import agent_valuation_oracle, extension_bounds, rank_extensions
 from .credal import is_maximal, rationality_report
 from .errors import CapExceededError, CoverageError, CredalArgError
-from .formats import (FrameworkDocument, bounds_payload, check_payload,
-                      emit_json, export_dot, extensions_payload,
-                      fixtures_payload, load_caf, results_payload)
+from .formats import FrameworkDocument, emit_json, export_dot, load_caf
 from .samples import REPORTED_FIXTURES, diagnosis_document
 
 EXIT_OK = 0
@@ -132,11 +134,19 @@ def _fmt(interval) -> str:
     return f"{interval.lower:.6f} {interval.upper:.6f}"
 
 
+def _deviations(interval, reference, tolerance: float) -> list[str]:
+    """The ends of ``interval`` more than ``tolerance`` from ``reference``."""
+    return [end for end in ("lower", "upper")
+            if abs(getattr(interval, end) - getattr(reference, end))
+            > tolerance]
+
+
 def cmd_solve(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
     exts = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
     if ns.output_format == "json":
-        print(emit_json(extensions_payload(ns.semantics, exts)))
+        print(emit_json({"semantics": ns.semantics, "extensions": [
+            {"members": list(e.members)} for e in exts]}))
     else:
         print("\n".join(map(str, exts)) if exts else "no extensions")
     return EXIT_OK
@@ -144,7 +154,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 def _bounds_row(ns: argparse.Namespace, doc: FrameworkDocument,
                ext: Extension) -> tuple:
-    """``(ext, result, oracle, match)`` for one row of ``bounds``.
+    """``(ext, result, oracle, match)`` for one row of ``bounds`` or ``rank``.
 
     ``result`` is the :class:`BoundsResult` or the message of the
     ``CoverageError`` refusing it; ``oracle`` the oracle's interval or
@@ -170,14 +180,30 @@ def _bounds_row(ns: argparse.Namespace, doc: FrameworkDocument,
             # consistent only if both sides refused
             match = all(refused)
         else:
-            match = (
-                abs(result.interval.lower - oracle.lower) <= ns.tolerance
-                and abs(result.interval.upper - oracle.upper) <= ns.tolerance)
+            match = not _deviations(result.interval, oracle, ns.tolerance)
     return ext, result, oracle, match
 
 
-def _render_bounds_row(row: tuple, use_oracle: bool) -> str:
-    ext, result, oracle, match = row
+def _bounds_entry(ext: Extension, result, oracle=None, match=None) -> dict:
+    """The JSON entry of a row: ``{members, lower, upper, case}`` or
+    ``{members, error}``, plus the oracle's fields when it ran."""
+    if isinstance(result, str):
+        entry = {"members": list(ext.members), "error": result}
+    else:
+        entry = {"members": list(ext.members), "lower": result.interval.lower,
+                 "upper": result.interval.upper, "case": result.case}
+    if isinstance(oracle, str):
+        entry["oracle_error"] = oracle
+    elif oracle is not None:
+        entry.update(oracle_lower=oracle.lower, oracle_upper=oracle.upper)
+    if match is not None:
+        entry["oracle_match"] = match
+    return entry
+
+
+def _bounds_line(ext: Extension, result, oracle=None, match=None,
+                 use_oracle: bool = False) -> str:
+    """The text line of a row, with an oracle column under ``--oracle``."""
     if isinstance(result, str):
         text = f"{ext} coverage-error: {result}"
     else:
@@ -198,17 +224,16 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
     if ns.paper_fixtures:
         return _cmd_paper_fixtures(ns)
     doc = load_caf(ns.input)
-    if ns.explicit_set is not None:
+    if ns.explicit_set is not None:  # then ns.semantics is None
         targets = [doc.framework.extension(ns.explicit_set)]
-        semantics = None
     else:
         targets = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
-        semantics = ns.semantics
     rows = [_bounds_row(ns, doc, ext) for ext in targets]
     if ns.output_format == "json":
-        print(emit_json(bounds_payload(semantics, rows)))
+        print(emit_json({"semantics": ns.semantics, "extensions": [
+            _bounds_entry(*row) for row in rows]}))
     elif rows:
-        print("\n".join([_render_bounds_row(row, ns.use_oracle)
+        print("\n".join([_bounds_line(*row, use_oracle=ns.use_oracle)
                          for row in rows]))
     return EXIT_OK
 
@@ -218,28 +243,30 @@ def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
     rows = []
     for fixture in REPORTED_FIXTURES:
         ext = doc.framework.extension(fixture.members)
-        result = extension_bounds(ext, doc.profile, doc.causality)
-        deviations = []
-        if abs(result.interval.lower - fixture.reported.lower) > ns.tolerance:
-            deviations.append("lower")
-        if abs(result.interval.upper - fixture.reported.upper) > ns.tolerance:
-            deviations.append("upper")
-        rows.append((fixture, result, deviations))
+        computed = extension_bounds(ext, doc.profile, doc.causality).interval
+        rows.append((fixture, computed, _deviations(
+            computed, fixture.reported, ns.tolerance)))
     if ns.output_format == "json":
-        print(emit_json(fixtures_payload(rows)))
+        print(emit_json({"fixtures": [
+            {"label": f.label, "members": list(f.members),
+             "reported_lower": f.reported.lower,
+             "reported_upper": f.reported.upper,
+             "computed_lower": computed.lower,
+             "computed_upper": computed.upper,
+             "deviates": deviations}
+            for f, computed, deviations in rows]}))
         return EXIT_OK
-    print(f"{'fixture':<10} {'members':<16} {'reported':<20} "
-          f"{'computed':<20} verdict")
-    for fixture, result, deviations in rows:
-        reported = (f"[{fixture.reported.lower:.6f},"
-                    f"{fixture.reported.upper:.6f}]")
-        computed = (f"[{result.interval.lower:.6f},"
-                    f"{result.interval.upper:.6f}]")
+    lines = [f"{'fixture':<10} {'members':<16} {'reported':<20} "
+             f"{'computed':<20} verdict"]
+    for f, computed, deviations in rows:
+        reported = f"[{f.reported.lower:.6f},{f.reported.upper:.6f}]"
+        interval = f"[{computed.lower:.6f},{computed.upper:.6f}]"
         verdict = ("matches" if not deviations
                    else "deviates(%s)" % ",".join(deviations))
-        members = "{%s}" % ",".join(fixture.members)
-        print(f"{fixture.label:<10} {members:<16} {reported:<20} "
-              f"{computed:<20} {verdict}")
+        members = "{%s}" % ",".join(f.members)
+        lines.append(f"{f.label:<10} {members:<16} {reported:<20} "
+                     f"{interval:<20} {verdict}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -248,19 +275,34 @@ def cmd_check(ns: argparse.Namespace) -> int:
     violations = rationality_report(doc.profile, doc.framework)
     maximal = is_maximal(doc.profile)
     if ns.output_format == "json":
-        print(emit_json(check_payload(doc, violations, maximal)))
+        print(emit_json({
+            "arguments": len(doc.framework.arguments),
+            "attacks": len(doc.framework.attacks),
+            "causal_edges": len(doc.causality.edges),
+            "agents": doc.profile.agent_count,
+            "causality_valid": True,
+            "maximal": maximal,
+            # a validated profile keeps every opinion in [0, 1]
+            "uniform": True,
+            "violations": [
+                {"agent": v.agent, "attacker": v.attacker,
+                 "target": v.target, "attacker_value": v.attacker_value,
+                 "target_value": v.target_value}
+                for v in violations],
+        }))
     else:
-        print(f"arguments: {len(doc.framework.arguments)}")
-        print(f"attacks: {len(doc.framework.attacks)}")
-        print(f"causal-edges: {len(doc.causality.edges)}")
-        print(f"agents: {doc.profile.agent_count}")
-        print("causality: acyclic, attack-disjoint")
-        print(f"maximal: {'yes' if maximal else 'no'}")
-        print("uniform: yes")
-        print(f"rationality-violations: {len(violations)}")
-        for v in violations:
-            print(f"  agent {v.agent}: attack ({v.attacker},{v.target}) "
-                  f"believed {v.attacker_value!r} and {v.target_value!r}")
+        lines = [f"arguments: {len(doc.framework.arguments)}",
+                 f"attacks: {len(doc.framework.attacks)}",
+                 f"causal-edges: {len(doc.causality.edges)}",
+                 f"agents: {doc.profile.agent_count}",
+                 "causality: acyclic, attack-disjoint",
+                 f"maximal: {'yes' if maximal else 'no'}",
+                 "uniform: yes",
+                 f"rationality-violations: {len(violations)}"]
+        lines += [f"  agent {v.agent}: attack ({v.attacker},{v.target}) "
+                  f"believed {v.attacker_value!r} and {v.target_value!r}"
+                  for v in violations]
+        print("\n".join(lines))
     if ns.strict and violations:
         return EXIT_INVALID
     return EXIT_OK
@@ -275,27 +317,21 @@ def cmd_export_dot(ns: argparse.Namespace) -> int:
 def cmd_rank(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
     exts = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
-    results: list[BoundsResult] = []
-    failures: list[tuple[Extension, str]] = []
-    for ext in exts:
-        try:
-            results.append(extension_bounds(ext, doc.profile, doc.causality))
-        except CoverageError as exc:
-            failures.append((ext, str(exc)))
-    ranked = rank_extensions(results)
+    rows = [_bounds_row(ns, doc, ext) for ext in exts]
+    ranked = rank_extensions([result for _, result, _, _ in rows
+                              if not isinstance(result, str)])
+    refused = [row for row in rows if isinstance(row[1], str)]
     if ns.output_format == "json":
-        payload = results_payload(ns.semantics, ranked)
-        for i, row in enumerate(payload["extensions"], start=1):
-            row["rank"] = i
-        payload["unranked"] = [{"members": list(e.members), "error": msg}
-                               for e, msg in failures]
-        print(emit_json(payload))
+        print(emit_json({
+            "semantics": ns.semantics,
+            "extensions": [{**_bounds_entry(r.extension, r), "rank": i}
+                           for i, r in enumerate(ranked, start=1)],
+            "unranked": [_bounds_entry(*row) for row in refused]}))
     else:
-        rows = [f"{i}. {r.extension} {_fmt(r.interval)}"
-                for i, r in enumerate(ranked, start=1)]
-        rows += [f"unranked {ext} coverage-error: {msg}"
-                 for ext, msg in failures]
-        print("\n".join(rows) if rows else "no extensions")
+        lines = [f"{i}. {r.extension} {_fmt(r.interval)}"
+                 for i, r in enumerate(ranked, start=1)]
+        lines += ["unranked " + _bounds_line(*row) for row in refused]
+        print("\n".join(lines) if lines else "no extensions")
     return EXIT_OK
 
 

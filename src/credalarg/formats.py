@@ -37,11 +37,7 @@ failed check raises :class:`ParseError` with its line, in this order:
 
 Plain `arg`/`att` solver benchmarks load as-is: without any ``p``
 statements the profile defaults to all-ones, which reduces the analysis to
-classical acceptance. :func:`emit_json` takes a payload dict; the payload
-helpers build the stable schemas ``{arguments, attacks, causality, agents,
-opinions}`` for documents, ``{semantics, extensions: [{members, lower,
-upper, case}]}`` for results, and those ``check``, ``bounds`` and
-``bounds --paper-fixtures`` print.
+classical acceptance.
 """
 
 from __future__ import annotations
@@ -50,13 +46,11 @@ import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import NoReturn, Sequence
+from typing import NoReturn
 
-from .af import NAME_PATTERN, NAME_REGEX, ArgumentationFramework, Extension
-from .bounds import BoundsResult
+from .af import NAME_PATTERN, NAME_REGEX, ArgumentationFramework
 from .causality import CausalityGraph, check_attack_disjointness
-from .credal import (MAX_AGENTS, CredalProfile, CredalSet,
-                     RationalityViolation)
+from .credal import MAX_AGENTS, CredalProfile, CredalSet
 from .errors import CausalCycleError, ParseError, ValidationError
 
 _NAME = f"({NAME_REGEX})"
@@ -276,6 +270,7 @@ def emit_caf(doc: FrameworkDocument) -> str:
 
 
 def document_payload(doc: FrameworkDocument) -> dict:
+    """The ``{arguments, attacks, causality, agents, opinions}`` payload."""
     return {
         "arguments": list(doc.framework.arguments),
         "attacks": [list(pair) for pair in sorted(doc.framework.attacks)],
@@ -283,84 +278,6 @@ def document_payload(doc: FrameworkDocument) -> dict:
         "agents": doc.profile.agent_count,
         "opinions": {arg: list(doc.profile.credal_set(arg).values)
                      for arg in doc.framework.arguments},
-    }
-
-
-def _result_entry(r: BoundsResult) -> dict:
-    return {"members": list(r.extension.members), "lower": r.interval.lower,
-            "upper": r.interval.upper, "case": r.case}
-
-
-def results_payload(semantics: str | None,
-                    results: Sequence[BoundsResult]) -> dict:
-    return {"semantics": semantics,
-            "extensions": [_result_entry(r) for r in results]}
-
-
-def bounds_payload(semantics: str | None, rows: Sequence[tuple]) -> dict:
-    """The ``bounds`` schema for ``(extension, result, oracle, match)`` rows.
-
-    ``result`` is a :class:`BoundsResult` or the message refusing it
-    (``error``); ``oracle`` an interval, the message refusing it
-    (``oracle_error``) or None, and ``match`` a bool or None for no
-    ``oracle_match``.
-    """
-    entries = []
-    for ext, result, oracle, match in rows:
-        if isinstance(result, str):
-            entry = {"members": list(ext.members), "error": result}
-        else:
-            entry = _result_entry(result)
-        if isinstance(oracle, str):
-            entry["oracle_error"] = oracle
-        elif oracle is not None:
-            entry.update(oracle_lower=oracle.lower, oracle_upper=oracle.upper)
-        if match is not None:
-            entry["oracle_match"] = match
-        entries.append(entry)
-    return {"semantics": semantics, "extensions": entries}
-
-
-def check_payload(doc: FrameworkDocument,
-                  violations: Sequence[RationalityViolation],
-                  maximal: bool) -> dict:
-    """The ``check`` schema: counts, flags and one entry per violation."""
-    return {
-        "arguments": len(doc.framework.arguments),
-        "attacks": len(doc.framework.attacks),
-        "causal_edges": len(doc.causality.edges),
-        "agents": doc.profile.agent_count,
-        "causality_valid": True,
-        "maximal": maximal,
-        # a validated profile keeps every opinion in [0, 1]
-        "uniform": True,
-        "violations": [
-            {"agent": v.agent, "attacker": v.attacker, "target": v.target,
-             "attacker_value": v.attacker_value,
-             "target_value": v.target_value}
-            for v in violations],
-    }
-
-
-def fixtures_payload(rows: Sequence[tuple]) -> dict:
-    """The ``--paper-fixtures`` schema for ``(fixture, result, deviations)``
-    rows: reported and computed bounds and the ends that deviate."""
-    return {"fixtures": [
-        {"label": f.label,
-         "members": list(f.members),
-         "reported_lower": f.reported.lower,
-         "reported_upper": f.reported.upper,
-         "computed_lower": r.interval.lower,
-         "computed_upper": r.interval.upper,
-         "deviates": deviations}
-        for f, r, deviations in rows]}
-
-
-def extensions_payload(semantics: str | None,
-                       extensions: Sequence[Extension]) -> dict:
-    return {
-        "semantics": semantics,
-        "extensions": [{"members": list(e.members)} for e in extensions],
     }
 
 

@@ -271,6 +271,17 @@ class TestExtensionType:
         assert str(Extension(("a", "b"))) == "{a,b}"
         assert str(Extension(())) == "{}"
 
+    def test_non_string_member_is_a_validation_error(self):
+        with pytest.raises(ValidationError) as info:
+            Extension(("b", 1))
+        assert str(info.value) == "invalid argument name: 1"
+
+    def test_lowest_offender_by_repr_is_named(self):
+        # reprs "'x y'" < "1.5" < "2" < "['l']", whatever the hash order
+        with pytest.raises(ValidationError) as info:
+            Extension(("b", 2, ["l"], 1.5, "x y"))
+        assert str(info.value) == "invalid argument name: 'x y'"
+
 
 class TestAgainstBruteForce:
     def test_small_random_frameworks_agree_with_definitions(self):

@@ -142,6 +142,13 @@ class TestOracle:
             agent_valuation_oracle((), diagnosis.profile, diagnosis.causality)
 
 
+@pytest.mark.parametrize("bounds", [extension_bounds, agent_valuation_oracle])
+def test_non_string_member_is_a_validation_error(bounds, diagnosis):
+    with pytest.raises(ValidationError) as info:
+        bounds(["A", 1], diagnosis.profile, diagnosis.causality)
+    assert str(info.value) == "invalid argument name: 1"
+
+
 def _result(members, lower, upper):
     return BoundsResult(Extension(members),
                         ProbabilityInterval(lower, upper), "algorithm")

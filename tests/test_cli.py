@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
+from credalarg import ProbabilityInterval, cli
 from credalarg.cli import main
+from credalarg.formats import emit_caf
+from randgen import random_document
 
 THREE_CYCLE = "arg(A). arg(B). arg(C).\natt(A,B). att(B,C). att(C,A).\n"
 
@@ -149,6 +153,46 @@ class TestBounds:
         assert core["reported_upper"] == 0.0806
         assert core["computed_upper"] == pytest.approx(0.088, abs=1e-9)
 
+    @pytest.mark.parametrize("tolerance, flagged", [
+        ("0.06", {"cf-3": ["lower", "upper"]}), ("1", {})])
+    def test_paper_fixtures_tolerance(self, capsys, tolerance, flagged):
+        code, out, _ = run(capsys, "bounds", "--paper-fixtures",
+                           "--tolerance", tolerance)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert len(rows) == 5
+        assert {row[0]: row[-1] for row in rows if row[-1] != "matches"} \
+            == {label: "deviates(%s)" % ",".join(ends)
+                for label, ends in flagged.items()}
+        code, out, _ = run(capsys, "bounds", "--paper-fixtures",
+                           "--tolerance", tolerance, "--format", "json")
+        assert {f["label"]: f["deviates"]
+                for f in json.loads(out)["fixtures"] if f["deviates"]} \
+            == flagged
+
+    def test_oracle_mismatch_beyond_the_tolerance(self, capsys,
+                                                  diagnosis_caf,
+                                                  monkeypatch):
+        oracle = cli.agent_valuation_oracle
+
+        def shifted(*args):
+            interval = oracle(*args)
+            return ProbabilityInterval(interval.lower - 0.01,
+                                       interval.upper - 0.01)
+
+        monkeypatch.setattr(cli, "agent_valuation_oracle", shifted)
+        argv = ("bounds", "--input", diagnosis_caf, "--semantics", "gr",
+                "--oracle")
+        _, out, _ = run(capsys, *argv)
+        assert out.endswith(" MISMATCH\n")
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert json.loads(out)["extensions"][0]["oracle_match"] is False
+        _, out, _ = run(capsys, *argv, "--tolerance", "0.02")
+        assert out.endswith(" ok\n")
+        _, out, _ = run(capsys, *argv, "--tolerance", "0.02",
+                        "--format", "json")
+        assert json.loads(out)["extensions"][0]["oracle_match"] is True
+
 
 class TestCheck:
     def test_diagnosis_diagnostics(self, capsys, diagnosis_caf):
@@ -229,6 +273,32 @@ class TestRank:
                            "--semantics", "gr", "--format", "json")
         data = json.loads(out)
         assert data["extensions"][0]["rank"] == 1
+
+    def test_unranked_rows_are_the_refused_bounds_rows(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "rand12.caf"
+        path.write_text(emit_caf(random_document(random.Random(12))))
+        src = ("--input", str(path), "--semantics", "cf")
+        _, bounds_out, _ = run(capsys, "bounds", *src)
+        _, rank_out, _ = run(capsys, "rank", *src)
+        refused = [line for line in bounds_out.splitlines()
+                   if "coverage-error" in line]
+        assert refused
+        assert [line for line in rank_out.splitlines()
+                if line.startswith("unranked ")] \
+            == ["unranked " + line for line in refused]
+
+        _, bounds_out, _ = run(capsys, "bounds", *src, "--format", "json")
+        _, rank_out, _ = run(capsys, "rank", *src, "--format", "json")
+        entries = json.loads(bounds_out)["extensions"]
+        ranked = json.loads(rank_out)["extensions"]
+        assert json.loads(rank_out)["unranked"] \
+            == [e for e in entries if "error" in e]
+        accepted = [e for e in entries if "error" not in e]
+        assert sorted([{k: v for k, v in e.items() if k != "rank"}
+                       for e in ranked], key=json.dumps) \
+            == sorted(accepted, key=json.dumps)
+        assert [e["rank"] for e in ranked] == list(range(1, len(ranked) + 1))
 
 
 MALFORMED_DOCUMENTS = [

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from credalarg import (ArgumentationFramework, CausalCycleError,
                        CausalityGraph, CredalProfile, FrameworkDocument,
                        ParseError, ValidationError, emit_caf, emit_json,
-                       export_dot, extension_bounds, load_caf, parse_caf)
-from credalarg.formats import document_payload, results_payload
+                       export_dot, load_caf, parse_caf)
+from credalarg.cli import main
+from credalarg.formats import document_payload
 from randgen import random_document
 from reference_caf import parse_caf as reference_parse_caf
 
@@ -228,10 +229,10 @@ class TestJson:
         assert data["arguments"] == []
         assert data["opinions"] == {}
 
-    def test_singleton_bounds_payload(self, diagnosis):
-        result = extension_bounds(("A",), diagnosis.profile,
-                                  diagnosis.causality)
-        data = json.loads(emit_json(results_payload(None, [result])))
+    def test_singleton_bounds_payload(self, diagnosis_caf, capsys):
+        assert main(["bounds", "--set", "A", "--format", "json",
+                     "--input", diagnosis_caf]) == 0
+        data = json.loads(capsys.readouterr().out)
         row = data["extensions"][0]
         assert row["members"] == ["A"]
         assert row["lower"] == 0.2
@@ -309,19 +310,39 @@ class TestJsonText:
         assert str(got.value) == str(expected.value)
 
     def test_cli_payloads_do_not_reach_the_stdlib(self, diagnosis,
-                                                  monkeypatch):
-        exts = diagnosis.framework.enumerate_extensions("conflict-free")
-        results = [extension_bounds(e, diagnosis.profile, diagnosis.causality)
-                   for e in exts if len(e.members) < 2]
-        payloads = [document_payload(diagnosis),
-                    results_payload("conflict-free", results)]
-        expected = [_stdlib_json(p) for p in payloads]
+                                                  diagnosis_caf, tmp_path,
+                                                  capsys, monkeypatch):
+        chain = tmp_path / "chain.caf"  # both sides refuse {x,z}
+        chain.write_text("arg(x). arg(y). arg(z).\ncau(x,y). cau(y,z).\n")
+        commands = [
+            ["solve", "--semantics", "co", "--input", diagnosis_caf],
+            ["bounds", "--semantics", "cf", "--oracle",
+             "--input", diagnosis_caf],
+            ["bounds", "--semantics", "cf", "--oracle", "--input", str(chain)],
+            ["bounds", "--set", "A", "--input", diagnosis_caf],
+            ["rank", "--semantics", "cf", "--input", str(chain)],
+            ["check", "--input", diagnosis_caf],
+            ["bounds", "--paper-fixtures"],
+        ]
+        expected = _stdlib_json(document_payload(diagnosis))
 
         def unused(*args, **kwargs):
             raise AssertionError("json.dumps called")
 
         monkeypatch.setattr(json, "dumps", unused)
-        assert [emit_json(p) for p in payloads] == expected
+        assert emit_json(document_payload(diagnosis)) == expected
+        outputs = []
+        for argv in commands:
+            assert main(argv + ["--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        monkeypatch.undo()
+        for out in outputs:
+            assert out == _stdlib_json(json.loads(out)) + "\n"
+        data = [json.loads(out) for out in outputs]
+        assert any("error" in e for e in data[2]["extensions"])
+        assert any("oracle_error" in e for e in data[2]["extensions"])
+        assert data[4]["unranked"]
+        assert data[5]["violations"]
 
 
 class TestDot:
