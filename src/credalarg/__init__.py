@@ -10,8 +10,7 @@ command-line front end (``credalarg``).
 from .af import DEFAULT_MAX_ARGS, SEMANTICS, ArgumentationFramework, Extension
 from .bounds import (BoundsResult, CausalGroup, agent_valuation_oracle,
                      extension_bounds, rank_extensions)
-from .causality import (CausalityGraph, CausalPartition,
-                        check_attack_disjointness)
+from .causality import CausalityGraph, check_attack_disjointness
 from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
                      RationalityViolation, dependent_bounds,
                      dependent_credal_set, independent_bounds, is_maximal,
@@ -30,7 +29,7 @@ __all__ = [
     "RationalityViolation", "single_bounds", "independent_bounds",
     "dependent_credal_set", "dependent_bounds", "rationality_report",
     "is_maximal",
-    "CausalityGraph", "CausalPartition", "check_attack_disjointness",
+    "CausalityGraph", "check_attack_disjointness",
     "CausalGroup", "BoundsResult", "extension_bounds",
     "agent_valuation_oracle", "rank_extensions",
     "FrameworkDocument", "parse_caf", "emit_caf", "emit_json", "export_dot",

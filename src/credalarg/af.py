@@ -29,7 +29,9 @@ Complete, preferred and stable extensions contain the grounded extension
 and exclude what it attacks, so their walk starts with its IN arguments
 chosen and its OUT ones banned. A hard argument-count cap (default 25),
 which counts every argument, decided or not, guards against accidental
-exponential blow-ups.
+exponential blow-ups. :meth:`ArgumentationFramework.extension_rows` gives
+each extension as its ``(members, mask)`` pair, so callers that compute
+over masks decode the names once, to print them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, UnknownArgumentError, ValidationError
@@ -59,6 +62,15 @@ def set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _member_names(members: Iterable[str]) -> tuple:
+    # a str is an iterable of one-character names, never a member list
+    if isinstance(members, str):
+        raise ValidationError(
+            f"members must be a collection of names, not the string "
+            f"{members!r}")
+    return tuple(members)
 
 
 def _check_name(name: str) -> str:
@@ -117,7 +129,7 @@ class Extension:
     semantics: str = "conflict-free"
 
     def __post_init__(self):
-        members = tuple(self.members)
+        members = _member_names(self.members)
         invalid = [m for m in members
                    if not isinstance(m, str) or not NAME_PATTERN.match(m)]
         if invalid:
@@ -163,7 +175,7 @@ class ArgumentationFramework:
 
     def _mask_of(self, names: Iterable[str]) -> int:
         mask = 0
-        for name in names:
+        for name in _member_names(names):
             i = self._index.get(name)
             if i is None:
                 raise UnknownArgumentError(f"unknown argument {name!r}")
@@ -175,40 +187,12 @@ class ArgumentationFramework:
         return tuple(compress(self.arguments,
                               bin(mask)[:1:-1].encode().translate(_BITS)))
 
-    def _attacked_by_mask(self, mask: int) -> int:
-        hit = 0
-        for i in set_bits(mask):
-            hit |= self._out[i]
-        return hit
-
     # -- predicates -------------------------------------------------------
-
-    def attackers_of(self, name: str) -> frozenset[str]:
-        if name not in self._index:
-            raise UnknownArgumentError(f"unknown argument {name!r}")
-        return frozenset(self._names_of(self._in[self._index[name]]))
 
     def is_conflict_free(self, members: Iterable[str]) -> bool:
         """True iff no attack has both endpoints inside ``members``."""
         mask = self._mask_of(members)
         return not any(self._out[i] & mask for i in set_bits(mask))
-
-    def defends(self, members: Iterable[str], name: str) -> bool:
-        """True iff every attacker of ``name`` is attacked from ``members``."""
-        mask = self._mask_of(members)
-        if name not in self._index:
-            raise UnknownArgumentError(f"unknown argument {name!r}")
-        attackers = self._in[self._index[name]]
-        return attackers & ~self._attacked_by_mask(mask) == 0
-
-    def defended_arguments(self, members: Iterable[str]) -> frozenset[str]:
-        """All arguments defended by ``members`` (the defense operator)."""
-        counter = self._attacked_by_mask(self._mask_of(members))
-        out = 0
-        for i in range(len(self.arguments)):
-            if self._in[i] & ~counter == 0:
-                out |= 1 << i
-        return frozenset(self._names_of(out))
 
     def extension(self, members: Iterable[str],
                   semantics: str = "conflict-free") -> Extension:
@@ -315,6 +299,33 @@ class ArgumentationFramework:
             found = kept
         return found
 
+    def extension_rows(self, semantics: str, max_args: int = DEFAULT_MAX_ARGS
+                       ) -> list[tuple[tuple[str, ...], int]]:
+        """``(members, mask)`` of every extension under ``semantics``.
+
+        The canonical order of :meth:`enumerate_extensions`: by
+        cardinality, then by the lexicographic member list. ``grounded``
+        yields its one row without the walk or the ``max_args`` cap.
+        """
+        if semantics not in SEMANTICS:
+            raise ValidationError(f"unknown semantics: {semantics!r}")
+        if semantics == "grounded":
+            mask = self._grounded_labelling()[0]
+            return [(self._names_of(mask), mask)]
+        if max_args < 1:
+            raise ValidationError("max_args must be >= 1")
+        n = len(self.arguments)
+        if n > max_args:
+            raise CapExceededError(
+                f"framework has {n} arguments, enumeration capped at {max_args}")
+        # bit order is sorted-name order: sorting the decoded tuples by
+        # name, then stably by size, gives the (size, members) order
+        masks = self._extension_masks(semantics)
+        rows = sorted(zip(map(self._names_of, masks), masks),
+                      key=itemgetter(0))
+        rows.sort(key=lambda row: len(row[0]))
+        return rows
+
     def enumerate_extensions(self, semantics: str,
                              max_args: int = DEFAULT_MAX_ARGS) -> list[Extension]:
         """All extensions under ``semantics``, canonically ordered.
@@ -333,18 +344,5 @@ class ArgumentationFramework:
         ``preferred`` keeps the maximal complete sets. The cap counts every
         argument, whatever the walk visits.
         """
-        if semantics not in SEMANTICS:
-            raise ValidationError(f"unknown semantics: {semantics!r}")
-        if semantics == "grounded":
-            return [self.grounded_extension()]
-        if max_args < 1:
-            raise ValidationError("max_args must be >= 1")
-        n = len(self.arguments)
-        if n > max_args:
-            raise CapExceededError(
-                f"framework has {n} arguments, enumeration capped at {max_args}")
-        # bit order is sorted-name order: sorting the decoded tuples by
-        # name, then stably by size, gives the (size, members) order
-        names = sorted(map(self._names_of, self._extension_masks(semantics)))
-        names.sort(key=len)
-        return [Extension._trusted(m, semantics) for m in names]
+        return [Extension._trusted(names, semantics)
+                for names, _ in self.extension_rows(semantics, max_args)]

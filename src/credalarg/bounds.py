@@ -1,6 +1,6 @@
 """Lower/upper probability bounds of extensions.
 
-:func:`extension_bounds` has two size cases: the empty extension means
+An extension's bounds are decided by size: the empty extension means
 ignorance (0, 1); any other extension is cut into causal parts before
 aggregating:
 
@@ -14,16 +14,17 @@ Groups, isolated members and free causes then multiply as independent
 factors in sorted order; a lone group is a product of one factor, which is
 its dependent bounds exactly, and a singleton's one factor is its own
 credal set, so its bounds are that set's min/max. Each member must be
-consumed by exactly one part — anything else raises
+consumed by exactly one part — anything else is refused with
 :class:`~credalarg.errors.CoverageError` instead of silently producing a
 meaningless product.
 
-The extension becomes one member mask over the graph's bits, so anchors,
-groups, the coverage checks and the singles are ``&``/``|`` on the graph's
-closure masks, and each group is walked over its own set bits only. The
-per-agent minimum and product run on the members' raw value tuples, through
-the same helpers that back :func:`~credalarg.credal.dependent_credal_set`
-and :func:`~credalarg.credal.independent_bounds`.
+:func:`mask_bounds` is the one implementation. It takes member masks over
+the graph's bits and the opinion values by bit, so anchors, groups, the
+coverage checks and the singles are ``&``/``|`` on the graph's closure
+masks, and it returns plain ``(lower, upper, case)`` rows, or the refusal
+text, without decoding a name. :func:`extension_bounds` is the name-level
+wrapper: it checks the domain, builds the mask, runs the core and decodes
+the groups of its :class:`BoundsResult`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 from .af import Extension, set_bits
 from .causality import CausalityGraph
 from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
-                     product_bounds)
+                     agent_product)
 from .errors import CoverageError, ValidationError
 
 EMPTY_CASE = "empty"
@@ -59,9 +60,7 @@ class BoundsResult:
 
 
 def _as_extension(members: Extension | Iterable[str]) -> Extension:
-    if isinstance(members, Extension):
-        return members
-    return Extension(tuple(members))
+    return members if isinstance(members, Extension) else Extension(members)
 
 
 def _check_domains(ext: Extension, profile: CredalProfile,
@@ -81,57 +80,89 @@ def _check_domains(ext: Extension, profile: CredalProfile,
     return mask, rows
 
 
+def _mask_row(graph: CausalityGraph, rows, mask: int, minima: dict):
+    if not mask:
+        return 0.0, 1.0, EMPTY_CASE
+    names, ancestors = graph.arguments, graph.ancestor_masks
+    # parts[lowest bit of a part] = its per-agent values; parts are
+    # disjoint, so ordering by lowest bit is ordering by sorted members
+    parts = {}
+    grouped = 0
+    anchors = graph.anchor_mask(mask)
+    for top in set_bits(anchors):
+        inside = ancestors[top] & mask | 1 << top
+        clash = inside & grouped
+        if clash:
+            low = clash & -clash
+            first = next(t for t in set_bits(anchors)
+                         if (ancestors[t] | 1 << t) & low)
+            return (f"causal groups anchored at {names[first]!r} and "
+                    f"{names[top]!r} overlap on "
+                    f"{names[low.bit_length() - 1]!r}")
+        grouped |= inside
+        values = minima.get(inside)
+        if values is None:
+            values = minima[inside] = agent_minimum(
+                [rows[i] for i in set_bits(inside)])
+        parts[(inside & -inside).bit_length() - 1] = values
+
+    singles = mask & graph.isolated_mask | graph.free_mask(mask, anchors)
+    stray = mask & ~(grouped | singles) | grouped & singles
+    if stray:
+        i = (stray & -stray).bit_length() - 1
+        if not grouped >> i & 1:
+            return (f"member {names[i]!r} not reachable by any causal "
+                    f"group, isolated or free part")
+        return f"member {names[i]!r} consumed 2 times by the causal grouping"
+    for i in set_bits(singles):
+        parts[i] = rows[i]
+    products = agent_product([parts[i] for i in sorted(parts)])
+    lower, upper = min(products), max(products)
+    if not 0.0 <= lower <= upper <= 1.0:
+        raise ValidationError(
+            f"not a probability interval: ({lower}, {upper})")
+    return lower, upper, ALGORITHM_CASE if mask & mask - 1 else SINGLETON_CASE
+
+
+def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
+                masks: Iterable[int]) -> list:
+    """``(lower, upper, case)`` of each member mask, or the message of the
+    :class:`~credalarg.errors.CoverageError` that refuses it.
+
+    ``rows[i]`` holds the opinion values of ``graph.arguments[i]``; only
+    the members' rows are read, and the members are trusted to be in the
+    graph. Factors multiply in ascending lowest-bit order, so every
+    interval is bit-reproducible, and the per-agent minimum of a group is
+    computed once per call.
+    """
+    minima: dict[int, tuple] = {}
+    return [_mask_row(graph, rows, mask, minima) for mask in masks]
+
+
 def extension_bounds(members: Extension | Iterable[str],
                      profile: CredalProfile,
                      graph: CausalityGraph) -> BoundsResult:
     """Bounds of an extension: (0, 1) if empty, else via causal grouping.
 
-    Factors multiply in sorted member order, so results are
-    bit-reproducible for a given input. A singleton reports its own case
-    and no groups.
+    Checks the members against ``profile`` and ``graph``, then runs
+    :func:`mask_bounds`; raises its refusal as ``CoverageError``. A
+    singleton reports its own case and no groups.
     """
     ext = _as_extension(members)
-    if not ext.members:
-        return BoundsResult(ext, ProbabilityInterval(0.0, 1.0), EMPTY_CASE)
     mask, rows = _check_domains(ext, profile, graph)
-    names = graph.arguments
-
-    # parts[lowest bit of a part] = its per-agent values; parts are
-    # disjoint, so ordering by lowest bit is ordering by sorted members
-    parts = {}
-    groups = []
-    grouped = 0
-    anchors = graph.anchor_mask(mask)
-    for top in set_bits(anchors):
-        inside = graph.ancestor_masks[top] & mask | 1 << top
-        clash = inside & grouped
-        if clash:
-            name = names[next(set_bits(clash))]
-            first = next(g.top for g in groups if name in g.members)
-            raise CoverageError(
-                f"causal groups anchored at {first!r} and "
-                f"{names[top]!r} overlap on {name!r}")
-        grouped |= inside
-        bits = list(set_bits(inside))
-        groups.append(CausalGroup(names[top], tuple(names[i] for i in bits)))
-        parts[bits[0]] = agent_minimum([rows[i] for i in bits])
-
-    singles = mask & graph.isolated_mask | graph.free_mask(mask, anchors)
-    stray = mask & ~(grouped | singles) | grouped & singles
-    if stray:
-        i = next(set_bits(stray))
-        if not grouped >> i & 1:
-            raise CoverageError(
-                f"member {names[i]!r} not reachable by any causal group, "
-                f"isolated or free part")
-        raise CoverageError(
-            f"member {names[i]!r} consumed 2 times by the causal grouping")
-    for i in set_bits(singles):
-        parts[i] = rows[i]
-    interval = product_bounds([parts[i] for i in sorted(parts)])
-    if len(ext.members) == 1:
-        return BoundsResult(ext, interval, SINGLETON_CASE)
-    return BoundsResult(ext, interval, ALGORITHM_CASE, tuple(groups))
+    result = mask_bounds(graph, rows, [mask])[0]
+    if isinstance(result, str):
+        raise CoverageError(result)
+    lower, upper, case = result
+    groups = ()
+    if case == ALGORITHM_CASE:
+        names = graph.arguments
+        groups = tuple(
+            CausalGroup(names[top], tuple(
+                names[i] for i in set_bits(
+                    graph.ancestor_masks[top] & mask | 1 << top)))
+            for top in set_bits(graph.anchor_mask(mask)))
+    return BoundsResult(ext, ProbabilityInterval(lower, upper), case, groups)
 
 
 def agent_valuation_oracle(members: Extension | Iterable[str],

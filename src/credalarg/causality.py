@@ -9,8 +9,8 @@ independently.
 Construction compiles the edges with :func:`~credalarg.af.compile_relation`
 to parent and child bitmasks over the sorted ``arguments`` (bit i is
 ``arguments[i]``, see ``index``), then closes the ancestors along one
-topological order, found by Kahn's algorithm; name-level queries, the
-descendants too, decode masks on demand.
+topological order, found by Kahn's algorithm. Its mask queries take and
+return member masks; callers decode names only to print them.
 
 Errors fire in a fixed order, each naming the lowest offender: an edge
 with an unknown end (lowest pair), a self-edge (lowest looped argument),
@@ -25,20 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .af import compile_relation, set_bits
-from .errors import CausalCycleError, UnknownArgumentError, ValidationError
-
-
-@dataclass(frozen=True)
-class CausalPartition:
-    """Split of the argument universe by causal role.
-
-    ``effects`` have an incoming edge, ``causes`` an outgoing one (the two
-    may overlap); ``isolated`` holds the untouched rest.
-    """
-
-    effects: frozenset[str]
-    causes: frozenset[str]
-    isolated: frozenset[str]
+from .errors import CausalCycleError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -99,38 +86,13 @@ class CausalityGraph:
     def __contains__(self, name: object) -> bool:
         return name in self.index
 
-    def _bit(self, name: str) -> int:
-        try:
-            return self.index[name]
-        except KeyError:
-            raise UnknownArgumentError(f"unknown argument {name!r}") from None
-
-    def _names(self, mask: int) -> frozenset[str]:
-        return frozenset(self.arguments[i] for i in set_bits(mask))
-
-    def _mask_of(self, names: Iterable[str]) -> int:
-        """Member mask of ``names``; names outside the graph are ignored."""
-        return sum(1 << self.index[a] for a in set(names) if a in self.index)
-
-    def partition(self) -> CausalPartition:
-        """The effect/cause/isolated split, decoded from its masks."""
-        return CausalPartition(self._names(self.effect_mask),
-                               self._names(self.cause_mask),
-                               self._names(self.isolated_mask))
-
-    def ancestors_of(self, name: str) -> frozenset[str]:
-        """Every argument with a directed causal path into ``name``."""
-        return self._names(self.ancestor_masks[self._bit(name)])
-
-    def descendants_of(self, name: str) -> frozenset[str]:
-        """Every argument with a directed causal path from ``name``."""
-        i = self._bit(name)
-        return frozenset(self.arguments[j]
-                         for j, up in enumerate(self.ancestor_masks)
-                         if up >> i & 1)
-
     def anchor_mask(self, members: int) -> int:
-        """Mask form of :meth:`group_anchors` for a member mask."""
+        """Members that terminate a causal chain inside ``members``.
+
+        An anchor is caused by something, belongs to the set, and is an
+        ancestor of no other member; each one roots a dependent group made
+        of itself plus its in-set ancestors.
+        """
         effects = members & self.effect_mask
         covered = 0
         for i in set_bits(effects):
@@ -138,29 +100,15 @@ class CausalityGraph:
         return effects & ~covered
 
     def free_mask(self, members: int, anchors: int) -> int:
-        """Mask form of :meth:`free_causes`, given the members' anchors."""
-        candidates = members & self.cause_mask & ~anchors
-        return sum(1 << i for i in set_bits(candidates)
-                   if not self.child_masks[i] & members)
-
-    def group_anchors(self, members: Iterable[str]) -> frozenset[str]:
-        """Members that terminate a causal chain inside the given set.
-
-        An anchor is caused by something, belongs to the set, and is an
-        ancestor of no other member; each one roots a dependent group made
-        of itself plus its in-set ancestors.
-        """
-        return self._names(self.anchor_mask(self._mask_of(members)))
-
-    def free_causes(self, members: Iterable[str]) -> frozenset[str]:
         """Members with outgoing edges that feed no other member.
 
         Decided on direct successors, the ``child_masks`` (testing the
         members' ``ancestor_masks`` instead would give the transitive
-        reading); anchors are excluded since they already root a group.
+        reading); ``anchors`` are excluded since they already root a group.
         """
-        mask = self._mask_of(members)
-        return self._names(self.free_mask(mask, self.anchor_mask(mask)))
+        candidates = members & self.cause_mask & ~anchors
+        return sum(1 << i for i in set_bits(candidates)
+                   if not self.child_masks[i] & members)
 
 
 def check_attack_disjointness(graph: CausalityGraph,

@@ -6,9 +6,13 @@ graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 (heuristic interval ordering).
 
 Each command builds its rows once and renders them here, as text lines or
-as a payload for :func:`~credalarg.formats.emit_json`. ``bounds`` and
-``rank`` share their rows, ``--oracle`` and ``--paper-fixtures`` one
-tolerance test.
+as a payload for :func:`~credalarg.formats.emit_json`. ``solve``,
+``bounds`` and ``rank`` take the ``(members, mask)`` rows of
+:meth:`~credalarg.af.ArgumentationFramework.extension_rows`; ``bounds``
+and ``rank`` compute every interval from the masks in one
+:func:`~credalarg.bounds.mask_bounds` call and write the member names
+straight from the row, so no ``Extension`` or ``BoundsResult`` is built
+per row. ``--oracle`` and ``--paper-fixtures`` share one tolerance test.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
 a missing input file), 3 enumeration cap exceeded.
@@ -19,8 +23,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .af import DEFAULT_MAX_ARGS, SEMANTICS, Extension
-from .bounds import agent_valuation_oracle, extension_bounds, rank_extensions
+from .af import DEFAULT_MAX_ARGS, SEMANTICS
+from .bounds import agent_valuation_oracle, extension_bounds, mask_bounds
 from .credal import is_maximal, rationality_report
 from .errors import CapExceededError, CoverageError, CredalArgError
 from .formats import FrameworkDocument, emit_json, export_dot, load_caf
@@ -130,68 +134,79 @@ def _check_args(ns: argparse.Namespace,
     ns.semantics = _resolve_semantics(ns.semantics, parser)
 
 
-def _fmt(interval) -> str:
-    return f"{interval.lower:.6f} {interval.upper:.6f}"
+def _fmt(lower: float, upper: float) -> str:
+    return f"{lower:.6f} {upper:.6f}"
 
 
-def _deviations(interval, reference, tolerance: float) -> list[str]:
-    """The ends of ``interval`` more than ``tolerance`` from ``reference``."""
-    return [end for end in ("lower", "upper")
-            if abs(getattr(interval, end) - getattr(reference, end))
-            > tolerance]
+def _braced(names: tuple[str, ...]) -> str:
+    return "{%s}" % ",".join(names)
+
+
+def _deviations(lower: float, upper: float, reference,
+                tolerance: float) -> list[str]:
+    """The ends of ``(lower, upper)`` more than ``tolerance`` from
+    ``reference``."""
+    return [end for end, value in (("lower", lower), ("upper", upper))
+            if abs(value - getattr(reference, end)) > tolerance]
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
-    exts = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
+    rows = doc.framework.extension_rows(ns.semantics, ns.max_args)
     if ns.output_format == "json":
         print(emit_json({"semantics": ns.semantics, "extensions": [
-            {"members": list(e.members)} for e in exts]}))
+            {"members": list(names)} for names, _ in rows]}))
     else:
-        print("\n".join(map(str, exts)) if exts else "no extensions")
+        print("\n".join([_braced(names) for names, _ in rows])
+              if rows else "no extensions")
     return EXIT_OK
 
 
-def _bounds_row(ns: argparse.Namespace, doc: FrameworkDocument,
-               ext: Extension) -> tuple:
-    """``(ext, result, oracle, match)`` for one row of ``bounds`` or ``rank``.
+def _bounds_rows(ns: argparse.Namespace, doc: FrameworkDocument,
+                 targets: list[tuple[tuple[str, ...], int]]) -> list[tuple]:
+    """``(names, result, oracle, match)`` per ``(names, mask)`` target.
 
-    ``result`` is the :class:`BoundsResult` or the message of the
-    ``CoverageError`` refusing it; ``oracle`` the oracle's interval or
-    refusal message and ``match`` whether both sides agree, both None
-    unless ``--oracle`` ran on a non-empty extension.
+    ``result`` is the ``(lower, upper, case)`` of :func:`mask_bounds` or
+    the message refusing it; ``oracle`` the oracle's interval or refusal
+    message and ``match`` whether both sides agree, both None unless
+    ``--oracle`` ran on a non-empty extension. Under ``--set`` a refusal
+    is raised instead.
     """
-    # a refusal is kept as its message: the error's traceback would keep
-    # the frames of every refused extension alive
-    try:
-        result = extension_bounds(ext, doc.profile, doc.causality)
-    except CoverageError as exc:
-        if ns.explicit_set is not None:
-            raise
-        result = str(exc)
-    oracle = match = None
-    if ns.use_oracle and ext.members:
-        try:
-            oracle = agent_valuation_oracle(ext, doc.profile, doc.causality)
-        except CoverageError as exc:
-            oracle = str(exc)
-        refused = isinstance(result, str), isinstance(oracle, str)
-        if any(refused):
-            # consistent only if both sides refused
-            match = all(refused)
-        else:
-            match = not _deviations(result.interval, oracle, ns.tolerance)
-    return ext, result, oracle, match
+    graph = doc.causality
+    values = [doc.profile.assignment[name].values for name in graph.arguments]
+    results = mask_bounds(graph, values, [mask for _, mask in targets])
+    rows = []
+    for (names, _), result in zip(targets, results):
+        if isinstance(result, str) and ns.explicit_set is not None:
+            raise CoverageError(result)  # exits 2
+        oracle = match = None
+        if ns.use_oracle and names:
+            # a refusal is kept as its message: the error's traceback
+            # would keep the frames of every refused extension alive
+            try:
+                oracle = agent_valuation_oracle(names, doc.profile, graph)
+            except CoverageError as exc:
+                oracle = str(exc)
+            refused = isinstance(result, str), isinstance(oracle, str)
+            if any(refused):
+                # consistent only if both sides refused
+                match = all(refused)
+            else:
+                match = not _deviations(*result[:2], oracle, ns.tolerance)
+        rows.append((names, result, oracle, match))
+    return rows
 
 
-def _bounds_entry(ext: Extension, result, oracle=None, match=None) -> dict:
+def _bounds_entry(names: tuple[str, ...], result, oracle=None,
+                  match=None) -> dict:
     """The JSON entry of a row: ``{members, lower, upper, case}`` or
     ``{members, error}``, plus the oracle's fields when it ran."""
     if isinstance(result, str):
-        entry = {"members": list(ext.members), "error": result}
+        entry = {"members": list(names), "error": result}
     else:
-        entry = {"members": list(ext.members), "lower": result.interval.lower,
-                 "upper": result.interval.upper, "case": result.case}
+        lower, upper, case = result
+        entry = {"members": list(names), "lower": lower, "upper": upper,
+                 "case": case}
     if isinstance(oracle, str):
         entry["oracle_error"] = oracle
     elif oracle is not None:
@@ -201,13 +216,13 @@ def _bounds_entry(ext: Extension, result, oracle=None, match=None) -> dict:
     return entry
 
 
-def _bounds_line(ext: Extension, result, oracle=None, match=None,
+def _bounds_line(names: tuple[str, ...], result, oracle=None, match=None,
                  use_oracle: bool = False) -> str:
     """The text line of a row, with an oracle column under ``--oracle``."""
     if isinstance(result, str):
-        text = f"{ext} coverage-error: {result}"
+        text = f"{_braced(names)} coverage-error: {result}"
     else:
-        text = f"{ext} {_fmt(result.interval)} {result.case}"
+        text = f"{_braced(names)} {_fmt(*result[:2])} {result[2]}"
     if use_oracle:
         if oracle is None:
             text += " oracle=n/a"
@@ -225,10 +240,13 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         return _cmd_paper_fixtures(ns)
     doc = load_caf(ns.input)
     if ns.explicit_set is not None:  # then ns.semantics is None
-        targets = [doc.framework.extension(ns.explicit_set)]
+        names = doc.framework.extension(ns.explicit_set).members
+        # the framework and the graph index the same sorted arguments
+        targets = [(names, sum(1 << doc.causality.index[name]
+                               for name in names))]
     else:
-        targets = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
-    rows = [_bounds_row(ns, doc, ext) for ext in targets]
+        targets = doc.framework.extension_rows(ns.semantics, ns.max_args)
+    rows = _bounds_rows(ns, doc, targets)
     if ns.output_format == "json":
         print(emit_json({"semantics": ns.semantics, "extensions": [
             _bounds_entry(*row) for row in rows]}))
@@ -245,7 +263,7 @@ def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
         ext = doc.framework.extension(fixture.members)
         computed = extension_bounds(ext, doc.profile, doc.causality).interval
         rows.append((fixture, computed, _deviations(
-            computed, fixture.reported, ns.tolerance)))
+            computed.lower, computed.upper, fixture.reported, ns.tolerance)))
     if ns.output_format == "json":
         print(emit_json({"fixtures": [
             {"label": f.label, "members": list(f.members),
@@ -316,20 +334,23 @@ def cmd_export_dot(ns: argparse.Namespace) -> int:
 
 def cmd_rank(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
-    exts = doc.framework.enumerate_extensions(ns.semantics, ns.max_args)
-    rows = [_bounds_row(ns, doc, ext) for ext in exts]
-    ranked = rank_extensions([result for _, result, _, _ in rows
-                              if not isinstance(result, str)])
+    rows = _bounds_rows(ns, doc, doc.framework.extension_rows(
+        ns.semantics, ns.max_args))
+    # the key of rank_extensions: midpoint descending, then members
+    ranked = sorted([(names, result) for names, result, _, _ in rows
+                     if not isinstance(result, str)],
+                    key=lambda row: (-((row[1][0] + row[1][1]) / 2.0),
+                                     row[0]))
     refused = [row for row in rows if isinstance(row[1], str)]
     if ns.output_format == "json":
         print(emit_json({
             "semantics": ns.semantics,
-            "extensions": [{**_bounds_entry(r.extension, r), "rank": i}
-                           for i, r in enumerate(ranked, start=1)],
+            "extensions": [{**_bounds_entry(*row), "rank": i}
+                           for i, row in enumerate(ranked, start=1)],
             "unranked": [_bounds_entry(*row) for row in refused]}))
     else:
-        lines = [f"{i}. {r.extension} {_fmt(r.interval)}"
-                 for i, r in enumerate(ranked, start=1)]
+        lines = [f"{i}. {_braced(names)} {_fmt(*result[:2])}"
+                 for i, (names, result) in enumerate(ranked, start=1)]
         lines += ["unranked " + _bounds_line(*row) for row in refused]
         print("\n".join(lines) if lines else "no extensions")
     return EXIT_OK

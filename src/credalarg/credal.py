@@ -114,13 +114,14 @@ def agent_minimum(rows: Sequence[tuple[float, ...]]) -> tuple[float, ...]:
     return rows[0] if len(rows) == 1 else tuple(map(min, *rows))
 
 
-def product_bounds(rows: Sequence[tuple[float, ...]]) -> ProbabilityInterval:
-    """Per-agent product of value rows, then min/max (the independent rule);
+def agent_product(rows: Iterable[Sequence[float]]) -> list[float]:
+    """Per-agent product of equal-length value rows (the independent rule);
     it runs left to right, so canonically ordered rows are bit-reproducible."""
-    products = [1.0] * len(rows[0])
+    rows = iter(rows)
+    products = list(next(rows))
     for row in rows:
         products = list(map(mul, products, row))
-    return ProbabilityInterval(min(products), max(products))
+    return products
 
 
 def single_bounds(k: CredalSet) -> ProbabilityInterval:
@@ -141,7 +142,8 @@ def _check_same_cardinality(ks: Sequence[CredalSet]) -> None:
 def independent_bounds(ks: Sequence[CredalSet]) -> ProbabilityInterval:
     """Bounds for independent events; the caller controls factor order."""
     _check_same_cardinality(ks)
-    return product_bounds([k.values for k in ks])
+    products = agent_product(k.values for k in ks)
+    return ProbabilityInterval(min(products), max(products))
 
 
 def dependent_credal_set(ks: Sequence[CredalSet]) -> CredalSet:

@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property and acceptance suites."""
+"""Seeded random generators shared by the property and acceptance suites,
+and the mask encoding the suites use to read a graph's masks by name."""
 
 from __future__ import annotations
 
@@ -6,6 +7,17 @@ import random
 
 from credalarg import (ArgumentationFramework, CausalityGraph, CredalProfile,
                        FrameworkDocument)
+from credalarg.af import set_bits
+
+
+def mask_of(graph: CausalityGraph, members) -> int:
+    """Member mask of ``members`` over the graph's bits."""
+    return sum(1 << graph.index[name] for name in members)
+
+
+def names_of(graph: CausalityGraph, mask: int) -> set[str]:
+    """The names of the set bits of ``mask``."""
+    return {graph.arguments[i] for i in set_bits(mask)}
 
 
 def random_framework(rng: random.Random, max_args: int = 10,

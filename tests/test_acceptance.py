@@ -18,8 +18,8 @@ from credalarg import (CoverageError, CredalProfile, CredalSet,
 from credalarg.cli import main
 from credalarg.samples import REPORTED_FIXTURES, diagnosis_document
 from bruteforce import bf_semantics
-from randgen import (random_causality, random_document, random_framework,
-                     random_profile)
+from randgen import (mask_of, names_of, random_causality, random_document,
+                     random_framework, random_profile)
 
 TOL = 1e-9
 
@@ -81,9 +81,11 @@ def test_criterion_3_worked_intermediates():
         core = frozenset({"C", "D", "E", "F", "G", "H"})
         joint = [doc.profile.credal_set("G"), doc.profile.credal_set("H")]
         assert dependent_credal_set(joint).values == (0.7, 0.8, 1.0, 0.9)
-        assert doc.causality.group_anchors(core) == {"G"}
-        assert doc.causality.free_causes(core) == {"C", "D", "F"}
         result = extension_bounds(core, doc.profile, doc.causality)
+        assert {group.top for group in result.groups} == {"G"}
+        graph, mask = doc.causality, mask_of(doc.causality, core)
+        assert names_of(graph, graph.free_mask(
+            mask, graph.anchor_mask(mask))) == {"C", "D", "F"}
         assert result.interval.lower == pytest.approx(0.0117, abs=TOL)
         singleton = extension_bounds(("A",), doc.profile, doc.causality)
         assert (singleton.interval.lower, singleton.interval.upper) == \

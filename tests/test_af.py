@@ -18,6 +18,28 @@ def members(extensions):
     return [set(e.members) for e in extensions]
 
 
+def _counter(af, members):
+    # the arguments the framework's attack masks say ``members`` attack
+    hit = 0
+    for i in set_bits(af._mask_of(members)):
+        hit |= af._out[i]
+    return hit
+
+
+def defends(af, members, name):
+    """Every attacker of ``name`` is attacked from ``members``."""
+    counter = _counter(af, members)
+    (i,) = set_bits(af._mask_of([name]))
+    return af._in[i] & ~counter == 0
+
+
+def defended_arguments(af, members):
+    """All arguments defended by ``members`` (the defense operator)."""
+    counter = _counter(af, members)
+    return {a for a, attackers in zip(af.arguments, af._in)
+            if attackers & ~counter == 0}
+
+
 class TestConflictFree:
     def test_accepted_core_is_conflict_free(self, diagnosis):
         af = diagnosis.framework
@@ -40,18 +62,18 @@ class TestConflictFree:
 
 class TestDefends:
     def test_unattacked_argument_is_defended_by_anything(self, diagnosis):
-        assert diagnosis.framework.defends({"C"}, "C")
+        assert defends(diagnosis.framework, {"C"}, "C")
 
     def test_no_counterattack_means_no_defense(self, diagnosis):
         # C attacks A and D does not attack C
-        assert not diagnosis.framework.defends({"D"}, "A")
+        assert not defends(diagnosis.framework, {"D"}, "A")
 
     def test_argument_cannot_defend_itself_here(self, diagnosis):
-        assert not diagnosis.framework.defends({"A"}, "A")
+        assert not defends(diagnosis.framework, {"A"}, "A")
 
     def test_unknown_target_rejected(self, diagnosis):
         with pytest.raises(UnknownArgumentError):
-            diagnosis.framework.defends({"A"}, "Z")
+            defends(diagnosis.framework, {"A"}, "Z")
 
 
 class TestGrounded:
@@ -282,6 +304,20 @@ class TestExtensionType:
             Extension(("b", 2, ["l"], 1.5, "x y"))
         assert str(info.value) == "invalid argument name: 'x y'"
 
+    def test_string_is_not_a_member_list(self):
+        with pytest.raises(ValidationError) as info:
+            Extension("abc")
+        assert str(info.value) == \
+            "members must be a collection of names, not the string 'abc'"
+
+    def test_checked_construction_rejects_a_string(self, diagnosis):
+        # the characters A and B are names of the framework, so only the
+        # type of the argument can reject it
+        with pytest.raises(ValidationError) as info:
+            diagnosis.framework.extension("AB")
+        assert str(info.value) == \
+            "members must be a collection of names, not the string 'AB'"
+
 
 class TestAgainstBruteForce:
     def test_small_random_frameworks_agree_with_definitions(self):
@@ -332,4 +368,4 @@ class TestAgainstBruteForce:
 def test_grounded_is_a_fixpoint_of_the_defense_operator(seed):
     af = random_framework(random.Random(seed), max_args=9)
     grounded = set(af.grounded_extension().members)
-    assert set(af.defended_arguments(grounded)) == grounded
+    assert defended_arguments(af, grounded) == grounded

@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from credalarg import (ArgumentationFramework, CausalGroup, CausalityGraph,
@@ -10,7 +10,7 @@ from credalarg import (ArgumentationFramework, CausalGroup, CausalityGraph,
                        ProbabilityInterval, ValidationError,
                        agent_valuation_oracle, dependent_bounds,
                        extension_bounds, independent_bounds, rank_extensions)
-from credalarg.bounds import BoundsResult
+from credalarg.bounds import BoundsResult, mask_bounds
 from randgen import (random_causality, random_document, random_framework,
                      random_profile)
 
@@ -149,6 +149,15 @@ def test_non_string_member_is_a_validation_error(bounds, diagnosis):
     assert str(info.value) == "invalid argument name: 1"
 
 
+@pytest.mark.parametrize("bounds", [extension_bounds, agent_valuation_oracle])
+def test_string_is_not_a_member_list(bounds, diagnosis):
+    # "GH" would otherwise be read as {G,H}, which both accept
+    with pytest.raises(ValidationError) as info:
+        bounds("GH", diagnosis.profile, diagnosis.causality)
+    assert str(info.value) == \
+        "members must be a collection of names, not the string 'GH'"
+
+
 def _result(members, lower, upper):
     return BoundsResult(Extension(members),
                         ProbabilityInterval(lower, upper), "algorithm")
@@ -190,6 +199,38 @@ def test_grouping_agrees_with_the_per_agent_oracle(seed):
         got = extension_bounds(ext, profile, graph).interval
         assert got.lower == pytest.approx(expected.lower, abs=TOL)
         assert got.upper == pytest.approx(expected.upper, abs=TOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mask_core_matches_the_wrapper_and_the_oracle(seed):
+    # every conflict-free set of a random document with causal edges, the
+    # empty set and the singletons included, in one call of the core
+    doc = random_document(random.Random(seed), max_args=9)
+    assume(doc.causality.edges)
+    graph, profile = doc.causality, doc.profile
+    rows = doc.framework.extension_rows("conflict-free")
+    values = [profile.assignment[name].values for name in graph.arguments]
+    results = mask_bounds(graph, values, [mask for _, mask in rows])
+    assert rows[0] == ((), 0) and results[0] == (0.0, 1.0, "empty")
+    for (names, _), got in zip(rows, results):
+        try:
+            result = extension_bounds(names, profile, graph)
+        except CoverageError as exc:
+            assert got == str(exc)
+        else:
+            assert repr(got) == repr((result.interval.lower,
+                                      result.interval.upper, result.case))
+        if not names:
+            continue
+        try:
+            oracle = agent_valuation_oracle(names, profile, graph)
+        except CoverageError:
+            assert isinstance(got, str), names
+        else:
+            assert not isinstance(got, str), names
+            assert got[0] == pytest.approx(oracle.lower, abs=TOL)
+            assert got[1] == pytest.approx(oracle.upper, abs=TOL)
 
 
 def test_bounds_survive_argument_relabeling():

@@ -8,64 +8,93 @@ import pytest
 
 import credalarg
 from credalarg import (ArgumentationFramework, CausalCycleError,
-                       CausalityGraph, UnknownArgumentError, ValidationError,
-                       check_attack_disjointness)
-from randgen import random_causality, random_framework
+                       CausalityGraph, CredalProfile, UnknownArgumentError,
+                       ValidationError, check_attack_disjointness,
+                       extension_bounds)
+from randgen import mask_of, names_of, random_causality, random_framework
 
 CORE = {"C", "D", "E", "F", "G", "H"}
 PICKED = {"A", "F", "H", "D", "E", "G"}
 
 
+def ancestors(graph, name):
+    """Every argument with a directed causal path into ``name``."""
+    return names_of(graph, graph.ancestor_masks[graph.index[name]])
+
+
+def descendants(graph, name):
+    """Every argument with a directed causal path from ``name``."""
+    bit = graph.index[name]
+    return {a for a, up in zip(graph.arguments, graph.ancestor_masks)
+            if up >> bit & 1}
+
+
+def anchors(graph, members):
+    return names_of(graph, graph.anchor_mask(mask_of(graph, members)))
+
+
+def free_causes(graph, members):
+    mask = mask_of(graph, members)
+    return names_of(graph, graph.free_mask(mask, graph.anchor_mask(mask)))
+
+
+def split(graph):
+    """The effect, cause and isolated names."""
+    return (names_of(graph, graph.effect_mask),
+            names_of(graph, graph.cause_mask),
+            names_of(graph, graph.isolated_mask))
+
+
 class TestPartition:
     def test_diagnosis_partition(self, diagnosis):
-        split = diagnosis.causality.partition()
-        assert split.effects == {"A", "B", "G"}
-        assert split.causes == {"C", "D", "F", "G", "H"}
-        assert split.isolated == {"E"}
+        effects, causes, isolated = split(diagnosis.causality)
+        assert effects == {"A", "B", "G"}
+        assert causes == {"C", "D", "F", "G", "H"}
+        assert isolated == {"E"}
 
     def test_no_edges_means_all_isolated(self):
-        graph = CausalityGraph(("x", "y"))
-        split = graph.partition()
-        assert split.isolated == {"x", "y"}
-        assert not split.effects and not split.causes
+        effects, causes, isolated = split(CausalityGraph(("x", "y")))
+        assert isolated == {"x", "y"}
+        assert not effects and not causes
 
     def test_single_edge(self):
         graph = CausalityGraph(("x", "y"), frozenset({("x", "y")}))
-        split = graph.partition()
-        assert split.causes == {"x"}
-        assert split.effects == {"y"}
-        assert split.isolated == set()
+        effects, causes, isolated = split(graph)
+        assert causes == {"x"}
+        assert effects == {"y"}
+        assert isolated == set()
 
     def test_partition_invariants_on_random_graphs(self):
         rng = random.Random(7)
         for _ in range(40):
             af = random_framework(rng, max_args=9)
             graph = random_causality(rng, af)
-            split = graph.partition()
-            assert split.effects | split.causes | split.isolated == \
-                set(graph.arguments)
-            assert not (split.effects | split.causes) & split.isolated
+            effects, causes, isolated = split(graph)
+            assert effects | causes | isolated == set(graph.arguments)
+            assert not (effects | causes) & isolated
 
 
 class TestAncestors:
     def test_single_step(self, diagnosis):
-        assert diagnosis.causality.ancestors_of("G") == {"H"}
+        assert ancestors(diagnosis.causality, "G") == {"H"}
 
     def test_transitive_closure(self, diagnosis):
         # H reaches A both directly and through G
-        assert diagnosis.causality.ancestors_of("A") == \
-            {"D", "F", "G", "H"}
+        assert ancestors(diagnosis.causality, "A") == {"D", "F", "G", "H"}
 
     def test_source_has_none(self, diagnosis):
-        assert diagnosis.causality.ancestors_of("H") == frozenset()
+        assert ancestors(diagnosis.causality, "H") == set()
 
     def test_never_contains_itself(self, diagnosis):
         for name in diagnosis.causality.arguments:
-            assert name not in diagnosis.causality.ancestors_of(name)
+            assert name not in ancestors(diagnosis.causality, name)
 
     def test_unknown_argument(self, diagnosis):
-        with pytest.raises(UnknownArgumentError):
-            diagnosis.causality.ancestors_of("Z")
+        # names reach the graph only through the bounds' domain check
+        with pytest.raises(ValidationError) as info:
+            extension_bounds(("Z",), CredalProfile.of({"Z": [0.5]}),
+                             diagnosis.causality)
+        assert str(info.value) == "causality graph has no argument 'Z'"
 
     def test_membership(self, diagnosis):
         assert "E" in diagnosis.causality
@@ -82,7 +111,7 @@ class TestAncestors:
             for i, a in enumerate(order):
                 for b in order[i + 1:]:
                     if (a, b) not in graph.edges and \
-                            a not in graph.descendants_of(b):
+                            a not in descendants(graph, b):
                         extra = (a, b)
                         break
                 if extra:
@@ -92,31 +121,33 @@ class TestAncestors:
             bigger = CausalityGraph(graph.arguments,
                                     graph.edges | {extra})
             for name in graph.arguments:
-                assert graph.ancestors_of(name) <= bigger.ancestors_of(name)
+                assert ancestors(graph, name) <= ancestors(bigger, name)
 
 
 class TestGroupAnchors:
     def test_accepted_core(self, diagnosis):
-        assert diagnosis.causality.group_anchors(CORE) == {"G"}
+        result = extension_bounds(CORE, diagnosis.profile,
+                                  diagnosis.causality)
+        assert {group.top for group in result.groups} == {"G"}
 
     def test_hand_picked_set(self, diagnosis):
         # G is an ancestor of A which is in the set, so only A anchors
-        assert diagnosis.causality.group_anchors(PICKED) == {"A"}
+        assert anchors(diagnosis.causality, PICKED) == {"A"}
 
     def test_no_effect_members_no_anchors(self, diagnosis):
-        assert diagnosis.causality.group_anchors({"C", "D", "E"}) == set()
+        assert anchors(diagnosis.causality, {"C", "D", "E"}) == set()
 
 
 class TestFreeCauses:
     def test_accepted_core(self, diagnosis):
-        assert diagnosis.causality.free_causes(CORE) == {"C", "D", "F"}
+        assert free_causes(diagnosis.causality, CORE) == {"C", "D", "F"}
 
     def test_hand_picked_set_has_none(self, diagnosis):
         # every cause in the set reaches A or G inside the set
-        assert diagnosis.causality.free_causes(PICKED) == set()
+        assert free_causes(diagnosis.causality, PICKED) == set()
 
     def test_empty_set(self, diagnosis):
-        assert diagnosis.causality.free_causes(set()) == set()
+        assert free_causes(diagnosis.causality, set()) == set()
 
 
 def test_anchor_and_free_containment_on_random_graphs():
@@ -124,14 +155,14 @@ def test_anchor_and_free_containment_on_random_graphs():
     for _ in range(60):
         af = random_framework(rng, max_args=9)
         graph = random_causality(rng, af)
-        split = graph.partition()
+        effects, causes, _ = split(graph)
         pool = list(graph.arguments)
         subset = {a for a in pool if rng.random() < 0.5}
-        anchors = graph.group_anchors(subset)
-        free = graph.free_causes(subset)
-        assert anchors <= split.effects & subset
-        assert free <= split.causes & subset
-        assert not anchors & free
+        tops = anchors(graph, subset)
+        free = free_causes(graph, subset)
+        assert tops <= effects & subset
+        assert free <= causes & subset
+        assert not tops & free
 
 
 class TestValidation:
@@ -338,18 +369,18 @@ def test_mask_queries_match_a_derivation_from_raw_edges():
         closed += any(up.values())
         effects = {b for _, b in edges}
         causes = {a for a, _ in edges}
-        split = graph.partition()
-        assert (split.effects, split.causes) == (effects, causes)
-        assert split.isolated == set(graph.arguments) - effects - causes
+        got_effects, got_causes, got_isolated = split(graph)
+        assert (got_effects, got_causes) == (effects, causes)
+        assert got_isolated == set(graph.arguments) - effects - causes
         for a in graph.arguments:
-            assert graph.ancestors_of(a) == up[a]
-            assert graph.descendants_of(a) == down[a]
+            assert ancestors(graph, a) == up[a]
+            assert descendants(graph, a) == down[a]
         for _ in range(5):
             subset = {a for a in graph.arguments if rng.random() < 0.6}
-            anchors = {a for a in subset & effects
-                       if not any(a in up[b] for b in subset)}
+            tops = {a for a in subset & effects
+                    if not any(a in up[b] for b in subset)}
             free = {a for a in subset & causes
                     if not any((a, b) in graph.edges for b in subset)}
-            assert graph.group_anchors(subset) == anchors
-            assert graph.free_causes(subset) == free - anchors
+            assert anchors(graph, subset) == tops
+            assert free_causes(graph, subset) == free - tops
     assert closed > 50

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from credalarg import ProbabilityInterval, cli
+from credalarg import (Extension, ProbabilityInterval, cli,
+                       rank_extensions)
+from credalarg.bounds import BoundsResult
 from credalarg.cli import main
 from credalarg.formats import emit_caf
 from randgen import random_document
@@ -299,6 +301,28 @@ class TestRank:
                        for e in ranked], key=json.dumps) \
             == sorted(accepted, key=json.dumps)
         assert [e["rank"] for e in ranked] == list(range(1, len(ranked) + 1))
+
+
+    def test_order_is_the_rank_extensions_order_ties_included(
+            self, capsys, tmp_path):
+        # {}, {a}, {b}, {c}, {a,d}, {b,d} and {c,d} all have midpoint 0.5,
+        # through three different intervals, so the members break the ties
+        path = tmp_path / "ties.caf"
+        path.write_text("arg(a). arg(b). arg(c). arg(d). agents(2).\n"
+                        "p(1,a,0.5). p(2,a,0.5). p(1,b,0.5). p(2,b,0.5).\n"
+                        "p(1,c,0.2). p(2,c,0.8). p(1,d,1). p(2,d,1).\n")
+        src = ("--input", str(path), "--semantics", "cf", "--format", "json")
+        _, bounds_out, _ = run(capsys, "bounds", *src)
+        _, rank_out, _ = run(capsys, "rank", *src)
+        results = [BoundsResult(Extension(e["members"]),
+                                ProbabilityInterval(e["lower"], e["upper"]),
+                                e["case"])
+                   for e in json.loads(bounds_out)["extensions"]]
+        ranked = json.loads(rank_out)["extensions"]
+        assert [e["members"] for e in ranked] == \
+            [list(r.extension.members) for r in rank_extensions(results)]
+        midpoints = [(e["lower"] + e["upper"]) / 2 for e in ranked]
+        assert midpoints.count(0.5) == 7
 
 
 MALFORMED_DOCUMENTS = [
