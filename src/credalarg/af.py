@@ -303,9 +303,19 @@ class ArgumentationFramework:
                        ) -> list[tuple[tuple[str, ...], int]]:
         """``(members, mask)`` of every extension under ``semantics``.
 
-        The canonical order of :meth:`enumerate_extensions`: by
-        cardinality, then by the lexicographic member list. ``grounded``
-        yields its one row without the walk or the ``max_args`` cap.
+        Order is by cardinality, then by the lexicographic member list, and
+        is stable across runs and platforms. ``grounded`` always yields a
+        single row and bypasses both the subset walk and the ``max_args``
+        cap; ``stable`` may yield none.
+
+        One depth-first walk carries the chosen, attacked and attacker
+        masks. ``admissible``, ``complete`` and ``preferred`` cut a branch
+        once an attacker of the chosen set is neither attacked nor
+        attackable from the arguments still choosable; ``stable`` once an
+        argument can be neither chosen nor attacked. ``complete``,
+        ``preferred`` and ``stable`` start from the grounded labelling and
+        ``preferred`` keeps the maximal complete sets. The cap counts every
+        argument, whatever the walk visits.
         """
         if semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {semantics!r}")
@@ -328,21 +338,6 @@ class ArgumentationFramework:
 
     def enumerate_extensions(self, semantics: str,
                              max_args: int = DEFAULT_MAX_ARGS) -> list[Extension]:
-        """All extensions under ``semantics``, canonically ordered.
-
-        Order is by cardinality, then by the lexicographic member list, and
-        is stable across runs and platforms. ``grounded`` always yields a
-        single extension and bypasses both the subset walk and the
-        ``max_args`` cap; ``stable`` may yield none.
-
-        One depth-first walk carries the chosen, attacked and attacker
-        masks. ``admissible``, ``complete`` and ``preferred`` cut a branch
-        once an attacker of the chosen set is neither attacked nor
-        attackable from the arguments still choosable; ``stable`` once an
-        argument can be neither chosen nor attacked. ``complete``,
-        ``preferred`` and ``stable`` start from the grounded labelling and
-        ``preferred`` keeps the maximal complete sets. The cap counts every
-        argument, whatever the walk visits.
-        """
+        """The extensions of :meth:`extension_rows`, in its order."""
         return [Extension._trusted(names, semantics)
                 for names, _ in self.extension_rows(semantics, max_args)]

@@ -18,13 +18,10 @@ consumed by exactly one part — anything else is refused with
 :class:`~credalarg.errors.CoverageError` instead of silently producing a
 meaningless product.
 
-:func:`mask_bounds` is the one implementation. It takes member masks over
-the graph's bits and the opinion values by bit, so anchors, groups, the
-coverage checks and the singles are ``&``/``|`` on the graph's closure
-masks, and it returns plain ``(lower, upper, case)`` rows, or the refusal
-text, without decoding a name. :func:`extension_bounds` is the name-level
-wrapper: it checks the domain, builds the mask, runs the core and decodes
-the groups of its :class:`BoundsResult`.
+:func:`mask_bounds` computes bounds over member masks: anchors, groups,
+coverage checks and singles are ``&``/``|`` on the graph's closure masks,
+and a row is ``(lower, upper, case)`` or the refusal text, with no name
+decoded. :func:`extension_bounds` wraps the same core for one named set.
 """
 
 from __future__ import annotations
@@ -73,29 +70,34 @@ def _check_domains(ext: Extension, profile: CredalProfile,
         values = profile.credal_set(name).values  # raises on a mismatch
         bit = graph.index.get(name)
         if bit is None:
-            raise ValidationError(
-                f"causality graph has no argument {name!r}")
+            raise ValidationError(f"causality graph has no argument {name!r}")
         mask |= 1 << bit
         rows[bit] = values
     return mask, rows
 
 
-def _mask_row(graph: CausalityGraph, rows, mask: int, minima: dict):
+def _group_masks(graph: CausalityGraph, mask: int, anchors: int) -> list:
+    """``(anchor bit, group mask)`` per anchor, in-mask ancestors added."""
+    ancestors = graph.ancestor_masks
+    return [(top, ancestors[top] & mask | 1 << top)
+            for top in set_bits(anchors)]
+
+
+def _mask_row(graph: CausalityGraph, rows, mask: int, anchors: int,
+              minima: dict):
     if not mask:
         return 0.0, 1.0, EMPTY_CASE
-    names, ancestors = graph.arguments, graph.ancestor_masks
+    names = graph.arguments
     # parts[lowest bit of a part] = its per-agent values; parts are
     # disjoint, so ordering by lowest bit is ordering by sorted members
     parts = {}
     grouped = 0
-    anchors = graph.anchor_mask(mask)
-    for top in set_bits(anchors):
-        inside = ancestors[top] & mask | 1 << top
+    groups = _group_masks(graph, mask, anchors)
+    for top, inside in groups:
         clash = inside & grouped
         if clash:
             low = clash & -clash
-            first = next(t for t in set_bits(anchors)
-                         if (ancestors[t] | 1 << t) & low)
+            first = next(t for t, other in groups if other & low)
             return (f"causal groups anchored at {names[first]!r} and "
                     f"{names[top]!r} overlap on "
                     f"{names[low.bit_length() - 1]!r}")
@@ -124,19 +126,24 @@ def _mask_row(graph: CausalityGraph, rows, mask: int, minima: dict):
     return lower, upper, ALGORITHM_CASE if mask & mask - 1 else SINGLETON_CASE
 
 
+def value_rows(profile: CredalProfile, graph: CausalityGraph) -> list[tuple]:
+    """The opinion values of each of the graph's arguments, by bit."""
+    return [profile.credal_set(name).values for name in graph.arguments]
+
+
 def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
                 masks: Iterable[int]) -> list:
     """``(lower, upper, case)`` of each member mask, or the message of the
     :class:`~credalarg.errors.CoverageError` that refuses it.
 
-    ``rows[i]`` holds the opinion values of ``graph.arguments[i]``; only
-    the members' rows are read, and the members are trusted to be in the
-    graph. Factors multiply in ascending lowest-bit order, so every
-    interval is bit-reproducible, and the per-agent minimum of a group is
-    computed once per call.
+    ``rows[i]`` holds the opinion values of ``graph.arguments[i]``, as
+    :func:`value_rows` builds them; the members are trusted to be in the
+    graph. Factors multiply in ascending lowest-bit order, so intervals are
+    bit-reproducible; a group's per-agent minimum is computed once a call.
     """
     minima: dict[int, tuple] = {}
-    return [_mask_row(graph, rows, mask, minima) for mask in masks]
+    return [_mask_row(graph, rows, mask, graph.anchor_mask(mask), minima)
+            for mask in masks]
 
 
 def extension_bounds(members: Extension | Iterable[str],
@@ -144,13 +151,14 @@ def extension_bounds(members: Extension | Iterable[str],
                      graph: CausalityGraph) -> BoundsResult:
     """Bounds of an extension: (0, 1) if empty, else via causal grouping.
 
-    Checks the members against ``profile`` and ``graph``, then runs
-    :func:`mask_bounds`; raises its refusal as ``CoverageError``. A
-    singleton reports its own case and no groups.
+    Checks the members against ``profile`` and ``graph``, then runs the
+    core of :func:`mask_bounds` on their mask; raises its refusal as
+    ``CoverageError``. A singleton reports its own case and no groups.
     """
     ext = _as_extension(members)
     mask, rows = _check_domains(ext, profile, graph)
-    result = mask_bounds(graph, rows, [mask])[0]
+    anchors = graph.anchor_mask(mask)
+    result = _mask_row(graph, rows, mask, anchors, {})
     if isinstance(result, str):
         raise CoverageError(result)
     lower, upper, case = result
@@ -158,10 +166,8 @@ def extension_bounds(members: Extension | Iterable[str],
     if case == ALGORITHM_CASE:
         names = graph.arguments
         groups = tuple(
-            CausalGroup(names[top], tuple(
-                names[i] for i in set_bits(
-                    graph.ancestor_masks[top] & mask | 1 << top)))
-            for top in set_bits(graph.anchor_mask(mask)))
+            CausalGroup(names[top], tuple(names[i] for i in set_bits(inside)))
+            for top, inside in _group_masks(graph, mask, anchors))
     return BoundsResult(ext, ProbabilityInterval(lower, upper), case, groups)
 
 
@@ -226,13 +232,17 @@ def agent_valuation_oracle(members: Extension | Iterable[str],
     return ProbabilityInterval(min(values), max(values))
 
 
+def rank_key(lower: float, upper: float, members: tuple[str, ...]) -> tuple:
+    """Sort key of :func:`rank_extensions`: midpoint descending, members."""
+    return -((lower + upper) / 2.0), members
+
+
 def rank_extensions(results: Sequence[BoundsResult]) -> list[BoundsResult]:
     """Heuristic ordering of bounds results, best first.
 
-    Not a principled interval order: it sorts by interval midpoint
-    (descending) with a lexicographic member tiebreak, which agrees with
-    pairwise dominance whenever both bounds of one interval weakly exceed
-    the other's.
+    Not a principled interval order: it sorts by :func:`rank_key`, which
+    agrees with pairwise dominance whenever both bounds of one interval
+    weakly exceed the other's.
     """
-    return sorted(results,
-                  key=lambda r: (-r.interval.midpoint(), r.extension.members))
+    return sorted(results, key=lambda r: rank_key(
+        r.interval.lower, r.interval.upper, r.extension.members))

@@ -12,7 +12,8 @@ as a payload for :func:`~credalarg.formats.emit_json`. ``solve``,
 and ``rank`` compute every interval from the masks in one
 :func:`~credalarg.bounds.mask_bounds` call and write the member names
 straight from the row, so no ``Extension`` or ``BoundsResult`` is built
-per row. ``--oracle`` and ``--paper-fixtures`` share one tolerance test.
+per row (``bounds --set`` names one set and calls ``extension_bounds``).
+``--oracle`` and ``--paper-fixtures`` share one tolerance test.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
 a missing input file), 3 enumeration cap exceeded.
@@ -24,7 +25,8 @@ import argparse
 import sys
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS
-from .bounds import agent_valuation_oracle, extension_bounds, mask_bounds
+from .bounds import (agent_valuation_oracle, extension_bounds, mask_bounds,
+                     rank_key, value_rows)
 from .credal import is_maximal, rationality_report
 from .errors import CapExceededError, CoverageError, CredalArgError
 from .formats import FrameworkDocument, emit_json, export_dot, load_caf
@@ -162,39 +164,33 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bounds_rows(ns: argparse.Namespace, doc: FrameworkDocument,
-                 targets: list[tuple[tuple[str, ...], int]]) -> list[tuple]:
-    """``(names, result, oracle, match)`` per ``(names, mask)`` target.
-
-    ``result`` is the ``(lower, upper, case)`` of :func:`mask_bounds` or
-    the message refusing it; ``oracle`` the oracle's interval or refusal
-    message and ``match`` whether both sides agree, both None unless
-    ``--oracle`` ran on a non-empty extension. Under ``--set`` a refusal
-    is raised instead.
-    """
+def _mask_results(doc: FrameworkDocument, targets: list[tuple]) -> list:
+    """``(names, result)`` per ``(names, mask)`` row, ``result`` being the
+    ``(lower, upper, case)`` of :func:`mask_bounds` or its refusal text."""
+    # FrameworkDocument checks that the graph holds the framework's
+    # arguments, so a framework mask is a graph mask
     graph = doc.causality
-    values = [doc.profile.assignment[name].values for name in graph.arguments]
-    results = mask_bounds(graph, values, [mask for _, mask in targets])
-    rows = []
-    for (names, _), result in zip(targets, results):
-        if isinstance(result, str) and ns.explicit_set is not None:
-            raise CoverageError(result)  # exits 2
-        oracle = match = None
-        if ns.use_oracle and names:
-            # a refusal is kept as its message: the error's traceback
-            # would keep the frames of every refused extension alive
-            try:
-                oracle = agent_valuation_oracle(names, doc.profile, graph)
-            except CoverageError as exc:
-                oracle = str(exc)
-            refused = isinstance(result, str), isinstance(oracle, str)
-            if any(refused):
-                # consistent only if both sides refused
-                match = all(refused)
-            else:
-                match = not _deviations(*result[:2], oracle, ns.tolerance)
-        rows.append((names, result, oracle, match))
-    return rows
+    results = mask_bounds(graph, value_rows(doc.profile, graph),
+                          [mask for _, mask in targets])
+    return [(names, result) for (names, _), result in zip(targets, results)]
+
+
+def _oracle_check(ns: argparse.Namespace, doc: FrameworkDocument,
+                  names: tuple[str, ...], result) -> tuple:
+    """``(oracle, match)`` of a row: the oracle's interval or refusal
+    message, and whether it agrees with ``result``; both None unless
+    ``--oracle`` runs on a non-empty extension."""
+    if not (ns.use_oracle and names):
+        return None, None
+    # a refusal is kept as its message: the error's traceback would keep
+    # the frames of every refused extension alive
+    try:
+        oracle = agent_valuation_oracle(names, doc.profile, doc.causality)
+    except CoverageError as exc:
+        return str(exc), isinstance(result, str)  # agree if both refuse
+    if isinstance(result, str):
+        return oracle, False
+    return oracle, not _deviations(*result[:2], oracle, ns.tolerance)
 
 
 def _bounds_entry(names: tuple[str, ...], result, oracle=None,
@@ -240,13 +236,16 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         return _cmd_paper_fixtures(ns)
     doc = load_caf(ns.input)
     if ns.explicit_set is not None:  # then ns.semantics is None
-        names = doc.framework.extension(ns.explicit_set).members
-        # the framework and the graph index the same sorted arguments
-        targets = [(names, sum(1 << doc.causality.index[name]
-                               for name in names))]
+        # one named set: the library call raises its refusal (exit 2)
+        found = extension_bounds(doc.framework.extension(ns.explicit_set),
+                                 doc.profile, doc.causality)
+        pairs = [(found.extension.members, (
+            found.interval.lower, found.interval.upper, found.case))]
     else:
-        targets = doc.framework.extension_rows(ns.semantics, ns.max_args)
-    rows = _bounds_rows(ns, doc, targets)
+        pairs = _mask_results(doc, doc.framework.extension_rows(
+            ns.semantics, ns.max_args))
+    rows = [(names, result, *_oracle_check(ns, doc, names, result))
+            for names, result in pairs]
     if ns.output_format == "json":
         print(emit_json({"semantics": ns.semantics, "extensions": [
             _bounds_entry(*row) for row in rows]}))
@@ -334,14 +333,11 @@ def cmd_export_dot(ns: argparse.Namespace) -> int:
 
 def cmd_rank(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
-    rows = _bounds_rows(ns, doc, doc.framework.extension_rows(
+    pairs = _mask_results(doc, doc.framework.extension_rows(
         ns.semantics, ns.max_args))
-    # the key of rank_extensions: midpoint descending, then members
-    ranked = sorted([(names, result) for names, result, _, _ in rows
-                     if not isinstance(result, str)],
-                    key=lambda row: (-((row[1][0] + row[1][1]) / 2.0),
-                                     row[0]))
-    refused = [row for row in rows if isinstance(row[1], str)]
+    ranked = sorted([pair for pair in pairs if not isinstance(pair[1], str)],
+                    key=lambda pair: rank_key(*pair[1][:2], pair[0]))
+    refused = [pair for pair in pairs if isinstance(pair[1], str)]
     if ns.output_format == "json":
         print(emit_json({
             "semantics": ns.semantics,

@@ -10,7 +10,7 @@ from credalarg import (ArgumentationFramework, CausalGroup, CausalityGraph,
                        ProbabilityInterval, ValidationError,
                        agent_valuation_oracle, dependent_bounds,
                        extension_bounds, independent_bounds, rank_extensions)
-from credalarg.bounds import BoundsResult, mask_bounds
+from credalarg.bounds import BoundsResult, mask_bounds, value_rows
 from randgen import (random_causality, random_document, random_framework,
                      random_profile)
 
@@ -210,8 +210,8 @@ def test_mask_core_matches_the_wrapper_and_the_oracle(seed):
     assume(doc.causality.edges)
     graph, profile = doc.causality, doc.profile
     rows = doc.framework.extension_rows("conflict-free")
-    values = [profile.assignment[name].values for name in graph.arguments]
-    results = mask_bounds(graph, values, [mask for _, mask in rows])
+    results = mask_bounds(graph, value_rows(profile, graph),
+                          [mask for _, mask in rows])
     assert rows[0] == ((), 0) and results[0] == (0.0, 1.0, "empty")
     for (names, _), got in zip(rows, results):
         try:
