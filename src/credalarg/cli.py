@@ -133,6 +133,10 @@ def _check_args(ns: argparse.Namespace,
             t.strip() for t in ns.explicit_set.split(",") if t.strip())
     if ns.input is None and not ns.paper_fixtures:
         parser.error("--input is required")
+    if ns.input is not None and ns.paper_fixtures:
+        parser.error("--paper-fixtures reads no --input")
+    if ns.command == "export-dot" and ns.output_format == "json":
+        parser.error("export-dot writes DOT only, not --format json")
     ns.semantics = _resolve_semantics(ns.semantics, parser)
 
 

@@ -44,6 +44,13 @@ class CredalSet:
                 raise CredalSetError(f"opinion {v!r} outside [0, 1]")
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _trusted(cls, values: tuple[float, ...]) -> CredalSet:
+        # for a non-empty tuple of floats in [0, 1] that the caller checked
+        credal_set = object.__new__(cls)
+        object.__setattr__(credal_set, "values", values)
+        return credal_set
+
     def __len__(self) -> int:
         return len(self.values)
 

@@ -38,6 +38,13 @@ failed check raises :class:`ParseError` with its line, in this order:
 Plain `arg`/`att` solver benchmarks load as-is: without any ``p``
 statements the profile defaults to all-ones, which reduces the analysis to
 classical acceptance.
+
+Canonical text, the form :func:`emit_caf` writes (one statement per
+``\n``-terminated line, no whitespace, ``%`` only at column 0, plain
+decimal opinion values), is read by a whole-text pass that checks every
+rule above on whole columns. Any other text, and any text that fails a
+check, goes to the line parser, which alone words the errors: the accepted
+language, every error and every line number are the same on both paths.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from typing import NoReturn
 from .af import NAME_PATTERN, NAME_REGEX, ArgumentationFramework
 from .causality import CausalityGraph, check_attack_disjointness
 from .credal import MAX_AGENTS, CredalProfile, CredalSet
-from .errors import CausalCycleError, ParseError, ValidationError
+from .errors import (CausalCycleError, ParseError, UnknownArgumentError,
+                     ValidationError)
 
 _NAME = f"({NAME_REGEX})"
 # a number token for int()/float(): no comma or bracket, trimmed of spaces
@@ -69,6 +77,20 @@ _GRAMMAR = re.compile(
 # rejected.
 _STATEMENT = re.compile(r"\s*(arg|att|cau|agents|p)\s*\(\s*([^()]*?)\s*\)\s*\.")
 _ARITY = {"arg": 1, "att": 2, "cau": 2, "agents": 1, "p": 3}
+
+# Canonical lines, each kind read by one findall over "\n" + text: a match
+# is one whole line, from the "\n" before it to the one after it. The kinds
+# start differently, so the text is canonical when their matches together
+# count its lines. An opinion value of these characters is never NaN.
+_CANONICAL_ARG = re.compile(r"\narg\((" + NAME_REGEX + r")\)\.(?=\n)")
+_CANONICAL_ATT = re.compile(
+    r"\natt\((" + NAME_REGEX + r"),(" + NAME_REGEX + r")\)\.(?=\n)")
+_CANONICAL_CAU = re.compile(
+    r"\ncau\((" + NAME_REGEX + r"),(" + NAME_REGEX + r")\)\.(?=\n)")
+_CANONICAL_AGENTS = re.compile(r"\nagents\(([0-9]+)\)\.(?=\n)")
+_CANONICAL_P = re.compile(
+    r"\np\(([0-9]+),(" + NAME_REGEX + r"),([0-9][0-9.e-]*)\)\.(?=\n)")
+_CANONICAL_COMMENT = re.compile(r"\n%([ -~]*)(?=\n)")
 
 
 @dataclass(frozen=True)
@@ -141,9 +163,86 @@ def _raise_statement_error(code: str, pos: int, line: int) -> NoReturn:
     raise ParseError(line, f"syntax error near {code[pos:].strip()!r}")
 
 
+def _metadata(comments: list[str]) -> tuple[str, str]:
+    """Name and description from the text after ``%`` of the comment-only
+    lines: the first ``name:`` and the first ``description:``, trimmed."""
+    found: dict[str, str] = {}
+    for comment in comments:
+        key, colon, value = comment.strip().partition(":")
+        if colon and key in ("name", "description"):
+            found.setdefault(key, value.strip())
+    return found.get("name", ""), found.get("description", "")
+
+
+def _parse_canonical(text: str) -> FrameworkDocument | None:
+    """The document of canonical ``text``, or None if the text is not
+    canonical or breaks a rule, so that the line parser words the error.
+
+    The statements are checked here on whole columns, and the graph rules
+    (declared ends, no causal self-edge, cycle or clash with an attack) by
+    the constructors. No check needs a line number, since a document that
+    passes them all has none to report.
+    """
+    if not text.endswith("\n"):
+        return None
+    lines = text.count("\n")
+    text = "\n" + text
+    names = _CANONICAL_ARG.findall(text)
+    attacks = _CANONICAL_ATT.findall(text)
+    causal = _CANONICAL_CAU.findall(text)
+    agents = _CANONICAL_AGENTS.findall(text)
+    opinions = _CANONICAL_P.findall(text)
+    comments = _CANONICAL_COMMENT.findall(text)
+    if (len(names) + len(attacks) + len(causal) + len(agents)
+            + len(opinions) + len(comments) != lines or len(agents) > 1):
+        return None
+    arguments = tuple(dict.fromkeys(names))
+    try:
+        count = int(agents[0]) if agents else None
+        if opinions:
+            indices, owners, tokens = zip(*opinions)
+            indices = list(map(int, indices))
+            values = list(map(float, tokens))
+    except ValueError:  # more digits than int() reads, or "1e" or "1-2"
+        return None
+    if count is not None and not 1 <= count <= MAX_AGENTS:
+        return None
+    if opinions:
+        table = dict(zip(zip(indices, owners), values))
+        # distinct pairs over 1..count and the declared names, as many as
+        # the complete table has: none repeated, none missing
+        if (count is None or min(indices) < 1 or max(indices) > count
+                or not 0.0 <= min(values) <= max(values) <= 1.0
+                or not set(arguments).issuperset(owners)
+                or len(table) != len(opinions)
+                or len(table) != len(arguments) * count):
+            return None
+        agent_range = range(1, count + 1)
+        profile = CredalProfile(count, {
+            arg: CredalSet._trusted(tuple([table[j, arg]
+                                           for j in agent_range]))
+            for arg in arguments})
+    else:
+        profile = CredalProfile.maximal(arguments, count or 1)
+    try:
+        graph = CausalityGraph(arguments, frozenset(causal))
+        framework = ArgumentationFramework(arguments, frozenset(attacks))
+        return FrameworkDocument(framework, profile, graph,
+                                 *_metadata(comments))
+    except (UnknownArgumentError, ValidationError):
+        return None
+
+
 def parse_caf(text: str) -> FrameworkDocument:
     """Parse `.caf` text; every error names the offending 1-based line."""
-    name = description = None
+    doc = _parse_canonical(text)
+    return doc if doc is not None else _parse_lines(text)
+
+
+def _parse_lines(text: str) -> FrameworkDocument:
+    """Parse any `.caf` text statement by statement, raising the first
+    error on its line."""
+    comments: list[str] = []
     arg_lines: dict[str, int] = {}
     attacks: dict[tuple[str, str], int] = {}
     causal: dict[tuple[str, str], int] = {}
@@ -155,11 +254,7 @@ def parse_caf(text: str) -> FrameworkDocument:
         end = len(code.rstrip())
         if not end:
             if comment_mark:  # metadata lives on comment-only lines
-                body = comment.strip()
-                if body.startswith("name:") and name is None:
-                    name = body[len("name:"):].strip()
-                elif body.startswith("description:") and description is None:
-                    description = body[len("description:"):].strip()
+                comments.append(comment)
             continue
         pos = 0
         while pos < end:
@@ -243,8 +338,7 @@ def parse_caf(text: str) -> FrameworkDocument:
         profile = CredalProfile.maximal(arg_lines, agents or 1)
 
     framework = ArgumentationFramework(tuple(arg_lines), frozenset(attacks))
-    return FrameworkDocument(framework, profile, graph,
-                             name or "", description or "")
+    return FrameworkDocument(framework, profile, graph, *_metadata(comments))
 
 
 def emit_caf(doc: FrameworkDocument) -> str:

@@ -387,6 +387,22 @@ class TestUsage:
         assert out == ""
         assert "--tolerance must be > 0" in err
 
+    def test_paper_fixtures_with_input_is_a_usage_error(self, capsys):
+        # the fixtures are bundled, so the file would never be opened
+        code, out, err = run(capsys, "bounds", "--paper-fixtures",
+                             "--input", "missing.caf")
+        assert code == 1
+        assert out == ""
+        assert "--paper-fixtures reads no --input" in err
+
+    def test_export_dot_as_json_is_a_usage_error(self, capsys,
+                                                 diagnosis_caf):
+        code, out, err = run(capsys, "export-dot", "--input", diagnosis_caf,
+                             "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "export-dot writes DOT only, not --format json" in err
+
     def test_set_and_semantics_conflict(self, capsys, diagnosis_caf):
         code, _, _ = run(capsys, "bounds", "--input", diagnosis_caf,
                          "--set", "A", "--semantics", "gr")

@@ -164,6 +164,21 @@ class TestParse:
         for text in texts:
             parse_caf(text)
 
+    def test_canonical_documents_skip_the_statement_loop(self, monkeypatch,
+                                                         diagnosis):
+        # emit_caf writes canonical text, which the whole-text pass reads
+        from credalarg import formats
+
+        def unused(*args, **kwargs):
+            raise AssertionError("statement loop used on canonical text")
+
+        rng = random.Random(7)
+        docs = [diagnosis] + [random_document(rng) for _ in range(50)]
+        monkeypatch.setattr(formats, "_GRAMMAR",
+                            type("Unused", (), {"match": unused})())
+        for doc in docs:
+            assert parse_caf(emit_caf(doc)) == doc
+
 
 class TestCausalCycleLine:
     def test_named_cycle_is_real_and_on_the_lowest_line_of_its_edges(self):
@@ -547,3 +562,98 @@ class TestAgainstReference:
     def test_joined_fragments_match_the_reference_parser(self, parts, seps):
         text = "".join(p + s for p, s in zip(parts, seps))
         _matching_outcome(text)
+
+
+def _set_field(line: str, index: int, token: str) -> str:
+    """``kw(f0,f1,...).`` with field ``index`` replaced by ``token``."""
+    kw, _, body = line.partition("(")
+    fields = body[:-2].split(",")
+    fields[index] = token
+    return f"{kw}({','.join(fields)})."
+
+
+def _line_of(rng: random.Random, lines: list[str], prefix: str) -> int:
+    return rng.choice([i for i, line in enumerate(lines)
+                       if line.startswith(prefix)])
+
+
+def _opinion_field(index: int, token: str):
+    def mutate(rng, lines, args):
+        i = _line_of(rng, lines, "p(")
+        lines[i] = _set_field(lines[i], index, token)
+    return mutate
+
+
+def _insert(make):
+    def mutate(rng, lines, args):
+        for line in make(rng, lines, args):
+            lines.insert(rng.randrange(len(lines) + 1), line)
+    return mutate
+
+
+def _space(rng, lines, args):
+    i = rng.randrange(len(lines))
+    at = rng.randrange(len(lines[i]) + 1)
+    lines[i] = lines[i][:at] + " " + lines[i][at:]
+
+
+def _cycle(rng, lines, args):
+    causal = [tuple(line[4:-2].split(",")) for line in lines
+              if line.startswith("cau(")]
+    a, b = rng.choice(causal) if causal else args[:2]
+    return [f"cau({b},{a})."] + ([] if causal else [f"cau({a},{b})."])
+
+
+def _end(ending: str):
+    def mutate(rng, lines, args):
+        i = rng.randrange(len(lines))
+        lines[i] += ending
+    return mutate
+
+
+# One-line changes to canonical text. Each keeps the text canonical or
+# not, valid or not, as it falls, so both paths meet the reference parser.
+_MUTATIONS = {
+    "space": _space,
+    "+2": _opinion_field(0, "+2"),
+    "1_0": _opinion_field(0, "1_0"),
+    "nan": _opinion_field(2, "nan"),
+    "1.5": _opinion_field(2, "1.5"),
+    "1e-1": _opinion_field(2, "1e-1"),
+    ".25": _opinion_field(2, ".25"),
+    "duplicate p": _insert(
+        lambda rng, lines, args: [lines[_line_of(rng, lines, "p(")]]),
+    "undeclared endpoint": _insert(
+        lambda rng, lines, args: [f"att({rng.choice(args)},zz)."]),
+    "clash": _insert(lambda rng, lines, args: [
+        f"att({args[0]},{args[1]}).", f"cau({args[1]},{args[0]})."]),
+    "cycle": _insert(_cycle),
+    "blank line": _insert(lambda rng, lines, args: [""]),
+    "trailing comment": _end(" % note"),
+    "\\r\\n ending": _end("\r"),
+}
+
+
+class TestCanonicalPass:
+    def test_mutated_canonical_texts_match_the_reference_parser(self,
+                                                                diagnosis):
+        from credalarg import formats
+
+        rng = random.Random(0xFA57)
+        docs = [diagnosis] + [random_document(rng) for _ in range(60)]
+        paths = {"canonical": 0, "line parser": 0}
+        for doc in docs:
+            args = list(doc.framework.arguments)
+            if len(args) < 2:
+                continue
+            text = emit_caf(doc)
+            variants = [text, text[:-1]]  # the last: no final newline
+            for mutate in _MUTATIONS.values():
+                lines = text.split("\n")[:-1]
+                mutate(rng, lines, args)
+                variants.append("\n".join(lines) + "\n")
+            for variant in variants:
+                _matching_outcome(variant)
+                fast = formats._parse_canonical(variant) is not None
+                paths["canonical" if fast else "line parser"] += 1
+        assert all(paths.values()), paths
