@@ -27,11 +27,26 @@ and preferred, an attacker of the chosen set not yet attacked back; for
 stable, an argument that can be neither chosen nor attacked any more.
 Complete, preferred and stable extensions contain the grounded extension
 and exclude what it attacks, so their walk starts with its IN arguments
-chosen and its OUT ones banned. A hard argument-count cap (default 25),
-which counts every argument, decided or not, guards against accidental
-exponential blow-ups. :meth:`ArgumentationFramework.extension_rows` gives
-each extension as its ``(members, mask)`` pair, so callers that compute
-over masks decode the names once, to print them.
+chosen and its OUT ones banned. Complete and preferred also cut the branch
+that leaves out an argument the chosen set already defends: attacked
+arguments only accumulate, so the set would stay defended and outside. At
+a leaf, completeness is tested only on the free arguments the set does
+not attack, since an admissible set defends no argument it attacks and no
+self-attacker (Dung's fundamental lemma).
+
+The walk takes the include branch first, over the arguments in
+sorted-name order. Two sets part at the first argument where they differ,
+and the one holding it comes first, so sets of one size come out in
+lexicographic member order and every strict superset of a set comes
+before it. A stable sort by size is then the canonical order, and
+preferred keeps a complete set, inside the walk, only when no set kept so
+far contains it.
+
+A hard argument-count cap (default 25), which counts every argument,
+decided or not, guards against accidental exponential blow-ups.
+:meth:`ArgumentationFramework.extension_rows` gives each extension as its
+``(members, mask)`` pair, so callers that compute over masks decode the
+names once, to print them.
 """
 
 from __future__ import annotations
@@ -39,7 +54,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, UnknownArgumentError, ValidationError
@@ -241,7 +255,9 @@ class ArgumentationFramework:
         # Include/exclude DFS over the free arguments: those the grounded
         # seed leaves undecided, less the self-attackers. An entry is
         # (k, chosen, attacked, attackers), the last two the OR of _out
-        # and of _in over chosen; ahead[k] masks free[k:].
+        # and of _in over chosen; ahead[k] masks free[k:]. The include
+        # child is pushed last, so popped first: leaves of one size come
+        # out in member order, and every strict superset of a leaf first.
         ins, outs = self._in, self._out
         n = len(ins)
         full = (1 << n) - 1
@@ -260,6 +276,7 @@ class ArgumentationFramework:
         stable = semantics == "stable"
         guard = 0 if semantics == "conflict-free" else full  # cf never cuts
         complete = semantics in ("complete", "preferred")
+        preferred = semantics == "preferred"
         found: list[int] = []
         stack = [(0, chosen, attacked, attackers)]
         while stack:
@@ -279,24 +296,37 @@ class ArgumentationFramework:
                 continue
             if choosable:
                 i = free[k]
-                bit = 1 << i
-                if bit & choosable:
-                    stack.append((k + 1, chosen | bit, attacked | outs[i],
+                # complete: once chosen defends free[k], it always will
+                # (attacked only grows), so leaving it out finds nothing
+                if not complete or ins[i] & ~attacked:
+                    stack.append((k + 1, chosen, attacked, attackers))
+                if 1 << i & choosable:
+                    stack.append((k + 1, chosen | 1 << i, attacked | outs[i],
                                   attackers | ins[i]))
-                stack.append((k + 1, chosen, attacked, attackers))
-            elif not complete or all(
-                    ins[i] & ~attacked for i in set_bits(full & ~chosen)):
-                # nothing left to choose, so chosen is the only completion;
-                # complete also needs no outside argument defended
+                continue
+            # nothing left to choose, so chosen is the only completion;
+            # complete also needs no outside argument defended. Chosen is
+            # admissible here, so it defends none it attacks and no decided
+            # or self-attacking one: only free ones outside both count
+            if complete:
+                rest = ahead[0] & ~(chosen | attacked)
+                while rest:
+                    low = rest & -rest
+                    if not ins[low.bit_length() - 1] & ~attacked:
+                        break
+                    rest ^= low
+                if rest:
+                    continue
+            if preferred:
+                # every strict superset came first, and the maximal ones
+                # among them were kept
+                for m in found:
+                    if chosen | m == m:
+                        break
+                else:
+                    found.append(chosen)
+            else:
                 found.append(chosen)
-        if semantics == "preferred":
-            # Largest first: a mask is maximal iff no mask kept before it
-            # is a superset, since every strict superset is larger.
-            kept: list[int] = []
-            for m in sorted(found, key=int.bit_count, reverse=True):
-                if all(m | k != k for k in kept):
-                    kept.append(m)
-            found = kept
         return found
 
     def extension_rows(self, semantics: str, max_args: int = DEFAULT_MAX_ARGS
@@ -313,9 +343,15 @@ class ArgumentationFramework:
         once an attacker of the chosen set is neither attacked nor
         attackable from the arguments still choosable; ``stable`` once an
         argument can be neither chosen nor attacked. ``complete``,
-        ``preferred`` and ``stable`` start from the grounded labelling and
-        ``preferred`` keeps the maximal complete sets. The cap counts every
-        argument, whatever the walk visits.
+        ``preferred`` and ``stable`` start from the grounded labelling;
+        ``complete`` and ``preferred`` also cut the branch that leaves out
+        an argument the chosen set already defends. The walk takes the
+        include branch first, in sorted-name order, so sets of one size
+        come out in member order, and a stable sort by size gives the
+        canonical order with one decode per row. The same order puts every
+        strict superset of a set before it, so ``preferred`` keeps a
+        complete set only when no set kept so far contains it. The cap
+        counts every argument, whatever the walk visits.
         """
         if semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {semantics!r}")
@@ -328,13 +364,9 @@ class ArgumentationFramework:
         if n > max_args:
             raise CapExceededError(
                 f"framework has {n} arguments, enumeration capped at {max_args}")
-        # bit order is sorted-name order: sorting the decoded tuples by
-        # name, then stably by size, gives the (size, members) order
-        masks = self._extension_masks(semantics)
-        rows = sorted(zip(map(self._names_of, masks), masks),
-                      key=itemgetter(0))
-        rows.sort(key=lambda row: len(row[0]))
-        return rows
+        # a stable sort keeps the walk's member order within each size
+        masks = sorted(self._extension_masks(semantics), key=int.bit_count)
+        return list(zip(map(self._names_of, masks), masks))
 
     def enumerate_extensions(self, semantics: str,
                              max_args: int = DEFAULT_MAX_ARGS) -> list[Extension]:

@@ -6,7 +6,8 @@ graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 (heuristic interval ordering).
 
 Each command builds its rows once and renders them here, as text lines or
-as a payload for :func:`~credalarg.formats.emit_json`. ``solve``,
+as a payload for :func:`~credalarg.formats.emit_json`; ``solve`` writes
+its JSON text straight from the rows, one piece per row. ``solve``,
 ``bounds`` and ``rank`` take the ``(members, mask)`` rows of
 :meth:`~credalarg.af.ArgumentationFramework.extension_rows`; ``bounds``
 and ``rank`` compute every interval from the masks in one
@@ -160,8 +161,18 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
     rows = doc.framework.extension_rows(ns.semantics, ns.max_args)
     if ns.output_format == "json":
-        print(emit_json({"semantics": ns.semantics, "extensions": [
-            {"members": list(names)} for names, _ in rows]}))
+        # the json.dumps(indent=2, sort_keys=True) text of {"semantics",
+        # "extensions": [{"members"}]}, one piece per row: names match
+        # NAME_REGEX, so need no escaping
+        row = ',\n    {\n      "members": [\n        "%s"\n      ]\n    }'
+        no_members = ',\n    {\n      "members": []\n    }'
+        pieces = [row % '",\n        "'.join(names) if names
+                  else no_members for names, _ in rows]
+        if pieces:  # no comma before the first row; "]" on its own line
+            pieces[0] = pieces[0][1:]
+            pieces.append("\n  ")
+        print('{\n  "extensions": [', *pieces,
+              '],\n  "semantics": "%s"\n}' % ns.semantics, sep="")
     else:
         print("\n".join([_braced(names) for names, _ in rows])
               if rows else "no extensions")

@@ -347,6 +347,27 @@ class TestAgainstBruteForce:
                     sorted(map(sorted, expected[semantics])), (seed, semantics)
         assert self_attacks > 50
 
+    def test_row_order_is_size_then_members(self):
+        # code-point order ("B" < "_x" < "a") differs from the order the
+        # names are drawn in, and from their order by length
+        pool = ("a", "B", "aa", "Ab", "b_", "Z9", "zz", "_x", "c", "C",
+                "ab", "a0")
+        self_attacks = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            args = rng.sample(pool, rng.randint(1, 9))
+            attacks = frozenset((a, b) for a in args for b in args
+                                if rng.random() < (0.1, 0.2, 0.35)[seed % 3])
+            self_attacks += any(a == b for a, b in attacks)
+            af = ArgumentationFramework(args, attacks)
+            expected = bf_semantics(args, attacks)
+            for semantics, family in expected.items():
+                want = sorted((tuple(sorted(s)) for s in family),
+                              key=lambda names: (len(names), names))
+                got = [names for names, _ in af.extension_rows(semantics)]
+                assert got == want, (seed, semantics)
+        assert self_attacks > 30
+
     def test_containment_chain(self):
         rng = random.Random(0xBEEF)
         for _ in range(40):

@@ -7,7 +7,7 @@ from credalarg import (Extension, ProbabilityInterval, cli,
                        rank_extensions)
 from credalarg.bounds import BoundsResult
 from credalarg.cli import main
-from credalarg.formats import emit_caf
+from credalarg.formats import emit_caf, parse_caf
 from randgen import random_document
 
 THREE_CYCLE = "arg(A). arg(B). arg(C).\natt(A,B). att(B,C). att(C,A).\n"
@@ -88,6 +88,28 @@ class TestSolve:
         assert data["semantics"] == "complete"
         assert data["extensions"] == [
             {"members": ["C", "D", "E", "F", "G", "H"]}]
+
+    def test_json_is_the_json_dumps_text(self, capsys, tmp_path):
+        path = tmp_path / "doc.caf"
+        texts = [THREE_CYCLE] + [emit_caf(random_document(random.Random(seed)))
+                                 for seed in range(40)]
+        no_extensions = no_members = 0
+        for text in texts:
+            path.write_text(text)
+            framework = parse_caf(text).framework
+            for code, semantics in cli.SEMANTICS_CODES.items():
+                _, out, _ = run(capsys, "solve", "--input", str(path),
+                                "--semantics", code, "--format", "json")
+                rows = framework.extension_rows(semantics)
+                assert out == json.dumps(
+                    {"semantics": semantics,
+                     "extensions": [{"members": list(names)}
+                                    for names, _ in rows]},
+                    indent=2, sort_keys=True) + "\n"
+                no_extensions += not rows
+                no_members += any(not names for names, _ in rows)
+        # st on the 3-cycle has no extension, gr on it one with no members
+        assert no_extensions and no_members
 
 
 class TestBounds:
