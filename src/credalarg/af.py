@@ -4,12 +4,18 @@ An :class:`ArgumentationFramework` is a finite set of named arguments plus
 a binary attack relation. Six acceptance semantics are supported:
 conflict-free, admissible, complete, preferred, grounded and stable.
 
-:func:`compile_relation` compiles the attacks, and the causal edges of a
-:class:`~credalarg.causality.CausalityGraph`, to per-argument source and
-target bitmasks (bit i is ``arguments[i]``). It rejects first an invalid
-name (in given order), then the lowest pair that is not a 2-tuple, then
-the lowest pair with an unknown end, so the error never depends on hash
-or input order.
+The attacks, and the causal edges of a
+:class:`~credalarg.causality.CausalityGraph`, compile in two steps:
+:func:`index_arguments` checks, sorts and indexes the names (bit i is
+``arguments[i]``), and :func:`compile_pairs` turns the pairs into
+per-argument source and target bitmasks over that index. The public
+constructors reject first an invalid name (in given order), then the
+lowest pair that is not a 2-tuple (:func:`pair_set`), then the lowest
+pair with an unknown end, so the error never depends on hash or input
+order. The `.caf` loader, which has matched every name and pair already,
+indexes the names once and builds the framework and the graph over that
+one tuple and index, so in a parsed document they share ``arguments``
+and a framework mask is a graph mask.
 
 The grounded extension comes from the grounded labelling (Modgil &
 Caminada 2009): an argument is IN once all its attackers are OUT, and
@@ -93,26 +99,40 @@ def _check_name(name: str) -> str:
     return name
 
 
-def compile_relation(arguments: Iterable[str],
-                     pairs: Iterable[tuple[str, str]], kind: str) -> tuple:
-    """Index ``pairs`` over the sorted ``arguments`` in one pass.
+def _sorted_index(names: Iterable[str]) -> tuple:
+    # the sorted distinct names and the name -> bit index, for names that
+    # already match NAME_REGEX
+    args = tuple(sorted(set(names)))
+    return args, dict(zip(args, range(len(args))))
 
-    Returns the sorted arguments, the name -> bit index, the pairs as a
-    frozenset, and per bit the mask of its sources and the mask of its
-    targets. An invalid name raises ``ValidationError`` (first in given
-    order), then a pair that is not a 2-tuple (lowest by text), then a
-    pair with an unknown end ``UnknownArgumentError`` (lowest pair);
-    ``kind`` names the relation in the last two.
-    """
-    args = tuple(sorted(set(map(_check_name, arguments))))
-    index = {name: i for i, name in enumerate(args)}
+
+def index_arguments(arguments: Iterable[str]) -> tuple:
+    """The sorted distinct ``arguments`` and the name -> bit index over
+    them; an invalid name raises ``ValidationError``, the first in given
+    order."""
+    return _sorted_index(map(_check_name, arguments))
+
+
+def pair_set(pairs: Iterable[tuple[str, str]], kind: str) -> frozenset:
+    """``pairs`` as a frozenset; the lowest (by text) that is not a
+    2-tuple raises ``ValidationError``, ``kind`` naming the relation."""
     pairs = list(pairs)
     malformed = [p for p in pairs if not isinstance(p, tuple) or len(p) != 2]
     if malformed:
         raise ValidationError(
             f"{kind} {min(malformed, key=repr)!r} is not a 2-tuple")
-    pairs = frozenset(pairs)
-    sources, targets, unknown = [0] * len(args), [0] * len(args), []
+    return frozenset(pairs)
+
+
+def compile_pairs(index: dict[str, int], pairs: frozenset,
+                  kind: str) -> tuple[list[int], list[int]]:
+    """Per bit of ``index``, the mask of its sources and the mask of its
+    targets under the 2-tuples ``pairs``.
+
+    A pair with an unknown end raises ``UnknownArgumentError`` (the lowest
+    pair), ``kind`` naming the relation.
+    """
+    sources, targets, unknown = [0] * len(index), [0] * len(index), []
     for a, b in pairs:
         i, j = index.get(a), index.get(b)
         if i is None or j is None:
@@ -125,7 +145,7 @@ def compile_relation(arguments: Iterable[str],
         raise UnknownArgumentError(
             f"{kind} ({a},{b}) mentions unknown argument "
             f"{a if a not in index else b!r}")
-    return args, index, pairs, sources, targets
+    return sources, targets
 
 
 @dataclass(frozen=True, order=True)
@@ -178,9 +198,13 @@ class ArgumentationFramework:
     attacks: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        args, index, attacks, in_masks, out_masks = compile_relation(
-            self.arguments, self.attacks, "attack")
-        for name, value in (("arguments", args), ("attacks", attacks),
+        self._compile(*index_arguments(self.arguments),
+                      pair_set(self.attacks, "attack"))
+
+    def _compile(self, arguments: tuple[str, ...], index: dict[str, int],
+                 attacks: frozenset) -> None:
+        in_masks, out_masks = compile_pairs(index, attacks, "attack")
+        for name, value in (("arguments", arguments), ("attacks", attacks),
                             ("_index", index), ("_in", in_masks),
                             ("_out", out_masks)):
             object.__setattr__(self, name, value)
@@ -373,3 +397,13 @@ class ArgumentationFramework:
         """The extensions of :meth:`extension_rows`, in its order."""
         return [Extension._trusted(names, semantics)
                 for names, _ in self.extension_rows(semantics, max_args)]
+
+
+def _framework(arguments: tuple[str, ...], index: dict[str, int],
+               attacks: frozenset) -> ArgumentationFramework:
+    # The framework over ``arguments`` and ``index`` as _sorted_index gives
+    # them and a frozenset of 2-tuples, without the checks the caller made;
+    # an attack with an unknown end still raises.
+    framework = object.__new__(ArgumentationFramework)
+    framework._compile(arguments, index, attacks)
+    return framework

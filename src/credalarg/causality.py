@@ -6,11 +6,15 @@ controls how an extension is cut into aggregation parts: chains of causally
 related members collapse into dependent groups, everything else multiplies
 independently.
 
-Construction compiles the edges with :func:`~credalarg.af.compile_relation`
+Construction compiles the edges with :func:`~credalarg.af.compile_pairs`
 to parent and child bitmasks over the sorted ``arguments`` (bit i is
-``arguments[i]``, see ``index``), then closes the ancestors along one
-topological order, found by Kahn's algorithm. Its mask queries take and
-return member masks; callers decode names only to print them.
+``arguments[i]``, see ``index``), and checks them for a cycle with Kahn's
+algorithm, which also gives a topological order. A graph the `.caf`
+loader builds shares its ``arguments`` tuple and ``index`` with the
+document's framework. The ancestor closure, ``ancestor_masks``, is
+computed along the topological order on first use, since only bounds
+read it. Its mask queries take and return member masks; callers decode
+names only to print them.
 
 Errors fire in a fixed order, each naming the lowest offender: an edge
 with an unknown end (lowest pair), a self-edge (lowest looped argument),
@@ -22,9 +26,10 @@ parent, and on, must repeat a node. No error depends on hash order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Collection
 
-from .af import compile_relation, set_bits
+from .af import compile_pairs, index_arguments, pair_set, set_bits
 from .errors import CausalCycleError, ValidationError
 
 
@@ -42,9 +47,13 @@ class CausalityGraph:
     edges: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        args, index, edges, parents, children = compile_relation(
-            self.arguments, self.edges, "causal edge")
-        for i, name in enumerate(args):
+        self._compile(*index_arguments(self.arguments),
+                      pair_set(self.edges, "causal edge"))
+
+    def _compile(self, arguments: tuple[str, ...], index: dict[str, int],
+                 edges: frozenset) -> None:
+        parents, children = compile_pairs(index, edges, "causal edge")
+        for i, name in enumerate(arguments):
             if children[i] >> i & 1:
                 raise ValidationError(f"causal self-edge on {name!r}")
 
@@ -56,7 +65,7 @@ class CausalityGraph:
                 waiting[j] -= 1
                 if not waiting[j]:
                     order.append(j)
-        if len(order) < len(args):
+        if len(order) < len(arguments):
             # walk up lowest left-over parents until a node repeats
             left = sum(1 << j for j, count in enumerate(waiting) if count)
             node = next(set_bits(left))
@@ -65,23 +74,31 @@ class CausalityGraph:
                 step[node] = len(step)
                 node = next(set_bits(parents[node] & left))
             cycle = list(step)[step[node]:] + [node]  # effect -> cause
-            raise CausalCycleError([args[i] for i in reversed(cycle)])
-        ancestors = [0] * len(args)
-        effects = causes = 0
-        for i in order:
+            raise CausalCycleError([arguments[i] for i in reversed(cycle)])
+        effects = sum(1 << i for i, up in enumerate(parents) if up)
+        causes = sum(1 << i for i, down in enumerate(children) if down)
+
+        for name, value in (
+                ("arguments", arguments), ("edges", edges), ("index", index),
+                ("child_masks", children), ("_parents", parents),
+                ("_order", order), ("effect_mask", effects),
+                ("cause_mask", causes),
+                ("isolated_mask",
+                 (1 << len(arguments)) - 1 & ~(effects | causes))):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def ancestor_masks(self) -> list[int]:
+        """Per bit, the mask of its causal ancestors: closed along the
+        topological order on first use, since only bounds read it."""
+        ancestors = [0] * len(self.arguments)
+        parents = self._parents
+        for i in self._order:
             up = parents[i]
             for j in set_bits(parents[i]):
                 up |= ancestors[j]
             ancestors[i] = up
-            effects |= children[i]
-            causes |= parents[i]
-
-        for name, value in (
-                ("arguments", args), ("edges", edges), ("index", index),
-                ("child_masks", children), ("ancestor_masks", ancestors),
-                ("effect_mask", effects), ("cause_mask", causes),
-                ("isolated_mask", (1 << len(args)) - 1 & ~(effects | causes))):
-            object.__setattr__(self, name, value)
+        return ancestors
 
     def __contains__(self, name: object) -> bool:
         return name in self.index
@@ -112,13 +129,25 @@ class CausalityGraph:
 
 
 def check_attack_disjointness(graph: CausalityGraph,
-                              attacks: Iterable[tuple[str, str]]) -> None:
+                              attacks: Collection[tuple[str, str]]) -> None:
     """Reject causal edges that coincide with an attack in either direction.
 
-    The error names the lowest clashing attack.
+    The error names the lowest clashing attack. Each edge is looked up in
+    ``attacks``, both ways round, since a graph has fewer edges than most
+    frameworks have attacks.
     """
-    edges = graph.edges
-    clashes = [(a, b) for a, b in attacks if (a, b) in edges or (b, a) in edges]
+    clashes = [pair for a, b in graph.edges for pair in ((a, b), (b, a))
+               if pair in attacks]
     if clashes:
         a, b = min(clashes)
         raise ValidationError(f"attack ({a},{b}) clashes with a causal edge")
+
+
+def _graph(arguments: tuple[str, ...], index: dict[str, int],
+           edges: frozenset) -> CausalityGraph:
+    # The graph over ``arguments`` and ``index`` as af._sorted_index gives
+    # them and a frozenset of 2-tuples, without the checks the caller made;
+    # an unknown end, a self-edge and a cycle still raise.
+    graph = object.__new__(CausalityGraph)
+    graph._compile(arguments, index, edges)
+    return graph

@@ -6,15 +6,18 @@ graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 (heuristic interval ordering).
 
 Each command builds its rows once and renders them here, as text lines or
-as a payload for :func:`~credalarg.formats.emit_json`; ``solve`` writes
-its JSON text straight from the rows, one piece per row. ``solve``,
+as a payload for :func:`~credalarg.formats.emit_json`; ``solve`` and
+``check`` write their JSON text straight from the rows, one piece per
+row, joined by one list writer. ``solve``,
 ``bounds`` and ``rank`` take the ``(members, mask)`` rows of
 :meth:`~credalarg.af.ArgumentationFramework.extension_rows`; ``bounds``
 and ``rank`` compute every interval from the masks in one
 :func:`~credalarg.bounds.mask_bounds` call and write the member names
 straight from the row, so no ``Extension`` or ``BoundsResult`` is built
 per row (``bounds --set`` names one set and calls ``extension_bounds``).
-``--oracle`` and ``--paper-fixtures`` share one tolerance test.
+``--oracle`` and ``--paper-fixtures`` share one tolerance test. Each
+subcommand declares only the flags it reads, so any other flag is a
+usage error.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
 a missing input file), 3 enumeration cap exceeded.
@@ -37,6 +40,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
+
+DEFAULT_TOLERANCE = 1e-9
 
 SEMANTICS_CODES = {
     "cf": "conflict-free",
@@ -64,24 +69,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="input document in .caf format")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         dest="output_format", help="output format")
-    common.add_argument("--max-args", type=int, default=DEFAULT_MAX_ARGS,
+    # solve, bounds and rank enumerate; only bounds compares intervals
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--max-args", type=int, default=DEFAULT_MAX_ARGS,
                         metavar="N", help="enumeration cap on the argument "
                         "count (default %(default)s)")
-    common.add_argument("--tolerance", type=float, default=1e-9, metavar="X",
-                        help="absolute tolerance for interval comparisons")
 
     # fields that only some subcommands define
     parser.set_defaults(semantics=None, explicit_set=None, use_oracle=False,
-                        strict=False, paper_fixtures=False)
+                        strict=False, paper_fixtures=False,
+                        max_args=DEFAULT_MAX_ARGS,
+                        tolerance=DEFAULT_TOLERANCE)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    solve = sub.add_parser("solve", parents=[common],
+    solve = sub.add_parser("solve", parents=[capped],
                            help="enumerate extensions of one semantics")
     solve.add_argument("--semantics", required=True,
                        help="cf|ad|co|pr|gr|st or the full semantics name")
 
-    bounds = sub.add_parser("bounds", parents=[common],
+    bounds = sub.add_parser("bounds", parents=[capped],
                             help="probability intervals for extensions")
     target = bounds.add_mutually_exclusive_group(required=True)
     target.add_argument("--semantics",
@@ -96,6 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--oracle", action="store_true", dest="use_oracle",
                         help="also run the independent per-agent oracle and "
                              "flag mismatches")
+    bounds.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                        metavar="X",
+                        help="absolute tolerance for interval comparisons "
+                             "(--oracle, --paper-fixtures)")
 
     check = sub.add_parser("check", parents=[common],
                            help="profile and causal-graph diagnostics")
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("export-dot", parents=[common],
                    help="emit a graphviz rendering of the document")
 
-    rank = sub.add_parser("rank", parents=[common],
+    rank = sub.add_parser("rank", parents=[capped],
                           help="order extensions by their intervals")
     rank.add_argument("--semantics", required=True,
                       help="semantics whose extensions are ranked")
@@ -157,22 +168,30 @@ def _deviations(lower: float, upper: float, reference,
             if abs(value - getattr(reference, end)) > tolerance]
 
 
+def _json_rows(rows: list[str]) -> list[str]:
+    """Pieces, to print with ``sep=""``, of the ``json.dumps(indent=2)``
+    text of a list under a top-level key, each row written already and
+    led by its ``",\\n    "``. The rows stay apart, since one joined text
+    would double the peak memory of a large list."""
+    if not rows:
+        return ["[]"]
+    rows[0] = "[" + rows[0][1:]  # no comma before the first row
+    rows.append("\n  ]")
+    return rows
+
+
 def cmd_solve(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
     rows = doc.framework.extension_rows(ns.semantics, ns.max_args)
     if ns.output_format == "json":
         # the json.dumps(indent=2, sort_keys=True) text of {"semantics",
-        # "extensions": [{"members"}]}, one piece per row: names match
-        # NAME_REGEX, so need no escaping
+        # "extensions": [{"members"}]}: names match NAME_REGEX, so need no
+        # escaping
         row = ',\n    {\n      "members": [\n        "%s"\n      ]\n    }'
-        no_members = ',\n    {\n      "members": []\n    }'
-        pieces = [row % '",\n        "'.join(names) if names
-                  else no_members for names, _ in rows]
-        if pieces:  # no comma before the first row; "]" on its own line
-            pieces[0] = pieces[0][1:]
-            pieces.append("\n  ")
-        print('{\n  "extensions": [', *pieces,
-              '],\n  "semantics": "%s"\n}' % ns.semantics, sep="")
+        print('{\n  "extensions": ', *_json_rows([
+            row % '",\n        "'.join(names) if names
+            else ',\n    {\n      "members": []\n    }' for names, _ in rows]),
+            ',\n  "semantics": "%s"\n}' % ns.semantics, sep="")
     else:
         print("\n".join([_braced(names) for names, _ in rows])
               if rows else "no extensions")
@@ -182,8 +201,8 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 def _mask_results(doc: FrameworkDocument, targets: list[tuple]) -> list:
     """``(names, result)`` per ``(names, mask)`` row, ``result`` being the
     ``(lower, upper, case)`` of :func:`mask_bounds` or its refusal text."""
-    # FrameworkDocument checks that the graph holds the framework's
-    # arguments, so a framework mask is a graph mask
+    # a parsed document's framework and graph share one argument tuple
+    # and index, so a framework mask is a graph mask
     graph = doc.causality
     results = mask_bounds(graph, value_rows(doc.profile, graph),
                           [mask for _, mask in targets])
@@ -307,21 +326,23 @@ def cmd_check(ns: argparse.Namespace) -> int:
     violations = rationality_report(doc.profile, doc.framework)
     maximal = is_maximal(doc.profile)
     if ns.output_format == "json":
-        print(emit_json({
-            "arguments": len(doc.framework.arguments),
-            "attacks": len(doc.framework.attacks),
-            "causal_edges": len(doc.causality.edges),
-            "agents": doc.profile.agent_count,
-            "causality_valid": True,
-            "maximal": maximal,
-            # a validated profile keeps every opinion in [0, 1]
-            "uniform": True,
-            "violations": [
-                {"agent": v.agent, "attacker": v.attacker,
-                 "target": v.target, "attacker_value": v.attacker_value,
-                 "target_value": v.target_value}
-                for v in violations],
-        }))
+        # the json.dumps(indent=2, sort_keys=True) text of the report:
+        # names match NAME_REGEX and values are floats in [0, 1], so %s
+        # and %r write them as json.dumps does
+        row = (',\n    {\n      "agent": %d,\n      "attacker": "%s",\n'
+               '      "attacker_value": %r,\n      "target": "%s",\n'
+               '      "target_value": %r\n    }')
+        print('{\n  "agents": %d,\n  "arguments": %d,\n  "attacks": %d,\n'
+              '  "causal_edges": %d,\n  "causality_valid": true,\n'
+              '  "maximal": %s,\n'
+              # a validated profile keeps every opinion in [0, 1]
+              '  "uniform": true,\n  "violations": ' % (
+                  doc.profile.agent_count, len(doc.framework.arguments),
+                  len(doc.framework.attacks), len(doc.causality.edges),
+                  "true" if maximal else "false"),
+              *_json_rows([row % (v.agent, v.attacker, v.attacker_value,
+                                  v.target, v.target_value)
+                           for v in violations]), "\n}", sep="")
     else:
         lines = [f"arguments: {len(doc.framework.arguments)}",
                  f"attacks: {len(doc.framework.attacks)}",

@@ -116,6 +116,15 @@ class CredalProfile:
         return tuple(self.assignment)
 
 
+def _sorted_profile(agent_count: int,
+                    assignment: dict[str, CredalSet]) -> CredalProfile:
+    # for a count in 1..MAX_AGENTS and a dict in sorted-name order of sets
+    # of that many opinions, which the caller checked
+    profile = object.__new__(CredalProfile)
+    object.__setattr__(profile, "agent_count", agent_count)
+    object.__setattr__(profile, "assignment", assignment)
+    return profile
+
 def agent_minimum(rows: Sequence[tuple[float, ...]]) -> tuple[float, ...]:
     """Per-agent minimum of equal-length value rows (the dependent rule)."""
     return rows[0] if len(rows) == 1 else tuple(map(min, *rows))

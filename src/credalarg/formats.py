@@ -39,12 +39,18 @@ Plain `arg`/`att` solver benchmarks load as-is: without any ``p``
 statements the profile defaults to all-ones, which reduces the analysis to
 classical acceptance.
 
-Canonical text, the form :func:`emit_caf` writes (one statement per
-``\n``-terminated line, no whitespace, ``%`` only at column 0, plain
-decimal opinion values), is read by a whole-text pass that checks every
-rule above on whole columns. Any other text, and any text that fails a
-check, goes to the line parser, which alone words the errors: the accepted
-language, every error and every line number are the same on both paths.
+Canonical text is the form :func:`emit_caf` and the benchmark generator
+write: one statement per ``\n``-terminated line, no whitespace, ``%`` only
+at column 0, opinion values of ``[0-9][0-9.e-]*``, and the ``p`` lines in
+one block per agent, agents ``1..M`` in order (indices in plain decimal),
+every block listing each argument once and in the order of the first.
+Lines of different kinds may interleave. A whole-text pass reads it: it
+checks every rule above on whole columns, sorts and indexes the arguments
+once, builds the framework, the causal graph and the profile over that
+one index, and takes each argument's credal set from the agent blocks,
+one column each. Any other text, and any text that fails a check, goes
+to the line parser, which alone words the errors: the accepted language,
+every error and every line number are the same on both paths.
 """
 
 from __future__ import annotations
@@ -55,9 +61,10 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
-from .af import NAME_PATTERN, NAME_REGEX, ArgumentationFramework
-from .causality import CausalityGraph, check_attack_disjointness
-from .credal import MAX_AGENTS, CredalProfile, CredalSet
+from .af import (NAME_PATTERN, NAME_REGEX, ArgumentationFramework,
+                 _framework, _sorted_index)
+from .causality import CausalityGraph, _graph, check_attack_disjointness
+from .credal import MAX_AGENTS, CredalProfile, CredalSet, _sorted_profile
 from .errors import (CausalCycleError, ParseError, UnknownArgumentError,
                      ValidationError)
 
@@ -88,8 +95,9 @@ _CANONICAL_ATT = re.compile(
 _CANONICAL_CAU = re.compile(
     r"\ncau\((" + NAME_REGEX + r"),(" + NAME_REGEX + r")\)\.(?=\n)")
 _CANONICAL_AGENTS = re.compile(r"\nagents\(([0-9]+)\)\.(?=\n)")
+# one group, so findall returns strings, not a tuple per line
 _CANONICAL_P = re.compile(
-    r"\np\(([0-9]+),(" + NAME_REGEX + r"),([0-9][0-9.e-]*)\)\.(?=\n)")
+    r"\np\(([0-9]+," + NAME_REGEX + r",[0-9][0-9.e-]*)\)\.(?=\n)")
 _CANONICAL_COMMENT = re.compile(r"\n%([ -~]*)(?=\n)")
 
 
@@ -181,7 +189,9 @@ def _parse_canonical(text: str) -> FrameworkDocument | None:
     The statements are checked here on whole columns, and the graph rules
     (declared ends, no causal self-edge, cycle or clash with an attack) by
     the constructors. No check needs a line number, since a document that
-    passes them all has none to report.
+    passes them all has none to report. The names are sorted and indexed
+    once; the framework, the graph and the profile share that tuple and
+    skip the name and pair checks the patterns have made.
     """
     if not text.endswith("\n"):
         return None
@@ -196,41 +206,59 @@ def _parse_canonical(text: str) -> FrameworkDocument | None:
     if (len(names) + len(attacks) + len(causal) + len(agents)
             + len(opinions) + len(comments) != lines or len(agents) > 1):
         return None
-    arguments = tuple(dict.fromkeys(names))
+    arguments, index = _sorted_index(names)
     try:
         count = int(agents[0]) if agents else None
-        if opinions:
-            indices, owners, tokens = zip(*opinions)
-            indices = list(map(int, indices))
-            values = list(map(float, tokens))
-    except ValueError:  # more digits than int() reads, or "1e" or "1-2"
+    except ValueError:  # more digits than int() reads
         return None
     if count is not None and not 1 <= count <= MAX_AGENTS:
         return None
     if opinions:
-        table = dict(zip(zip(indices, owners), values))
-        # distinct pairs over 1..count and the declared names, as many as
-        # the complete table has: none repeated, none missing
-        if (count is None or min(indices) < 1 or max(indices) > count
-                or not 0.0 <= min(values) <= max(values) <= 1.0
-                or not set(arguments).issuperset(owners)
-                or len(table) != len(opinions)
-                or len(table) != len(arguments) * count):
+        profile = _opinion_profile(index, count, opinions)
+        if profile is None:
             return None
-        agent_range = range(1, count + 1)
-        profile = CredalProfile(count, {
-            arg: CredalSet._trusted(tuple([table[j, arg]
-                                           for j in agent_range]))
-            for arg in arguments})
     else:
         profile = CredalProfile.maximal(arguments, count or 1)
     try:
-        graph = CausalityGraph(arguments, frozenset(causal))
-        framework = ArgumentationFramework(arguments, frozenset(attacks))
+        graph = _graph(arguments, index, frozenset(causal))
+        framework = _framework(arguments, index, frozenset(attacks))
         return FrameworkDocument(framework, profile, graph,
                                  *_metadata(comments))
     except (UnknownArgumentError, ValidationError):
         return None
+
+
+def _opinion_profile(index: dict[str, int], count: int | None,
+                     opinions: list[str]) -> CredalProfile | None:
+    """The profile of the canonical ``p`` fields (``"agent,name,value"``
+    per line), or None unless they come as one block per agent,
+    ``1..count`` in order, each listing every argument of ``index`` once,
+    in the order of the first block, with values in [0, 1]."""
+    n = len(index)
+    if count is None or len(opinions) != n * count:
+        return None
+    # one split for all lines, then every third field is one column
+    fields = ",".join(opinions).split(",")
+    indices, owners, tokens = fields[0::3], fields[1::3], fields[2::3]
+    first = owners[:n]
+    for k in range(count):
+        if (owners[k * n:(k + 1) * n] != first
+                or indices[k * n:(k + 1) * n] != [str(k + 1)] * n):
+            return None
+    try:
+        values = list(map(float, tokens))
+    except ValueError:  # "1e" or "1-2"
+        return None
+    # a value of the pattern's characters is never NaN
+    if not 0.0 <= min(values) <= max(values) <= 1.0:
+        return None
+    # each argument's credal set is its column across the agent blocks
+    by_name = dict(zip(first, zip(*[values[k * n:(k + 1) * n]
+                                    for k in range(count)])))
+    if by_name.keys() != index.keys():
+        return None
+    return _sorted_profile(count, {name: CredalSet._trusted(by_name[name])
+                                   for name in index})
 
 
 def parse_caf(text: str) -> FrameworkDocument:
@@ -307,8 +335,10 @@ def _parse_lines(text: str) -> FrameworkDocument:
         if (a, b) in attacks or (b, a) in attacks:
             raise ParseError(
                 line, f"causal edge ({a},{b}) clashes with an attack")
+    # the grammar matched every name, and the ends were checked above
+    arguments, index = _sorted_index(arg_lines)
     try:
-        graph = CausalityGraph(tuple(arg_lines), frozenset(causal))
+        graph = _graph(arguments, index, frozenset(causal))
     except CausalCycleError as exc:
         line = min(causal[e] for e in zip(exc.nodes, exc.nodes[1:]))
         raise ParseError(line, str(exc)) from None
@@ -337,7 +367,7 @@ def _parse_lines(text: str) -> FrameworkDocument:
     else:
         profile = CredalProfile.maximal(arg_lines, agents or 1)
 
-    framework = ArgumentationFramework(tuple(arg_lines), frozenset(attacks))
+    framework = _framework(arguments, index, frozenset(attacks))
     return FrameworkDocument(framework, profile, graph, *_metadata(comments))
 
 

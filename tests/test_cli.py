@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,7 @@ from credalarg import (Extension, ProbabilityInterval, cli,
                        rank_extensions)
 from credalarg.bounds import BoundsResult
 from credalarg.cli import main
+from credalarg.credal import is_maximal, rationality_report
 from credalarg.formats import emit_caf, parse_caf
 from randgen import random_document
 
@@ -264,6 +266,32 @@ class TestCheck:
         assert data["maximal"] is False
         assert len(data["violations"]) == 3
 
+    def test_json_is_the_json_dumps_text(self, capsys, tmp_path, diagnosis):
+        path = tmp_path / "doc.caf"
+        rng = random.Random(0xC4EC)
+        texts = [THREE_CYCLE, emit_caf(diagnosis)] + [
+            emit_caf(random_document(rng)) for _ in range(40)]
+        with_violations = without = 0
+        for text in texts:
+            path.write_text(text)
+            doc = parse_caf(text)
+            violations = rationality_report(doc.profile, doc.framework)
+            _, out, _ = run(capsys, "check", "--input", str(path),
+                            "--format", "json")
+            assert out == json.dumps(
+                {"arguments": len(doc.framework.arguments),
+                 "attacks": len(doc.framework.attacks),
+                 "causal_edges": len(doc.causality.edges),
+                 "agents": doc.profile.agent_count,
+                 "causality_valid": True,
+                 "maximal": is_maximal(doc.profile),
+                 "uniform": True,
+                 "violations": [dataclasses.asdict(v) for v in violations]},
+                indent=2, sort_keys=True) + "\n"
+            with_violations += bool(violations)
+            without += not violations
+        # the 3-cycle has no opinions, so all three attacks are violated
+        assert with_violations and without
 
     def test_huge_agent_count_exits_2(self, capsys, tmp_path):
         path = tmp_path / "crowd.caf"
@@ -424,6 +452,19 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert "export-dot writes DOT only, not --format json" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--semantics", "gr", "--tolerance", "5"),
+        ("check", "--max-args", "3"),
+        ("export-dot", "--tolerance", "0.5", "--max-args", "1"),
+        ("rank", "--semantics", "cf", "--tolerance", "7"),
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+            self, capsys, diagnosis_caf, argv):
+        code, out, err = run(capsys, *argv, "--input", diagnosis_caf)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_set_and_semantics_conflict(self, capsys, diagnosis_caf):
         code, _, _ = run(capsys, "bounds", "--input", diagnosis_caf,

@@ -611,8 +611,31 @@ def _end(ending: str):
     return mutate
 
 
-# One-line changes to canonical text. Each keeps the text canonical or
-# not, valid or not, as it falls, so both paths meet the reference parser.
+def _swap_in_block(rng, lines, args):
+    # two opinions of one agent trade lines
+    agent = lines[_line_of(rng, lines, "p(")].split(",")[0] + ","
+    i, j = rng.sample([k for k, line in enumerate(lines)
+                       if line.startswith(agent)], 2)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _move_block(rng, lines, args):
+    # one agent's block of opinions moves before an earlier agent's
+    agents = list(dict.fromkeys(line.split(",")[0] + "," for line in lines
+                                if line.startswith("p(")))
+    if len(agents) < 2:
+        return
+    k = rng.randrange(1, len(agents))
+    block = [line for line in lines if line.startswith(agents[k])]
+    rest = [line for line in lines if not line.startswith(agents[k])]
+    at = rest.index(next(line for line in rest
+                         if line.startswith(rng.choice(agents[:k]))))
+    lines[:] = rest[:at] + block + rest[at:]
+
+
+# Changes to canonical text, most of one line. Each keeps the text
+# canonical or not, valid or not, as it falls, so both paths meet the
+# reference parser.
 _MUTATIONS = {
     "space": _space,
     "+2": _opinion_field(0, "+2"),
@@ -631,10 +654,23 @@ _MUTATIONS = {
     "blank line": _insert(lambda rng, lines, args: [""]),
     "trailing comment": _end(" % note"),
     "\\r\\n ending": _end("\r"),
+    "opinions swapped in a block": _swap_in_block,
+    "agent blocks reordered": _move_block,
 }
 
 
 class TestCanonicalPass:
+    def test_framework_and_graph_share_one_argument_tuple(self, diagnosis):
+        # so a framework mask is a graph mask, on either path
+        texts = [emit_caf(diagnosis), "arg(b). arg(a).\natt(a,b).\n",
+                 "arg(c).\narg(b).\narg(a).\ncau(c,a).\n"]
+        for text in texts:
+            for variant in (text, text.replace("\n", " \n")):
+                doc = parse_caf(variant)
+                assert doc.causality.arguments is doc.framework.arguments
+                assert doc.framework.arguments == tuple(
+                    sorted(doc.profile.assignment))
+
     def test_mutated_canonical_texts_match_the_reference_parser(self,
                                                                 diagnosis):
         from credalarg import formats
