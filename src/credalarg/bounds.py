@@ -18,21 +18,22 @@ consumed by exactly one part — anything else is refused with
 :class:`~credalarg.errors.CoverageError` instead of silently producing a
 meaningless product.
 
-:func:`mask_bounds` computes bounds over member masks: anchors, groups,
-coverage checks and singles are ``&``/``|`` on the graph's closure masks,
-and a row is ``(lower, upper, case)`` or the refusal text, with no name
-decoded. :func:`extension_bounds` wraps the same core for one named set.
+:func:`mask_bounds` is the one kernel, a flat loop over member masks:
+anchors, groups, coverage checks and singles are ``&``/``|`` on the
+graph's closure masks, and a row is ``(lower, upper, case)`` or the
+refusal text, with no name decoded. :func:`extension_bounds` runs it on
+the mask of one checked, named set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .af import Extension, set_bits
 from .causality import CausalityGraph
-from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
-                     agent_product)
+from .credal import CredalProfile, ProbabilityInterval, agent_minimum
 from .errors import CoverageError, ValidationError
 
 EMPTY_CASE = "empty"
@@ -83,49 +84,6 @@ def _group_masks(graph: CausalityGraph, mask: int, anchors: int) -> list:
             for top in set_bits(anchors)]
 
 
-def _mask_row(graph: CausalityGraph, rows, mask: int, anchors: int,
-              minima: dict):
-    if not mask:
-        return 0.0, 1.0, EMPTY_CASE
-    names = graph.arguments
-    # parts[lowest bit of a part] = its per-agent values; parts are
-    # disjoint, so ordering by lowest bit is ordering by sorted members
-    parts = {}
-    grouped = 0
-    groups = _group_masks(graph, mask, anchors)
-    for top, inside in groups:
-        clash = inside & grouped
-        if clash:
-            low = clash & -clash
-            first = next(t for t, other in groups if other & low)
-            return (f"causal groups anchored at {names[first]!r} and "
-                    f"{names[top]!r} overlap on "
-                    f"{names[low.bit_length() - 1]!r}")
-        grouped |= inside
-        values = minima.get(inside)
-        if values is None:
-            values = minima[inside] = agent_minimum(
-                [rows[i] for i in set_bits(inside)])
-        parts[(inside & -inside).bit_length() - 1] = values
-
-    singles = mask & graph.isolated_mask | graph.free_mask(mask, anchors)
-    stray = mask & ~(grouped | singles) | grouped & singles
-    if stray:
-        i = (stray & -stray).bit_length() - 1
-        if not grouped >> i & 1:
-            return (f"member {names[i]!r} not reachable by any causal "
-                    f"group, isolated or free part")
-        return f"member {names[i]!r} consumed 2 times by the causal grouping"
-    for i in set_bits(singles):
-        parts[i] = rows[i]
-    products = agent_product([parts[i] for i in sorted(parts)])
-    lower, upper = min(products), max(products)
-    if not 0.0 <= lower <= upper <= 1.0:
-        raise ValidationError(
-            f"not a probability interval: ({lower}, {upper})")
-    return lower, upper, ALGORITHM_CASE if mask & mask - 1 else SINGLETON_CASE
-
-
 def value_rows(profile: CredalProfile, graph: CausalityGraph) -> list[tuple]:
     """The opinion values of each of the graph's arguments, by bit."""
     return [profile.credal_set(name).values for name in graph.arguments]
@@ -141,9 +99,71 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
     graph. Factors multiply in ascending lowest-bit order, so intervals are
     bit-reproducible; a group's per-agent minimum is computed once a call.
     """
-    minima: dict[int, tuple] = {}
-    return [_mask_row(graph, rows, mask, graph.anchor_mask(mask), minima)
-            for mask in masks]
+    names = graph.arguments
+    ancestors = graph.ancestor_masks
+    anchor_mask, free_mask = graph.anchor_mask, graph.free_mask
+    isolated = graph.isolated_mask
+    minima: dict[int, Sequence[float]] = {}
+    results = []
+    for mask in masks:
+        if not mask:
+            results.append((0.0, 1.0, EMPTY_CASE))
+            continue
+        anchors = rest = anchor_mask(mask)
+        # (lowest bit, values) per part; parts are disjoint, so ordering by
+        # lowest bit is ordering by sorted members
+        parts = []
+        grouped = clash = 0
+        while rest:
+            top = rest & -rest
+            rest ^= top
+            inside = ancestors[top.bit_length() - 1] & mask | top
+            clash = inside & grouped
+            if clash:  # name the first group that holds the lowest clash
+                low = clash & -clash
+                first = next(t for t, group in
+                             _group_masks(graph, mask, anchors) if group & low)
+                results.append(
+                    f"causal groups anchored at {names[first]!r} and "
+                    f"{names[top.bit_length() - 1]!r} overlap on "
+                    f"{names[low.bit_length() - 1]!r}")
+                break
+            grouped |= inside
+            values = minima.get(inside)
+            if values is None:
+                values = minima[inside] = agent_minimum(
+                    [rows[i] for i in set_bits(inside)])
+            parts.append((inside & -inside, values))
+        if clash:
+            continue
+
+        singles = mask & isolated | free_mask(mask, anchors)
+        stray = mask & ~(grouped | singles) | grouped & singles
+        if stray:
+            low = stray & -stray
+            name = names[low.bit_length() - 1]
+            results.append(
+                f"member {name!r} consumed 2 times by the causal grouping"
+                if grouped & low else f"member {name!r} not reachable by "
+                "any causal group, isolated or free part")
+            continue
+        while singles:
+            bit = singles & -singles
+            parts.append((bit, rows[bit.bit_length() - 1]))
+            singles ^= bit
+        parts.sort()
+        products = parts[0][1]
+        for _, values in parts[1:]:
+            # one step at a time: a chain of lazy maps nests one C call per
+            # part and overflows the stack on a large extension
+            products = list(map(mul, products, values))
+        lower, upper = min(products), max(products)
+        if not 0.0 <= lower <= upper <= 1.0:
+            raise ValidationError(
+                f"not a probability interval: ({lower}, {upper})")
+        results.append((lower, upper,
+                        ALGORITHM_CASE if mask & mask - 1 else SINGLETON_CASE))
+    return results
 
 
 def extension_bounds(members: Extension | Iterable[str],
@@ -151,14 +171,13 @@ def extension_bounds(members: Extension | Iterable[str],
                      graph: CausalityGraph) -> BoundsResult:
     """Bounds of an extension: (0, 1) if empty, else via causal grouping.
 
-    Checks the members against ``profile`` and ``graph``, then runs the
-    core of :func:`mask_bounds` on their mask; raises its refusal as
+    Checks the members against ``profile`` and ``graph``, then runs
+    :func:`mask_bounds` on their mask; raises its refusal as
     ``CoverageError``. A singleton reports its own case and no groups.
     """
     ext = _as_extension(members)
     mask, rows = _check_domains(ext, profile, graph)
-    anchors = graph.anchor_mask(mask)
-    result = _mask_row(graph, rows, mask, anchors, {})
+    result = mask_bounds(graph, rows, [mask])[0]
     if isinstance(result, str):
         raise CoverageError(result)
     lower, upper, case = result
@@ -167,7 +186,8 @@ def extension_bounds(members: Extension | Iterable[str],
         names = graph.arguments
         groups = tuple(
             CausalGroup(names[top], tuple(names[i] for i in set_bits(inside)))
-            for top, inside in _group_masks(graph, mask, anchors))
+            for top, inside in _group_masks(graph, mask,
+                                            graph.anchor_mask(mask)))
     return BoundsResult(ext, ProbabilityInterval(lower, upper), case, groups)
 
 

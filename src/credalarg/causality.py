@@ -110,10 +110,12 @@ class CausalityGraph:
         ancestor of no other member; each one roots a dependent group made
         of itself plus its in-set ancestors.
         """
-        effects = members & self.effect_mask
-        covered = 0
-        for i in set_bits(effects):
-            covered |= self.ancestor_masks[i]
+        effects = rest = members & self.effect_mask
+        ancestors, covered = self.ancestor_masks, 0
+        while rest:
+            low = rest & -rest
+            covered |= ancestors[low.bit_length() - 1]
+            rest ^= low
         return effects & ~covered
 
     def free_mask(self, members: int, anchors: int) -> int:
@@ -123,9 +125,14 @@ class CausalityGraph:
         members' ``ancestor_masks`` instead would give the transitive
         reading); ``anchors`` are excluded since they already root a group.
         """
-        candidates = members & self.cause_mask & ~anchors
-        return sum(1 << i for i in set_bits(candidates)
-                   if not self.child_masks[i] & members)
+        children, free = self.child_masks, 0
+        rest = members & self.cause_mask & ~anchors
+        while rest:
+            low = rest & -rest
+            if not children[low.bit_length() - 1] & members:
+                free |= low
+            rest ^= low
+        return free
 
 
 def check_attack_disjointness(graph: CausalityGraph,

@@ -6,10 +6,10 @@ graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 (heuristic interval ordering).
 
 Each command builds its rows once and renders them here, as text lines or
-as a payload for :func:`~credalarg.formats.emit_json`; ``solve`` and
-``check`` write their JSON text straight from the rows, one piece per
-row, joined by one list writer. ``solve``,
-``bounds`` and ``rank`` take the ``(members, mask)`` rows of
+as JSON text written straight from the rows, one piece per row, joined by
+one list writer (only ``bounds --paper-fixtures`` builds a payload for
+:func:`~credalarg.formats.emit_json`). ``solve``, ``bounds`` and ``rank``
+take the ``(members, mask)`` rows of
 :meth:`~credalarg.af.ArgumentationFramework.extension_rows`; ``bounds``
 and ``rank`` compute every interval from the masks in one
 :func:`~credalarg.bounds.mask_bounds` call and write the member names
@@ -17,7 +17,8 @@ straight from the row, so no ``Extension`` or ``BoundsResult`` is built
 per row (``bounds --set`` names one set and calls ``extension_bounds``).
 ``--oracle`` and ``--paper-fixtures`` share one tolerance test. Each
 subcommand declares only the flags it reads, so any other flag is a
-usage error.
+usage error; so is ``--max-args`` beside ``bounds --set`` or
+``--paper-fixtures``, which enumerate nothing.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
 a missing input file), 3 enumeration cap exceeded.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS
 from .bounds import (agent_valuation_oracle, extension_bounds, mask_bounds,
@@ -71,14 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="output_format", help="output format")
     # solve, bounds and rank enumerate; only bounds compares intervals
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--max-args", type=int, default=DEFAULT_MAX_ARGS,
-                        metavar="N", help="enumeration cap on the argument "
-                        "count (default %(default)s)")
+    # None until _check_args, so that a cap nothing reads can be refused
+    capped.add_argument("--max-args", type=int, metavar="N",
+                        help="enumeration cap on the argument count "
+                             f"(default {DEFAULT_MAX_ARGS})")
 
     # fields that only some subcommands define
     parser.set_defaults(semantics=None, explicit_set=None, use_oracle=False,
-                        strict=False, paper_fixtures=False,
-                        max_args=DEFAULT_MAX_ARGS,
+                        strict=False, paper_fixtures=False, max_args=None,
                         tolerance=DEFAULT_TOLERANCE)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -135,8 +137,13 @@ def _resolve_semantics(token: str | None, parser: argparse.ArgumentParser):
 
 def _check_args(ns: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> None:
-    """Validate ``ns`` and normalize its set list and semantics in place."""
-    if ns.max_args < 1:
+    """Validate ``ns``; normalize its set list, semantics and cap in place."""
+    if ns.max_args is None:
+        ns.max_args = DEFAULT_MAX_ARGS
+    elif ns.command == "bounds" and ns.semantics is None:
+        parser.error("%s reads no --max-args" % (
+            "--paper-fixtures" if ns.paper_fixtures else "--set"))
+    elif ns.max_args < 1:
         parser.error("--max-args must be >= 1")
     if not ns.tolerance > 0:  # also rejects NaN
         parser.error("--tolerance must be > 0")
@@ -227,23 +234,32 @@ def _oracle_check(ns: argparse.Namespace, doc: FrameworkDocument,
     return oracle, not _deviations(*result[:2], oracle, ns.tolerance)
 
 
-def _bounds_entry(names: tuple[str, ...], result, oracle=None,
-                  match=None) -> dict:
-    """The JSON entry of a row: ``{members, lower, upper, case}`` or
-    ``{members, error}``, plus the oracle's fields when it ran."""
+def _bounds_json(names: tuple[str, ...], result, oracle=None, match=None,
+                rank=None) -> str:
+    """The ``json.dumps(indent=2, sort_keys=True)`` text, led by its
+    ``",\n    "`` for :func:`_json_rows`, of a row's ``{members, lower,
+    upper, case}`` or ``{members, error}``, plus the oracle's fields and the
+    ``rank`` when given. Names match NAME_REGEX and the bounds are finite
+    floats, so ``%s`` and ``%r`` write them as json.dumps does."""
     if isinstance(result, str):
-        entry = {"members": list(names), "error": result}
+        fields = ['"error": ' + encode_basestring_ascii(result)]
     else:
-        lower, upper, case = result
-        entry = {"members": list(names), "lower": lower, "upper": upper,
-                 "case": case}
-    if isinstance(oracle, str):
-        entry["oracle_error"] = oracle
-    elif oracle is not None:
-        entry.update(oracle_lower=oracle.lower, oracle_upper=oracle.upper)
-    if match is not None:
-        entry["oracle_match"] = match
-    return entry
+        fields = ['"case": "%s"' % result[2], '"lower": %r' % result[0]]
+    fields.append('"members": [\n        "%s"\n      ]'
+                  % '",\n        "'.join(names) if names else '"members": []')
+    if oracle is not None:  # then so is match, see _oracle_check
+        verdict = '"oracle_match": ' + ("true" if match else "false")
+        if isinstance(oracle, str):
+            fields += ['"oracle_error": ' + encode_basestring_ascii(oracle),
+                       verdict]
+        else:
+            fields += ['"oracle_lower": %r' % oracle.lower, verdict,
+                       '"oracle_upper": %r' % oracle.upper]
+    if rank is not None:
+        fields.append('"rank": %d' % rank)
+    if not isinstance(result, str):
+        fields.append('"upper": %r' % result[1])
+    return ",\n    {\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 def _bounds_line(names: tuple[str, ...], result, oracle=None, match=None,
@@ -281,8 +297,10 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
     rows = [(names, result, *_oracle_check(ns, doc, names, result))
             for names, result in pairs]
     if ns.output_format == "json":
-        print(emit_json({"semantics": ns.semantics, "extensions": [
-            _bounds_entry(*row) for row in rows]}))
+        print('{\n  "extensions": ', *_json_rows([_bounds_json(*row)
+                                                  for row in rows]),
+              ',\n  "semantics": %s\n}' % (
+                  '"%s"' % ns.semantics if ns.semantics else "null"), sep="")
     elif rows:
         print("\n".join([_bounds_line(*row, use_oracle=ns.use_oracle)
                          for row in rows]))
@@ -375,11 +393,12 @@ def cmd_rank(ns: argparse.Namespace) -> int:
                     key=lambda pair: rank_key(*pair[1][:2], pair[0]))
     refused = [pair for pair in pairs if isinstance(pair[1], str)]
     if ns.output_format == "json":
-        print(emit_json({
-            "semantics": ns.semantics,
-            "extensions": [{**_bounds_entry(*row), "rank": i}
-                           for i, row in enumerate(ranked, start=1)],
-            "unranked": [_bounds_entry(*row) for row in refused]}))
+        print('{\n  "extensions": ', *_json_rows([
+            _bounds_json(names, result, rank=i)
+            for i, (names, result) in enumerate(ranked, start=1)]),
+            ',\n  "semantics": "%s",\n  "unranked": ' % ns.semantics,
+            *_json_rows([_bounds_json(*row) for row in refused]), "\n}",
+            sep="")
     else:
         lines = [f"{i}. {_braced(names)} {_fmt(*result[:2])}"
                  for i, (names, result) in enumerate(ranked, start=1)]

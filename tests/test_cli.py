@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from credalarg import (Extension, ProbabilityInterval, cli,
-                       rank_extensions)
+from credalarg import (CoverageError, Extension, ProbabilityInterval, cli,
+                       extension_bounds, rank_extensions)
 from credalarg.bounds import BoundsResult
 from credalarg.cli import main
 from credalarg.credal import is_maximal, rationality_report
@@ -114,6 +114,47 @@ class TestSolve:
         assert no_extensions and no_members
 
 
+def _bounds_entries(doc, extensions, oracle=None,
+                    tolerance=cli.DEFAULT_TOLERANCE):
+    """The JSON entries of ``bounds`` over ``extensions``, built from the
+    library: ``(entry, result)`` pairs, ``result`` None for a refusal."""
+    pairs = []
+    for names in extensions:
+        entry = {"members": list(names)}
+        try:
+            result = extension_bounds(names, doc.profile, doc.causality)
+        except CoverageError as exc:
+            result = None
+            entry["error"] = str(exc)
+        else:
+            entry.update(lower=result.interval.lower,
+                         upper=result.interval.upper, case=result.case)
+        if oracle is not None and names:
+            try:
+                found = oracle(names, doc.profile, doc.causality)
+            except CoverageError as exc:
+                entry.update(oracle_error=str(exc),
+                             oracle_match=result is None)
+            else:
+                entry.update(oracle_lower=found.lower,
+                             oracle_upper=found.upper,
+                             oracle_match=result is not None and all(
+                                 abs(a - b) <= tolerance for a, b in (
+                                     (found.lower, result.interval.lower),
+                                     (found.upper, result.interval.upper))))
+        pairs.append((entry, result))
+    return pairs
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# documents with and without causal edges, so with and without refusals
+BOUNDS_DOCUMENTS = [THREE_CYCLE] + [
+    emit_caf(random_document(random.Random(seed))) for seed in range(30)]
+
+
 class TestBounds:
     def test_explicit_singleton(self, capsys, diagnosis_caf):
         code, out, _ = run(capsys, "bounds", "--input", diagnosis_caf,
@@ -195,6 +236,53 @@ class TestBounds:
         assert {f["label"]: f["deviates"]
                 for f in json.loads(out)["fixtures"] if f["deviates"]} \
             == flagged
+
+    def test_json_is_the_json_dumps_text(self, capsys, tmp_path,
+                                         monkeypatch):
+        path = tmp_path / "doc.caf"
+        oracle = cli.agent_valuation_oracle
+
+        def shifted(*args):  # moves every interval the oracle accepts
+            interval = oracle(*args)
+            return ProbabilityInterval(interval.lower / 2, interval.upper)
+
+        seen = set()
+        for i, text in enumerate(BOUNDS_DOCUMENTS):
+            path.write_text(text)
+            doc = parse_caf(text)
+            src = ("--input", str(path), "--format", "json")
+            # every third document runs the shifted oracle, so rows that
+            # accept can mismatch it
+            check = shifted if i % 3 == 2 else oracle
+            monkeypatch.setattr(cli, "agent_valuation_oracle", check)
+            for code, semantics in cli.SEMANTICS_CODES.items():
+                extensions = [names for names, _ in
+                              doc.framework.extension_rows(semantics)]
+                for flags, oracle_fn in (((), None),
+                                         (("--oracle",), check)):
+                    _, out, _ = run(capsys, "bounds", *src,
+                                    "--semantics", code, *flags)
+                    entries = [entry for entry, _ in _bounds_entries(
+                        doc, extensions, oracle_fn)]
+                    assert out == _dumps({"semantics": semantics,
+                                          "extensions": entries})
+                    for entry in entries:
+                        seen.update(entry)
+                        seen.add(entry.get("case"))
+                        seen.add(("match", entry.get("oracle_match")))
+            # --set names one accepted conflict-free set
+            cf = [names for names, _ in
+                  doc.framework.extension_rows("conflict-free")]
+            accepted = [names for names, (_, result) in zip(
+                cf, _bounds_entries(doc, cf)) if result is not None]
+            named = accepted[len(accepted) // 2]
+            _, out, _ = run(capsys, "bounds", *src, "--set", ",".join(named))
+            assert out == _dumps({"semantics": None, "extensions": [
+                entry for entry, _ in _bounds_entries(doc, [named])]})
+        # refusals by both sides, the empty extension, and the oracle both
+        # agreeing and disagreeing all occurred
+        assert {"error", "oracle_error", "oracle_lower", "empty",
+                ("match", True), ("match", False)} <= seen
 
     def test_oracle_mismatch_beyond_the_tolerance(self, capsys,
                                                   diagnosis_caf,
@@ -353,6 +441,34 @@ class TestRank:
         assert [e["rank"] for e in ranked] == list(range(1, len(ranked) + 1))
 
 
+    def test_json_is_the_json_dumps_text(self, capsys, tmp_path):
+        path = tmp_path / "doc.caf"
+        with_unranked = without = 0
+        for text in BOUNDS_DOCUMENTS:
+            path.write_text(text)
+            doc = parse_caf(text)
+            for code, semantics in cli.SEMANTICS_CODES.items():
+                _, out, _ = run(capsys, "rank", "--input", str(path),
+                                "--semantics", code, "--format", "json")
+                pairs = _bounds_entries(doc, [
+                    names for names, _ in
+                    doc.framework.extension_rows(semantics)])
+                entries = {tuple(entry["members"]): entry
+                           for entry, result in pairs if result is not None}
+                ranked = rank_extensions(
+                    [result for _, result in pairs if result is not None])
+                unranked = [entry for entry, result in pairs
+                            if result is None]
+                assert out == _dumps({
+                    "semantics": semantics,
+                    "extensions": [
+                        {**entries[result.extension.members], "rank": i}
+                        for i, result in enumerate(ranked, start=1)],
+                    "unranked": unranked})
+                with_unranked += bool(unranked)
+                without += not unranked
+        assert with_unranked and without
+
     def test_order_is_the_rank_extensions_order_ties_included(
             self, capsys, tmp_path):
         # {}, {a}, {b}, {c}, {a,d}, {b,d} and {c,d} all have midpoint 0.5,
@@ -458,13 +574,19 @@ class TestUsage:
         ("check", "--max-args", "3"),
         ("export-dot", "--tolerance", "0.5", "--max-args", "1"),
         ("rank", "--semantics", "cf", "--tolerance", "7"),
+        # bounds reads the cap only when it enumerates a semantics
+        ("bounds", "--set", "A", "--max-args", "3"),
+        ("bounds", "--paper-fixtures", "--max-args", "3"),
     ])
     def test_flag_the_command_does_not_read_is_a_usage_error(
             self, capsys, diagnosis_caf, argv):
-        code, out, err = run(capsys, *argv, "--input", diagnosis_caf)
+        if "--paper-fixtures" not in argv:
+            argv += ("--input", diagnosis_caf)
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert "unrecognized arguments" in err
+        assert ("%s reads no --max-args" % argv[1] if argv[0] == "bounds"
+                else "unrecognized arguments") in err
 
     def test_set_and_semantics_conflict(self, capsys, diagnosis_caf):
         code, _, _ = run(capsys, "bounds", "--input", diagnosis_caf,
