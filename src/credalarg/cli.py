@@ -20,6 +20,10 @@ subcommand declares only the flags it reads, so any other flag is a
 usage error; so is ``--max-args`` beside ``bounds --set`` or
 ``--paper-fixtures``, which enumerate nothing.
 
+The argparse parser is built on the first :func:`main` call and kept for
+the life of the process, so ``main`` may be called repeatedly in one
+process and each call only parses and runs its own command.
+
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
 a missing input file), 3 enumeration cap exceeded.
 """
@@ -27,13 +31,14 @@ a missing input file), 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from json.encoder import encode_basestring_ascii
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS
 from .bounds import (agent_valuation_oracle, extension_bounds, mask_bounds,
                      rank_key, value_rows)
-from .credal import is_maximal, rationality_report
+from .credal import is_maximal, rationality_rows
 from .errors import CapExceededError, CoverageError, CredalArgError
 from .formats import FrameworkDocument, emit_json, export_dot, load_caf
 from .samples import REPORTED_FIXTURES, diagnosis_document
@@ -62,7 +67,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main` call.
+
+    It is configuration only: every ``parse_args`` call makes a fresh
+    ``Namespace`` and argparse looks up ``sys.stdout`` and ``sys.stderr``
+    when it prints, so ``main`` may be called repeatedly in one process.
+    """
     parser = _Parser(prog="credalarg",
                      description="argumentation analysis under imprecise, "
                                  "multi-agent opinions")
@@ -341,7 +353,7 @@ def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
 
 def cmd_check(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
-    violations = rationality_report(doc.profile, doc.framework)
+    violations = rationality_rows(doc.profile, doc.framework)
     maximal = is_maximal(doc.profile)
     if ns.output_format == "json":
         # the json.dumps(indent=2, sort_keys=True) text of the report:
@@ -358,9 +370,10 @@ def cmd_check(ns: argparse.Namespace) -> int:
                   doc.profile.agent_count, len(doc.framework.arguments),
                   len(doc.framework.attacks), len(doc.causality.edges),
                   "true" if maximal else "false"),
-              *_json_rows([row % (v.agent, v.attacker, v.attacker_value,
-                                  v.target, v.target_value)
-                           for v in violations]), "\n}", sep="")
+              *_json_rows([row % (agent, attacker, attacker_value, target,
+                                  target_value)
+                           for agent, attacker, target, attacker_value,
+                           target_value in violations]), "\n}", sep="")
     else:
         lines = [f"arguments: {len(doc.framework.arguments)}",
                  f"attacks: {len(doc.framework.attacks)}",
@@ -370,9 +383,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
                  f"maximal: {'yes' if maximal else 'no'}",
                  "uniform: yes",
                  f"rationality-violations: {len(violations)}"]
-        lines += [f"  agent {v.agent}: attack ({v.attacker},{v.target}) "
-                  f"believed {v.attacker_value!r} and {v.target_value!r}"
-                  for v in violations]
+        lines += ["  agent %d: attack (%s,%s) believed %r and %r" % row
+                  for row in violations]
         print("\n".join(lines))
     if ns.strict and violations:
         return EXIT_INVALID

@@ -184,22 +184,32 @@ class RationalityViolation:
     target_value: float
 
 
-def rationality_report(profile: CredalProfile,
-                       af: "ArgumentationFramework") -> list[RationalityViolation]:
+def rationality_rows(
+        profile: CredalProfile, af: "ArgumentationFramework",
+) -> list[tuple[int, str, str, float, float]]:
     """Scan every agent against every attack.
 
     An opinion is rational when believing an attacker above 0.5 forces the
     attacked argument to at most 0.5. Violations are diagnostics, never a
     rejection: perfectly sensible multi-agent tables break the rule.
+    Each violation is an ``(agent, attacker, target, attacker_value,
+    target_value)`` row (agent 1-based), agent first, then the sorted
+    attacks: the :class:`RationalityViolation` field order and sort order.
     """
     rows = [(attacker, target, profile.credal_set(attacker).values,
              profile.credal_set(target).values)
             for attacker, target in sorted(af.attacks)]
-    # agent first, then the sorted attacks: the dataclass order, built as is
-    return [RationalityViolation(j + 1, attacker, target, a[j], t[j])
+    return [(j + 1, attacker, target, a[j], t[j])
             for j in range(profile.agent_count)
             for attacker, target, a, t in rows
             if a[j] > 0.5 and t[j] > 0.5]
+
+
+def rationality_report(profile: CredalProfile,
+                       af: "ArgumentationFramework") -> list[RationalityViolation]:
+    """The rows of :func:`rationality_rows` as violations, in order."""
+    return [RationalityViolation(*row)
+            for row in rationality_rows(profile, af)]
 
 
 def is_maximal(profile: CredalProfile) -> bool:

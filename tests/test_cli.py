@@ -593,6 +593,43 @@ class TestUsage:
                          "--set", "A", "--semantics", "gr")
         assert code == 1
 
+    def test_repeated_calls_print_the_same_bytes(self, capsys,
+                                                 diagnosis_caf):
+        # main keeps one parser per process: no call may change the next.
+        # Usage errors found after parsing print the top-level usage line,
+        # as argparse does for unrecognized arguments
+        usage = ("usage: credalarg [-h] "
+                 "{solve,bounds,check,export-dot,rank} ...")
+        src = ("--input", diagnosis_caf)
+        errors = {
+            ("solve", *src, "--semantics", "xx"):
+                "unknown semantics 'xx' (use one of cf|ad|co|pr|gr|st)",
+            ("solve", *src, "--semantics", "gr", "--max-args", "0"):
+                "--max-args must be >= 1",
+            ("bounds", "--paper-fixtures", "--bogus"):
+                "unrecognized arguments: --bogus",
+            (): "the following arguments are required: command",
+        }
+        calls = [("solve", *src, "--semantics", "gr"), *errors,
+                 ("--help",), ("solve", "--help")]
+        first, second = [[run(capsys, *argv) for argv in calls]
+                         for _ in range(2)]
+        assert first == second
+        assert first[0] == (0, "{C,D,E,F,G,H}\n", "")
+        for (code, out, err), message in zip(first[1:], errors.values()):
+            assert (code, out) == (1, "")
+            assert err == f"{usage}\ncredalarg: error: {message}\n"
+        for (code, out, err), prog in zip(first[-2:], ("credalarg",
+                                                      "credalarg solve")):
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: {prog} [-h]")
+
+        bounds = ("bounds", *src, "--semantics", "cf")
+        _, with_oracle, _ = run(capsys, *bounds, "--oracle")
+        _, plain, _ = run(capsys, *bounds)
+        assert " oracle=" in with_oracle
+        assert plain and " oracle=" not in plain
+
     def test_byte_determinism(self, capsys, diagnosis_caf):
         args = ("bounds", "--input", diagnosis_caf, "--semantics", "cf",
                 "--format", "json")
