@@ -28,12 +28,13 @@ the mask of one checked, named set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .af import Extension, set_bits
 from .causality import CausalityGraph
-from .credal import CredalProfile, ProbabilityInterval, agent_minimum
+from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
+                     agent_product)
 from .errors import CoverageError, ValidationError
 
 EMPTY_CASE = "empty"
@@ -152,11 +153,7 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
             parts.append((bit, rows[bit.bit_length() - 1]))
             singles ^= bit
         parts.sort()
-        products = parts[0][1]
-        for _, values in parts[1:]:
-            # one step at a time: a chain of lazy maps nests one C call per
-            # part and overflows the stack on a large extension
-            products = list(map(mul, products, values))
+        products = agent_product(map(itemgetter(1), parts))
         lower, upper = min(products), max(products)
         if not 0.0 <= lower <= upper <= 1.0:
             raise ValidationError(

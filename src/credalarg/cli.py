@@ -7,18 +7,18 @@ graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 
 Each command builds its rows once and renders them here, as text lines or
 as JSON text written straight from the rows, one piece per row, joined by
-one list writer (only ``bounds --paper-fixtures`` builds a payload for
-:func:`~credalarg.formats.emit_json`). ``solve``, ``bounds`` and ``rank``
-take the ``(members, mask)`` rows of
-:meth:`~credalarg.af.ArgumentationFramework.extension_rows`; ``bounds``
-and ``rank`` compute every interval from the masks in one
-:func:`~credalarg.bounds.mask_bounds` call and write the member names
-straight from the row, so no ``Extension`` or ``BoundsResult`` is built
-per row (``bounds --set`` names one set and calls ``extension_bounds``).
-``--oracle`` and ``--paper-fixtures`` share one tolerance test. Each
-subcommand declares only the flags it reads, so any other flag is a
-usage error; so is ``--max-args`` beside ``bounds --set`` or
-``--paper-fixtures``, which enumerate nothing.
+one list writer (only the 5 ``--paper-fixtures`` rows go through
+``json.dumps``, as :func:`~credalarg.formats.emit_json`). ``bounds``
+and ``rank`` compute every interval of the ``(members, mask)`` rows of
+:meth:`~credalarg.af.ArgumentationFramework.extension_rows`, or of the
+bundled fixture sets, in one :func:`~credalarg.bounds.mask_bounds` call,
+so no ``Extension`` or ``BoundsResult`` is built per row (``bounds
+--set`` names one set and calls ``extension_bounds``). ``--oracle`` and
+``--paper-fixtures`` share one tolerance test. Each subcommand declares
+only the flags it reads, so any other flag is a usage error; so are
+``--max-args`` beside ``bounds --set`` or ``--paper-fixtures``, which
+enumerate nothing, and ``--tolerance`` without either, which compare
+nothing.
 
 The argparse parser is built on the first :func:`main` call and kept for
 the life of the process, so ``main`` may be called repeatedly in one
@@ -85,15 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="output_format", help="output format")
     # solve, bounds and rank enumerate; only bounds compares intervals
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    # None until _check_args, so that a cap nothing reads can be refused
     capped.add_argument("--max-args", type=int, metavar="N",
                         help="enumeration cap on the argument count "
                              f"(default {DEFAULT_MAX_ARGS})")
 
-    # fields that only some subcommands define
+    # fields that only some subcommands define; --max-args and --tolerance
+    # stay None until _check_args, so that a value nothing reads is refused
     parser.set_defaults(semantics=None, explicit_set=None, use_oracle=False,
                         strict=False, paper_fixtures=False, max_args=None,
-                        tolerance=DEFAULT_TOLERANCE)
+                        tolerance=None)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -117,10 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--oracle", action="store_true", dest="use_oracle",
                         help="also run the independent per-agent oracle and "
                              "flag mismatches")
-    bounds.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        metavar="X",
-                        help="absolute tolerance for interval comparisons "
-                             "(--oracle, --paper-fixtures)")
+    bounds.add_argument("--tolerance", type=float, metavar="X",
+                        help="absolute tolerance of the interval "
+                             "comparisons of --oracle and --paper-fixtures "
+                             f"(default {DEFAULT_TOLERANCE})")
 
     check = sub.add_parser("check", parents=[common],
                            help="profile and causal-graph diagnostics")
@@ -149,7 +149,7 @@ def _resolve_semantics(token: str | None, parser: argparse.ArgumentParser):
 
 def _check_args(ns: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> None:
-    """Validate ``ns``; normalize its set list, semantics and cap in place."""
+    """Validate ``ns``; normalize its flags in place."""
     if ns.max_args is None:
         ns.max_args = DEFAULT_MAX_ARGS
     elif ns.command == "bounds" and ns.semantics is None:
@@ -157,8 +157,12 @@ def _check_args(ns: argparse.Namespace,
             "--paper-fixtures" if ns.paper_fixtures else "--set"))
     elif ns.max_args < 1:
         parser.error("--max-args must be >= 1")
-    if not ns.tolerance > 0:  # also rejects NaN
+    if ns.tolerance is None:
+        ns.tolerance = DEFAULT_TOLERANCE
+    elif not ns.tolerance > 0:  # also rejects NaN
         parser.error("--tolerance must be > 0")
+    elif not (ns.use_oracle or ns.paper_fixtures):
+        parser.error("--tolerance needs --oracle or --paper-fixtures")
     if ns.explicit_set is not None:
         ns.explicit_set = tuple(
             t.strip() for t in ns.explicit_set.split(",") if t.strip())
@@ -321,31 +325,30 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
 
 def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
     doc = diagnosis_document()
-    rows = []
-    for fixture in REPORTED_FIXTURES:
-        ext = doc.framework.extension(fixture.members)
-        computed = extension_bounds(ext, doc.profile, doc.causality).interval
-        rows.append((fixture, computed, _deviations(
-            computed.lower, computed.upper, fixture.reported, ns.tolerance)))
+    # the bundled sets are conflict-free and none is refused
+    results = _mask_results(doc, [
+        (f.members, sum(1 << doc.causality.index[n] for n in f.members))
+        for f in REPORTED_FIXTURES])
+    rows = [(f, lower, upper, _deviations(lower, upper, f.reported,
+                                          ns.tolerance))
+            for f, (_, (lower, upper, _)) in zip(REPORTED_FIXTURES, results)]
     if ns.output_format == "json":
         print(emit_json({"fixtures": [
             {"label": f.label, "members": list(f.members),
              "reported_lower": f.reported.lower,
              "reported_upper": f.reported.upper,
-             "computed_lower": computed.lower,
-             "computed_upper": computed.upper,
+             "computed_lower": lower, "computed_upper": upper,
              "deviates": deviations}
-            for f, computed, deviations in rows]}))
+            for f, lower, upper, deviations in rows]}))
         return EXIT_OK
     lines = [f"{'fixture':<10} {'members':<16} {'reported':<20} "
              f"{'computed':<20} verdict"]
-    for f, computed, deviations in rows:
+    for f, lower, upper, deviations in rows:
         reported = f"[{f.reported.lower:.6f},{f.reported.upper:.6f}]"
-        interval = f"[{computed.lower:.6f},{computed.upper:.6f}]"
+        interval = f"[{lower:.6f},{upper:.6f}]"
         verdict = ("matches" if not deviations
                    else "deviates(%s)" % ",".join(deviations))
-        members = "{%s}" % ",".join(f.members)
-        lines.append(f"{f.label:<10} {members:<16} {reported:<20} "
+        lines.append(f"{f.label:<10} {_braced(f.members):<16} {reported:<20} "
                      f"{interval:<20} {verdict}")
     print("\n".join(lines))
     return EXIT_OK

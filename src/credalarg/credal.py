@@ -130,11 +130,12 @@ def agent_minimum(rows: Sequence[tuple[float, ...]]) -> tuple[float, ...]:
     return rows[0] if len(rows) == 1 else tuple(map(min, *rows))
 
 
-def agent_product(rows: Iterable[Sequence[float]]) -> list[float]:
-    """Per-agent product of equal-length value rows (the independent rule);
-    it runs left to right, so canonically ordered rows are bit-reproducible."""
+def agent_product(rows: Iterable[Sequence[float]]) -> Sequence[float]:
+    """Per-agent product of equal-length value rows (the independent rule),
+    or the one row itself; left to right, one eager step per row, so sorted
+    rows are bit-reproducible and no lazy-map chain can overflow the stack."""
     rows = iter(rows)
-    products = list(next(rows))
+    products = next(rows)
     for row in rows:
         products = list(map(mul, products, row))
     return products

@@ -1,4 +1,4 @@
-"""Parsing, serialization and DOT export for framework documents.
+"""Parsing, `.caf` and JSON serialization, and DOT export of documents.
 
 The `.caf` text format is line-oriented (lines as ``str.splitlines`` cuts
 them), and ``%`` starts a comment anywhere on a line. A line that is blank
@@ -58,7 +58,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 from .af import (NAME_PATTERN, NAME_REGEX, ArgumentationFramework,
@@ -393,76 +392,25 @@ def emit_caf(doc: FrameworkDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def document_payload(doc: FrameworkDocument) -> dict:
-    """The ``{arguments, attacks, causality, agents, opinions}`` payload."""
-    return {
-        "arguments": list(doc.framework.arguments),
-        "attacks": [list(pair) for pair in sorted(doc.framework.attacks)],
-        "causality": [list(pair) for pair in sorted(doc.causality.edges)],
-        "agents": doc.profile.agent_count,
-        "opinions": {arg: list(doc.profile.credal_set(arg).values)
-                     for arg in doc.framework.arguments},
-    }
-
-
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
-
-
-# The JSON text of each leaf type, looked up by exact type: a subclass such
-# as IntEnum is not found here and sends the payload to json.dumps.
-_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
-           float: _float_text, bool: lambda flag: "true" if flag else "false",
-           type(None): lambda _: "null"}
-
-
-def _indented(value, indent: str) -> str:
-    # value as json.dumps(indent=2, sort_keys=True) writes it at indent;
-    # KeyError or TypeError for anything but the types it knows
-    kind = type(value)
-    if kind is not dict and kind is not list:
-        return _LEAVES[kind](value)
-    if not value:
-        return "{}" if kind is dict else "[]"
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is dict:
-        body = sep.join([encode_basestring_ascii(key) + ": "
-                         + _indented(value[key], inner)
-                         for key in sorted(value)])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    try:  # a list of names is one C call
-        body = sep.join(map(encode_basestring_ascii, value))
-    except TypeError:
-        body = sep.join([_indented(item, inner) for item in value])
-    return f"[\n{inner}{body}\n{indent}]"
-
-
 def emit_json(data: dict) -> str:
-    """Stable JSON text (sorted keys, two-space indent) for a payload dict.
+    """Stable JSON text: ``json.dumps(data, indent=2, sort_keys=True)``."""
+    return json.dumps(data, indent=2, sort_keys=True)
 
-    The text is ``json.dumps(data, indent=2, sort_keys=True)``, written
-    without the stdlib's pure-Python indenting encoder: brackets and
-    separators here, leaves by the C string encoder and ``repr``.
-    """
-    try:
-        return _indented(data, "")
-    except (KeyError, TypeError, RecursionError):
-        # a tuple, a subclass, a key that is not a string, or a cycle: the
-        # stdlib writes the text or raises its own error
-        return json.dumps(data, indent=2, sort_keys=True)
+
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def export_dot(doc: FrameworkDocument) -> str:
-    """DOT rendering: solid attack edges, dashed causal edges."""
+    """DOT rendering: solid attack edges, dashed causal edges. A DOT keyword
+    in any case, or a name led by a digit, is double-quoted; no name of
+    ``[A-Za-z0-9_]+`` needs other quotes or escapes."""
+    ids = {a: f'"{a}"' if a[0].isdigit() or a.lower() in _DOT_KEYWORDS
+           else a for a in doc.framework.arguments}
     lines = ["digraph credal_af {"]
-    lines.extend(f"  {a};" for a in doc.framework.arguments)
-    lines.extend(f"  {a} -> {b};" for a, b in sorted(doc.framework.attacks))
-    lines.extend(f"  {a} -> {b} [style=dashed];"
+    lines.extend(f"  {a};" for a in ids.values())
+    lines.extend(f"  {ids[a]} -> {ids[b]};"
+                 for a, b in sorted(doc.framework.attacks))
+    lines.extend(f"  {ids[a]} -> {ids[b]} [style=dashed];"
                  for a, b in sorted(doc.causality.edges))
     lines.append("}")
     return "\n".join(lines) + "\n"

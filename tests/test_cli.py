@@ -10,6 +10,7 @@ from credalarg.bounds import BoundsResult
 from credalarg.cli import main
 from credalarg.credal import is_maximal, rationality_report
 from credalarg.formats import emit_caf, parse_caf
+from credalarg.samples import REPORTED_FIXTURES, diagnosis_document
 from randgen import random_document
 
 THREE_CYCLE = "arg(A). arg(B). arg(C).\natt(A,B). att(B,C). att(C,A).\n"
@@ -191,9 +192,13 @@ class TestBounds:
     def test_explicit_set_coverage_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "chain.caf"
         path.write_text("arg(x). arg(y). arg(z).\ncau(x,y). cau(y,z).\n")
-        code, _, err = run(capsys, "bounds", "--input", str(path),
-                           "--set", "x,z")
-        assert code == 2
+        code, out, err = run(capsys, "bounds", "--input", str(path),
+                             "--set", "x,z")
+        assert (code, out) == (2, "")
+        doc = parse_caf(path.read_text())
+        with pytest.raises(CoverageError) as exc:
+            extension_bounds(("x", "z"), doc.profile, doc.causality)
+        assert err == f"error: {exc.value}\n"
 
     def test_json_schema(self, capsys, diagnosis_caf):
         code, out, _ = run(capsys, "bounds", "--input", diagnosis_caf,
@@ -219,6 +224,13 @@ class TestBounds:
         core = data["fixtures"][0]
         assert core["reported_upper"] == 0.0806
         assert core["computed_upper"] == pytest.approx(0.088, abs=1e-9)
+        # the mask path gives what the checked library call gives
+        doc = diagnosis_document()
+        for fixture, row in zip(REPORTED_FIXTURES, data["fixtures"]):
+            found = extension_bounds(doc.framework.extension(fixture.members),
+                                     doc.profile, doc.causality).interval
+            assert (row["computed_lower"], row["computed_upper"]) == \
+                (found.lower, found.upper)
 
     @pytest.mark.parametrize("tolerance, flagged", [
         ("0.06", {"cf-3": ["lower", "upper"]}), ("1", {})])
@@ -577,6 +589,9 @@ class TestUsage:
         # bounds reads the cap only when it enumerates a semantics
         ("bounds", "--set", "A", "--max-args", "3"),
         ("bounds", "--paper-fixtures", "--max-args", "3"),
+        # and the tolerance only when it compares intervals
+        ("bounds", "--semantics", "cf", "--tolerance", "0.5"),
+        ("bounds", "--set", "A", "--tolerance", "0.5"),
     ])
     def test_flag_the_command_does_not_read_is_a_usage_error(
             self, capsys, diagnosis_caf, argv):
@@ -585,8 +600,13 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert ("%s reads no --max-args" % argv[1] if argv[0] == "bounds"
-                else "unrecognized arguments") in err
+        if argv[0] != "bounds":
+            message = "unrecognized arguments"
+        elif "--tolerance" in argv:
+            message = "--tolerance needs --oracle or --paper-fixtures"
+        else:
+            message = "%s reads no --max-args" % argv[1]
+        assert message in err
 
     def test_set_and_semantics_conflict(self, capsys, diagnosis_caf):
         code, _, _ = run(capsys, "bounds", "--input", diagnosis_caf,

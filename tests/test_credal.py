@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import credalarg
 from credalarg import (ArgumentationFramework, CredalProfile, CredalSet,
                        CredalSetError, RationalityViolation, ValidationError,
                        dependent_bounds, dependent_credal_set,
@@ -70,6 +75,19 @@ class TestIndependentBounds:
     def test_empty_list_rejected(self):
         with pytest.raises(CredalSetError):
             independent_bounds([])
+
+
+def test_agent_product_folds_a_deep_row_list_without_overflow():
+    # a chain of lazy maps this deep nests one C call per row and crashes
+    # the interpreter, so the fold runs in its own process
+    src = str(Path(credalarg.__file__).resolve().parent.parent)
+    probe = ("from credalarg.credal import agent_product\n"
+             "p = agent_product([(0.5, 1.0)] * 200_000)\n"
+             "print(min(p), max(p))\n")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "0.0 1.0\n"), done.stderr
 
 
 class TestDependentAggregation:

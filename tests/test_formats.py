@@ -13,7 +13,6 @@ from credalarg import (ArgumentationFramework, CausalCycleError,
                        ParseError, ValidationError, emit_caf, emit_json,
                        export_dot, load_caf, parse_caf)
 from credalarg.cli import main
-from credalarg.formats import document_payload
 from randgen import random_document
 from reference_caf import parse_caf as reference_parse_caf
 
@@ -229,21 +228,6 @@ class TestRandomRoundTrip:
 
 
 class TestJson:
-    def test_document_schema(self, diagnosis):
-        data = json.loads(emit_json(document_payload(diagnosis)))
-        assert set(data) == {"arguments", "attacks", "causality", "agents",
-                             "opinions"}
-        assert data["agents"] == 4
-        assert ["A", "B"] in data["attacks"]
-        assert data["opinions"]["G"] == [0.7, 0.8, 1.0, 0.9]
-
-    def test_empty_framework(self):
-        doc = FrameworkDocument(ArgumentationFramework(),
-                                CredalProfile(1, {}), CausalityGraph())
-        data = json.loads(emit_json(document_payload(doc)))
-        assert data["arguments"] == []
-        assert data["opinions"] == {}
-
     def test_singleton_bounds_payload(self, diagnosis_caf, capsys):
         assert main(["bounds", "--set", "A", "--format", "json",
                      "--input", diagnosis_caf]) == 0
@@ -253,11 +237,6 @@ class TestJson:
         assert row["lower"] == 0.2
         assert row["upper"] == 0.75
         assert row["case"] == "singleton"
-
-    def test_output_is_deterministic(self, diagnosis):
-        assert emit_json(document_payload(diagnosis)) == \
-            emit_json(document_payload(diagnosis))
-        assert document_payload(diagnosis) == document_payload(diagnosis)
 
 
 def _stdlib_json(data) -> str:
@@ -324,9 +303,9 @@ class TestJsonText:
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
 
-    def test_cli_payloads_do_not_reach_the_stdlib(self, diagnosis,
-                                                  diagnosis_caf, tmp_path,
-                                                  capsys, monkeypatch):
+    def test_cli_payloads_do_not_reach_the_stdlib(self, diagnosis_caf,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
         chain = tmp_path / "chain.caf"  # both sides refuse {x,z}
         chain.write_text("arg(x). arg(y). arg(z).\ncau(x,y). cau(y,z).\n")
         commands = [
@@ -337,15 +316,12 @@ class TestJsonText:
             ["bounds", "--set", "A", "--input", diagnosis_caf],
             ["rank", "--semantics", "cf", "--input", str(chain)],
             ["check", "--input", diagnosis_caf],
-            ["bounds", "--paper-fixtures"],
         ]
-        expected = _stdlib_json(document_payload(diagnosis))
 
         def unused(*args, **kwargs):
             raise AssertionError("json.dumps called")
 
         monkeypatch.setattr(json, "dumps", unused)
-        assert emit_json(document_payload(diagnosis)) == expected
         outputs = []
         for argv in commands:
             assert main(argv + ["--format", "json"]) == 0
@@ -375,6 +351,14 @@ class TestDot:
         dot = export_dot(parse_caf("arg(lonely)."))
         assert "  lonely;" in dot
         assert "->" not in dot
+
+    def test_keywords_and_leading_digits_are_quoted(self):
+        doc = parse_caf("arg(node). arg(1a). arg(graph). arg(Strict). "
+                        "arg(nodes). arg(a1). att(node,1a). cau(graph,node).")
+        assert export_dot(doc) == (
+            'digraph credal_af {\n  "1a";\n  "Strict";\n  a1;\n'
+            '  "graph";\n  "node";\n  nodes;\n  "node" -> "1a";\n'
+            '  "graph" -> "node" [style=dashed];\n}\n')
 
 
 class TestDocumentValidation:
