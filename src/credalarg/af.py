@@ -50,9 +50,14 @@ far contains it.
 
 A hard argument-count cap (default 25), which counts every argument,
 decided or not, guards against accidental exponential blow-ups.
-:meth:`ArgumentationFramework.extension_rows` gives each extension as its
-``(members, mask)`` pair, so callers that compute over masks decode the
-names once, to print them.
+:meth:`ArgumentationFramework.extension_masks` gives the extensions as
+member masks, in the canonical order, so callers that compute over masks
+decode the names only to print them, and may do so a chunk of rows at a
+time. :meth:`ArgumentationFramework.row_decoder` decodes a list of masks
+through one table per byte of the mask: entry ``b`` of table ``k`` is the
+names of ``arguments[8k:8k+8]`` that byte ``b`` flags, made on first use,
+so a row costs a lookup per byte and small frameworks build only the
+entries their rows touch.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, UnknownArgumentError, ValidationError
 
@@ -74,6 +79,38 @@ NAME_PATTERN = re.compile(NAME_REGEX + r"\Z")
 
 # "0"/"1" digits of bin() to the 0/1 flags itertools.compress reads
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _ByteNames(dict):
+    # the names of ``names`` (at most 8) that each byte value flags, keyed
+    # by the byte; an entry is made on first use
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple[str, ...]):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, byte: int) -> tuple[str, ...]:
+        found = self[byte] = tuple(
+            compress(self.names, bin(byte)[:1:-1].encode().translate(_BITS)))
+        return found
+
+
+def _byte_decoder(arguments: tuple[str, ...]) -> Callable[[int], tuple]:
+    # mask -> names through one _ByteNames per byte of the mask
+    tables = [_ByteNames(arguments[k:k + 8])
+              for k in range(0, len(arguments) or 1, 8)]
+    if len(tables) == 2:  # 9-16 arguments, twice as fast as the loop
+        low, high = tables
+        return lambda mask: low[mask & 255] + high[mask >> 8]
+
+    def decode(mask: int) -> tuple[str, ...]:
+        names = ()
+        for table in tables:
+            names += table[mask & 255]
+            mask >>= 8
+        return names
+    return decode
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -225,6 +262,20 @@ class ArgumentationFramework:
         return tuple(compress(self.arguments,
                               bin(mask)[:1:-1].encode().translate(_BITS)))
 
+    def row_decoder(self, masks: Sequence[int]
+                    ) -> Callable[[int], tuple[str, ...]]:
+        """A function from each of ``masks`` to its sorted member names.
+
+        Many rows decode through one table per byte of the mask, each
+        entry made on first use. A list shorter than one table (such as
+        the single grounded row) decodes each mask by itself: its rows
+        would share few entries, and one large mask would touch a table
+        per byte.
+        """
+        if len(masks) <= 256:
+            return self._names_of
+        return _byte_decoder(self.arguments)
+
     # -- predicates -------------------------------------------------------
 
     def is_conflict_free(self, members: Iterable[str]) -> bool:
@@ -275,7 +326,7 @@ class ArgumentationFramework:
         return Extension._trusted(
             self._names_of(self._grounded_labelling()[0]), "grounded")
 
-    def _extension_masks(self, semantics: str) -> list[int]:
+    def _walk(self, semantics: str) -> list[int]:
         # Include/exclude DFS over the free arguments: those the grounded
         # seed leaves undecided, less the self-attackers. An entry is
         # (k, chosen, attacked, attackers), the last two the OR of _out
@@ -353,14 +404,15 @@ class ArgumentationFramework:
                 found.append(chosen)
         return found
 
-    def extension_rows(self, semantics: str, max_args: int = DEFAULT_MAX_ARGS
-                       ) -> list[tuple[tuple[str, ...], int]]:
-        """``(members, mask)`` of every extension under ``semantics``.
+    def extension_masks(self, semantics: str,
+                        max_args: int = DEFAULT_MAX_ARGS) -> list[int]:
+        """The member mask of every extension under ``semantics``.
 
         Order is by cardinality, then by the lexicographic member list, and
         is stable across runs and platforms. ``grounded`` always yields a
-        single row and bypasses both the subset walk and the ``max_args``
-        cap; ``stable`` may yield none.
+        single mask and bypasses both the subset walk and the ``max_args``
+        cap; ``stable`` may yield none. Every check is made, and the walk
+        finished, before the list is returned.
 
         One depth-first walk carries the chosen, attacked and attacker
         masks. ``admissible``, ``complete`` and ``preferred`` cut a branch
@@ -372,31 +424,38 @@ class ArgumentationFramework:
         an argument the chosen set already defends. The walk takes the
         include branch first, in sorted-name order, so sets of one size
         come out in member order, and a stable sort by size gives the
-        canonical order with one decode per row. The same order puts every
-        strict superset of a set before it, so ``preferred`` keeps a
-        complete set only when no set kept so far contains it. The cap
-        counts every argument, whatever the walk visits.
+        canonical order. The same order puts every strict superset of a
+        set before it, so ``preferred`` keeps a complete set only when no
+        set kept so far contains it. The cap counts every argument,
+        whatever the walk visits.
         """
         if semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {semantics!r}")
         if semantics == "grounded":
-            mask = self._grounded_labelling()[0]
-            return [(self._names_of(mask), mask)]
+            return [self._grounded_labelling()[0]]
         if max_args < 1:
             raise ValidationError("max_args must be >= 1")
         n = len(self.arguments)
         if n > max_args:
             raise CapExceededError(
                 f"framework has {n} arguments, enumeration capped at {max_args}")
+        masks = self._walk(semantics)
         # a stable sort keeps the walk's member order within each size
-        masks = sorted(self._extension_masks(semantics), key=int.bit_count)
-        return list(zip(map(self._names_of, masks), masks))
+        masks.sort(key=int.bit_count)
+        return masks
+
+    def extension_rows(self, semantics: str, max_args: int = DEFAULT_MAX_ARGS
+                       ) -> list[tuple[tuple[str, ...], int]]:
+        """``(members, mask)`` of each of :meth:`extension_masks`."""
+        masks = self.extension_masks(semantics, max_args)
+        return list(zip(map(self.row_decoder(masks), masks), masks))
 
     def enumerate_extensions(self, semantics: str,
                              max_args: int = DEFAULT_MAX_ARGS) -> list[Extension]:
-        """The extensions of :meth:`extension_rows`, in its order."""
+        """The extensions of :meth:`extension_masks`, in its order."""
+        masks = self.extension_masks(semantics, max_args)
         return [Extension._trusted(names, semantics)
-                for names, _ in self.extension_rows(semantics, max_args)]
+                for names in map(self.row_decoder(masks), masks)]
 
 
 def _framework(arguments: tuple[str, ...], index: dict[str, int],

@@ -21,15 +21,15 @@ meaningless product.
 :func:`mask_bounds` is the one kernel, a flat loop over member masks:
 anchors, groups, coverage checks and singles are ``&``/``|`` on the
 graph's closure masks, and a row is ``(lower, upper, case)`` or the
-refusal text, with no name decoded. :func:`extension_bounds` runs it on
-the mask of one checked, named set.
+refusal text, with no name decoded, yielded as it is computed.
+:func:`extension_bounds` runs it on the mask of one checked, named set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .af import Extension, set_bits
 from .causality import CausalityGraph
@@ -91,24 +91,25 @@ def value_rows(profile: CredalProfile, graph: CausalityGraph) -> list[tuple]:
 
 
 def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
-                masks: Iterable[int]) -> list:
-    """``(lower, upper, case)`` of each member mask, or the message of the
-    :class:`~credalarg.errors.CoverageError` that refuses it.
+                masks: Iterable[int]) -> Iterator:
+    """Yield ``(lower, upper, case)`` of each member mask, or the message
+    of the :class:`~credalarg.errors.CoverageError` that refuses it.
 
     ``rows[i]`` holds the opinion values of ``graph.arguments[i]``, as
     :func:`value_rows` builds them; the members are trusted to be in the
     graph. Factors multiply in ascending lowest-bit order, so intervals are
     bit-reproducible; a group's per-agent minimum is computed once a call.
+    Rows are computed as they are drawn, so a caller may write them a chunk
+    at a time.
     """
     names = graph.arguments
     ancestors = graph.ancestor_masks
     anchor_mask, free_mask = graph.anchor_mask, graph.free_mask
     isolated = graph.isolated_mask
     minima: dict[int, Sequence[float]] = {}
-    results = []
     for mask in masks:
         if not mask:
-            results.append((0.0, 1.0, EMPTY_CASE))
+            yield 0.0, 1.0, EMPTY_CASE
             continue
         anchors = rest = anchor_mask(mask)
         # (lowest bit, values) per part; parts are disjoint, so ordering by
@@ -124,10 +125,9 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
                 low = clash & -clash
                 first = next(t for t, group in
                              _group_masks(graph, mask, anchors) if group & low)
-                results.append(
-                    f"causal groups anchored at {names[first]!r} and "
-                    f"{names[top.bit_length() - 1]!r} overlap on "
-                    f"{names[low.bit_length() - 1]!r}")
+                yield (f"causal groups anchored at {names[first]!r} and "
+                       f"{names[top.bit_length() - 1]!r} overlap on "
+                       f"{names[low.bit_length() - 1]!r}")
                 break
             grouped |= inside
             values = minima.get(inside)
@@ -143,10 +143,9 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
         if stray:
             low = stray & -stray
             name = names[low.bit_length() - 1]
-            results.append(
-                f"member {name!r} consumed 2 times by the causal grouping"
-                if grouped & low else f"member {name!r} not reachable by "
-                "any causal group, isolated or free part")
+            yield (f"member {name!r} consumed 2 times by the causal grouping"
+                   if grouped & low else f"member {name!r} not reachable by "
+                   "any causal group, isolated or free part")
             continue
         while singles:
             bit = singles & -singles
@@ -158,9 +157,8 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
         if not 0.0 <= lower <= upper <= 1.0:
             raise ValidationError(
                 f"not a probability interval: ({lower}, {upper})")
-        results.append((lower, upper,
-                        ALGORITHM_CASE if mask & mask - 1 else SINGLETON_CASE))
-    return results
+        yield (lower, upper,
+               ALGORITHM_CASE if mask & mask - 1 else SINGLETON_CASE)
 
 
 def extension_bounds(members: Extension | Iterable[str],
@@ -174,7 +172,7 @@ def extension_bounds(members: Extension | Iterable[str],
     """
     ext = _as_extension(members)
     mask, rows = _check_domains(ext, profile, graph)
-    result = mask_bounds(graph, rows, [mask])[0]
+    result = next(mask_bounds(graph, rows, [mask]))
     if isinstance(result, str):
         raise CoverageError(result)
     lower, upper, case = result

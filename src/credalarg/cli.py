@@ -5,35 +5,46 @@ intervals per extension or for an explicit set), ``check`` (profile and
 graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 (heuristic interval ordering).
 
-Each command builds its rows once and renders them here, as text lines or
-as JSON text written straight from the rows, one piece per row, joined by
-one list writer (only the 5 ``--paper-fixtures`` rows go through
-``json.dumps``, as :func:`~credalarg.formats.emit_json`). ``bounds``
-and ``rank`` compute every interval of the ``(members, mask)`` rows of
-:meth:`~credalarg.af.ArgumentationFramework.extension_rows`, or of the
-bundled fixture sets, in one :func:`~credalarg.bounds.mask_bounds` call,
-so no ``Extension`` or ``BoundsResult`` is built per row (``bounds
---set`` names one set and calls ``extension_bounds``). ``--oracle`` and
+Each command renders its rows here, as text lines or as JSON text
+written straight from the rows (only the 5 ``--paper-fixtures`` rows go
+through ``json.dumps``, as :func:`~credalarg.formats.emit_json`). One
+chunked writer, :func:`_write_rows`, serves ``solve``, ``bounds``,
+``rank`` and ``check``: it decodes, renders and writes at most
+``CHUNK_ROWS`` rows at a time, so an enumerating command holds one int
+per extension (the masks of
+:meth:`~credalarg.af.ArgumentationFramework.extension_masks`) and not
+every row's names and text. Every check, the cap and the walk run before
+the first byte is written. ``bounds`` computes its intervals as it writes
+them, through the one :func:`~credalarg.bounds.mask_bounds` generator of
+the command, so no ``Extension`` or ``BoundsResult`` is built per row
+(``bounds --set`` names one set and calls ``extension_bounds``); ``rank``
+keeps every row, since it sorts them. ``--oracle`` and
 ``--paper-fixtures`` share one tolerance test. Each subcommand declares
 only the flags it reads, so any other flag is a usage error; so are
 ``--max-args`` beside ``bounds --set`` or ``--paper-fixtures``, which
-enumerate nothing, and ``--tolerance`` without either, which compare
-nothing.
+enumerate nothing, ``--oracle`` beside ``--paper-fixtures``, which has
+reported values to compare with instead, and ``--tolerance`` without
+either, which compare nothing.
 
 The argparse parser is built on the first :func:`main` call and kept for
 the life of the process, so ``main`` may be called repeatedly in one
 process and each call only parses and runs its own command.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error (including
-a missing input file), 3 enumeration cap exceeded.
+a missing input file), 3 enumeration cap exceeded. A reader that closes
+the output pipe early (``credalarg solve ... | head``) chose to stop: the
+command writes nothing more and exits 0, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS
 from .bounds import (agent_valuation_oracle, extension_bounds, mask_bounds,
@@ -49,6 +60,12 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 
 DEFAULT_TOLERANCE = 1e-9
+
+# rows decoded, rendered and written per sys.stdout.write
+CHUNK_ROWS = 2048
+
+# between two items of a JSON list under a top-level key
+_ITEM_SEP = ",\n    "
 
 SEMANTICS_CODES = {
     "cf": "conflict-free",
@@ -170,6 +187,8 @@ def _check_args(ns: argparse.Namespace,
         parser.error("--input is required")
     if ns.input is not None and ns.paper_fixtures:
         parser.error("--paper-fixtures reads no --input")
+    if ns.use_oracle and ns.paper_fixtures:
+        parser.error("--paper-fixtures reads no --oracle")
     if ns.command == "export-dot" and ns.output_format == "json":
         parser.error("export-dot writes DOT only, not --format json")
     ns.semantics = _resolve_semantics(ns.semantics, parser)
@@ -191,45 +210,89 @@ def _deviations(lower: float, upper: float, reference,
             if abs(value - getattr(reference, end)) > tolerance]
 
 
-def _json_rows(rows: list[str]) -> list[str]:
-    """Pieces, to print with ``sep=""``, of the ``json.dumps(indent=2)``
-    text of a list under a top-level key, each row written already and
-    led by its ``",\\n    "``. The rows stay apart, since one joined text
-    would double the peak memory of a large list."""
-    if not rows:
-        return ["[]"]
-    rows[0] = "[" + rows[0][1:]  # no comma before the first row
-    rows.append("\n  ]")
-    return rows
+def _chunks(rows: Iterable) -> Iterator[list]:
+    """``rows`` as lists of at most ``CHUNK_ROWS``."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        yield chunk
+
+
+def _write_rows(rows: Iterable, render: Callable[[list], str], sep: str,
+                head: str, tail: str, empty: str) -> None:
+    """Write ``rows`` a chunk at a time: ``render`` gives the text of a
+    chunk's rows joined by ``sep``, chunks are joined by ``sep`` too, and
+    the whole stands between ``head`` and ``tail``, or is ``empty`` when
+    there are no rows."""
+    write = sys.stdout.write
+    wrote = False
+    for chunk in _chunks(rows):
+        write(sep if wrote else head)
+        write(render(chunk))
+        wrote = True
+    write(tail if wrote else empty)
+
+
+def _write_list(rows: Iterable, render: Callable[..., str]) -> None:
+    """The ``json.dumps(indent=2)`` text of a list under a top-level key,
+    ``render(row)`` giving each item, written by :func:`_write_rows`."""
+    _write_rows(rows, lambda chunk: _ITEM_SEP.join(map(render, chunk)),
+                _ITEM_SEP, "[\n    ", "\n  ]", "[]")
+
+
+def _write_lines(rows: Iterable, render: Callable[..., str],
+                 empty: str = "") -> None:
+    """The newline-ended line ``render(row)`` of each row, or ``empty``
+    when there are none, written by :func:`_write_rows`."""
+    _write_rows(rows, lambda chunk: "\n".join(map(render, chunk)), "\n",
+                "", "\n", empty)
+
+
+# the json.dumps(indent=2, sort_keys=True) text of a {"members"} row
+# around its names, which match NAME_REGEX and so need no escaping: a
+# chunk of non-empty rows is one join with the text between two rows
+_MEMBERS_OPEN = '{\n      "members": [\n        "'
+_MEMBERS_CLOSE = '"\n      ]\n    }'
+_NAMES_SEP = '",\n        "'
+_ROWS_SEP = _MEMBERS_CLOSE + _ITEM_SEP + _MEMBERS_OPEN
+
+
+def _members_json(chunk: list) -> str:
+    return (_MEMBERS_OPEN + _ROWS_SEP.join(map(_NAMES_SEP.join, chunk))
+            + _MEMBERS_CLOSE)
+
+
+def _braced_lines(chunk: list) -> str:
+    return "{" + "}\n{".join(map(",".join, chunk)) + "}"
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
-    doc = load_caf(ns.input)
-    rows = doc.framework.extension_rows(ns.semantics, ns.max_args)
-    if ns.output_format == "json":
-        # the json.dumps(indent=2, sort_keys=True) text of {"semantics",
-        # "extensions": [{"members"}]}: names match NAME_REGEX, so need no
-        # escaping
-        row = ',\n    {\n      "members": [\n        "%s"\n      ]\n    }'
-        print('{\n  "extensions": ', *_json_rows([
-            row % '",\n        "'.join(names) if names
-            else ',\n    {\n      "members": []\n    }' for names, _ in rows]),
-            ',\n  "semantics": "%s"\n}' % ns.semantics, sep="")
-    else:
-        print("\n".join([_braced(names) for names, _ in rows])
-              if rows else "no extensions")
+    framework = load_caf(ns.input).framework
+    masks = framework.extension_masks(ns.semantics, ns.max_args)
+    rows = map(framework.row_decoder(masks), masks)
+    if ns.output_format == "text":
+        _write_rows(rows, _braced_lines, "\n", "", "\n", "no extensions\n")
+        return EXIT_OK
+    sys.stdout.write('{\n  "extensions": ')
+    head, empty = "[\n    ", "[]"
+    if masks and not masks[0]:
+        # the empty set comes first, once, and has no names to join
+        next(rows)
+        head += '{\n      "members": []\n    }'
+        empty = head + "\n  ]"
+        head += _ITEM_SEP
+    _write_rows(rows, _members_json, _ITEM_SEP, head, "\n  ]", empty)
+    sys.stdout.write(',\n  "semantics": "%s"\n}\n' % ns.semantics)
     return EXIT_OK
 
 
-def _mask_results(doc: FrameworkDocument, targets: list[tuple]) -> list:
-    """``(names, result)`` per ``(names, mask)`` row, ``result`` being the
+def _mask_results(doc: FrameworkDocument, masks: list[int]) -> Iterator:
+    """``(names, result)`` per mask, drawn lazily, ``result`` being the
     ``(lower, upper, case)`` of :func:`mask_bounds` or its refusal text."""
     # a parsed document's framework and graph share one argument tuple
     # and index, so a framework mask is a graph mask
     graph = doc.causality
-    results = mask_bounds(graph, value_rows(doc.profile, graph),
-                          [mask for _, mask in targets])
-    return [(names, result) for (names, _), result in zip(targets, results)]
+    return zip(map(doc.framework.row_decoder(masks), masks),
+               mask_bounds(graph, value_rows(doc.profile, graph), masks))
 
 
 def _oracle_check(ns: argparse.Namespace, doc: FrameworkDocument,
@@ -252,9 +315,9 @@ def _oracle_check(ns: argparse.Namespace, doc: FrameworkDocument,
 
 def _bounds_json(names: tuple[str, ...], result, oracle=None, match=None,
                 rank=None) -> str:
-    """The ``json.dumps(indent=2, sort_keys=True)`` text, led by its
-    ``",\n    "`` for :func:`_json_rows`, of a row's ``{members, lower,
-    upper, case}`` or ``{members, error}``, plus the oracle's fields and the
+    """The ``json.dumps(indent=2, sort_keys=True)`` text, as an item of
+    :func:`_write_list`, of a row's ``{members, lower, upper, case}`` or
+    ``{members, error}``, plus the oracle's fields and the
     ``rank`` when given. Names match NAME_REGEX and the bounds are finite
     floats, so ``%s`` and ``%r`` write them as json.dumps does."""
     if isinstance(result, str):
@@ -275,7 +338,7 @@ def _bounds_json(names: tuple[str, ...], result, oracle=None, match=None,
         fields.append('"rank": %d' % rank)
     if not isinstance(result, str):
         fields.append('"upper": %r' % result[1])
-    return ",\n    {\n      " + ",\n      ".join(fields) + "\n    }"
+    return "{\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 def _bounds_line(names: tuple[str, ...], result, oracle=None, match=None,
@@ -308,30 +371,31 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         pairs = [(found.extension.members, (
             found.interval.lower, found.interval.upper, found.case))]
     else:
-        pairs = _mask_results(doc, doc.framework.extension_rows(
+        pairs = _mask_results(doc, doc.framework.extension_masks(
             ns.semantics, ns.max_args))
-    rows = [(names, result, *_oracle_check(ns, doc, names, result))
-            for names, result in pairs]
+    # a chunk of rows is bounded first, then checked and rendered
     if ns.output_format == "json":
-        print('{\n  "extensions": ', *_json_rows([_bounds_json(*row)
-                                                  for row in rows]),
-              ',\n  "semantics": %s\n}' % (
-                  '"%s"' % ns.semantics if ns.semantics else "null"), sep="")
-    elif rows:
-        print("\n".join([_bounds_line(*row, use_oracle=ns.use_oracle)
-                         for row in rows]))
+        sys.stdout.write('{\n  "extensions": ')
+        _write_list(pairs, lambda pair: _bounds_json(
+            *pair, *_oracle_check(ns, doc, *pair)))
+        sys.stdout.write(',\n  "semantics": %s\n}\n' % (
+            '"%s"' % ns.semantics if ns.semantics else "null"))
+    else:
+        _write_lines(pairs, lambda pair: _bounds_line(
+            *pair, *_oracle_check(ns, doc, *pair), use_oracle=ns.use_oracle))
     return EXIT_OK
 
 
 def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
     doc = diagnosis_document()
+    graph = doc.causality
     # the bundled sets are conflict-free and none is refused
-    results = _mask_results(doc, [
-        (f.members, sum(1 << doc.causality.index[n] for n in f.members))
+    results = mask_bounds(graph, value_rows(doc.profile, graph), [
+        sum(1 << graph.index[n] for n in f.members)
         for f in REPORTED_FIXTURES])
     rows = [(f, lower, upper, _deviations(lower, upper, f.reported,
                                           ns.tolerance))
-            for f, (_, (lower, upper, _)) in zip(REPORTED_FIXTURES, results)]
+            for f, (lower, upper, _) in zip(REPORTED_FIXTURES, results)]
     if ns.output_format == "json":
         print(emit_json({"fixtures": [
             {"label": f.label, "members": list(f.members),
@@ -362,33 +426,33 @@ def cmd_check(ns: argparse.Namespace) -> int:
         # the json.dumps(indent=2, sort_keys=True) text of the report:
         # names match NAME_REGEX and values are floats in [0, 1], so %s
         # and %r write them as json.dumps does
-        row = (',\n    {\n      "agent": %d,\n      "attacker": "%s",\n'
+        row = ('{\n      "agent": %d,\n      "attacker": "%s",\n'
                '      "attacker_value": %r,\n      "target": "%s",\n'
                '      "target_value": %r\n    }')
-        print('{\n  "agents": %d,\n  "arguments": %d,\n  "attacks": %d,\n'
-              '  "causal_edges": %d,\n  "causality_valid": true,\n'
-              '  "maximal": %s,\n'
-              # a validated profile keeps every opinion in [0, 1]
-              '  "uniform": true,\n  "violations": ' % (
-                  doc.profile.agent_count, len(doc.framework.arguments),
-                  len(doc.framework.attacks), len(doc.causality.edges),
-                  "true" if maximal else "false"),
-              *_json_rows([row % (agent, attacker, attacker_value, target,
-                                  target_value)
-                           for agent, attacker, target, attacker_value,
-                           target_value in violations]), "\n}", sep="")
+        sys.stdout.write(
+            '{\n  "agents": %d,\n  "arguments": %d,\n  "attacks": %d,\n'
+            '  "causal_edges": %d,\n  "causality_valid": true,\n'
+            '  "maximal": %s,\n'
+            # a validated profile keeps every opinion in [0, 1]
+            '  "uniform": true,\n  "violations": ' % (
+                doc.profile.agent_count, len(doc.framework.arguments),
+                len(doc.framework.attacks), len(doc.causality.edges),
+                "true" if maximal else "false"))
+        _write_list(violations,
+                    lambda v: row % (v[0], v[1], v[3], v[2], v[4]))
+        sys.stdout.write("\n}\n")
     else:
-        lines = [f"arguments: {len(doc.framework.arguments)}",
-                 f"attacks: {len(doc.framework.attacks)}",
-                 f"causal-edges: {len(doc.causality.edges)}",
-                 f"agents: {doc.profile.agent_count}",
-                 "causality: acyclic, attack-disjoint",
-                 f"maximal: {'yes' if maximal else 'no'}",
-                 "uniform: yes",
-                 f"rationality-violations: {len(violations)}"]
-        lines += ["  agent %d: attack (%s,%s) believed %r and %r" % row
-                  for row in violations]
-        print("\n".join(lines))
+        header = [f"arguments: {len(doc.framework.arguments)}",
+                  f"attacks: {len(doc.framework.attacks)}",
+                  f"causal-edges: {len(doc.causality.edges)}",
+                  f"agents: {doc.profile.agent_count}",
+                  "causality: acyclic, attack-disjoint",
+                  f"maximal: {'yes' if maximal else 'no'}",
+                  "uniform: yes",
+                  f"rationality-violations: {len(violations)}"]
+        sys.stdout.write("\n".join(header) + "\n")
+        _write_lines(violations,
+                     "  agent %d: attack (%s,%s) believed %r and %r".__mod__)
     if ns.strict and violations:
         return EXIT_INVALID
     return EXIT_OK
@@ -402,23 +466,25 @@ def cmd_export_dot(ns: argparse.Namespace) -> int:
 
 def cmd_rank(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
-    pairs = _mask_results(doc, doc.framework.extension_rows(
-        ns.semantics, ns.max_args))
+    pairs = list(_mask_results(doc, doc.framework.extension_masks(
+        ns.semantics, ns.max_args)))
     ranked = sorted([pair for pair in pairs if not isinstance(pair[1], str)],
                     key=lambda pair: rank_key(*pair[1][:2], pair[0]))
     refused = [pair for pair in pairs if isinstance(pair[1], str)]
     if ns.output_format == "json":
-        print('{\n  "extensions": ', *_json_rows([
-            _bounds_json(names, result, rank=i)
-            for i, (names, result) in enumerate(ranked, start=1)]),
-            ',\n  "semantics": "%s",\n  "unranked": ' % ns.semantics,
-            *_json_rows([_bounds_json(*row) for row in refused]), "\n}",
-            sep="")
+        sys.stdout.write('{\n  "extensions": ')
+        _write_list(enumerate(ranked, start=1),
+                    lambda item: _bounds_json(*item[1], rank=item[0]))
+        sys.stdout.write(',\n  "semantics": "%s",\n  "unranked": '
+                         % ns.semantics)
+        _write_list(refused, lambda row: _bounds_json(*row))
+        sys.stdout.write("\n}\n")
     else:
-        lines = [f"{i}. {_braced(names)} {_fmt(*result[:2])}"
-                 for i, (names, result) in enumerate(ranked, start=1)]
-        lines += ["unranked " + _bounds_line(*row) for row in refused]
-        print("\n".join(lines) if lines else "no extensions")
+        _write_lines(chain(
+            (f"{i}. {_braced(names)} {_fmt(*result[:2])}"
+             for i, (names, result) in enumerate(ranked, start=1)),
+            ("unranked " + _bounds_line(*row) for row in refused)),
+            str, "no extensions\n")
     return EXIT_OK
 
 
@@ -440,6 +506,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[ns.command](ns)
+    except BrokenPipeError:
+        # the reader closed the pipe: it chose to stop, so say nothing
+        return EXIT_OK
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -449,7 +518,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: what is still buffered can never be
+        # written, so point stdout at os.devnull, where the interpreter's
+        # flush at exit writes it without an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -272,6 +272,35 @@ class TestNamesOf:
                     af.arguments[i] for i in set_bits(mask))
 
 
+class TestRowDecoder:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25])
+    def test_agrees_with_names_of(self, n):
+        rng = random.Random(n)
+        af = ArgumentationFramework(tuple(f"a{i:02d}" for i in range(n)))
+        full = (1 << n) - 1
+        # runs of 2, 3 and 9 bits that cross a byte boundary
+        crossing = [((1 << width) - 1) << low
+                    for low in range(0, n) for width in (2, 3, 9)
+                    if low + width <= n and low // 8 != (low + width - 1) // 8]
+        masks = [0, full, *crossing] + [rng.getrandbits(n)
+                                        for _ in range(300)]
+        decode = af.row_decoder(masks)
+        assert decode != af._names_of  # a long list decodes by tables
+        # twice, so entries made on first use are read back
+        for _ in range(2):
+            assert [decode(m) for m in masks] == [af._names_of(m)
+                                                  for m in masks]
+
+    def test_short_lists_decode_each_mask_by_itself(self):
+        af = ArgumentationFramework(tuple(f"a{i:04d}" for i in range(4000)))
+        assert af.row_decoder([1 << 3999]) == af._names_of
+        assert af.row_decoder([1 << 3999])(1 << 3999) == ("a3999",)
+
+    def test_empty_framework(self):
+        af = ArgumentationFramework()
+        assert af.row_decoder([0] * 300)(0) == ()
+
+
 class TestExtensionType:
     def test_members_are_sorted_and_deduplicated(self):
         ext = Extension(("b", "a", "b"))

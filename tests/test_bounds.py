@@ -210,8 +210,8 @@ def test_mask_core_matches_the_wrapper_and_the_oracle(seed):
     assume(doc.causality.edges)
     graph, profile = doc.causality, doc.profile
     rows = doc.framework.extension_rows("conflict-free")
-    results = mask_bounds(graph, value_rows(profile, graph),
-                          [mask for _, mask in rows])
+    results = list(mask_bounds(graph, value_rows(profile, graph),
+                               [mask for _, mask in rows]))
     assert rows[0] == ((), 0) and results[0] == (0.0, 1.0, "empty")
     for (names, _), got in zip(rows, results):
         try:

@@ -1,6 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +327,189 @@ class TestBounds:
         assert json.loads(out)["extensions"][0]["oracle_match"] is True
 
 
+def _no_attacks(n: int) -> str:
+    return "".join(f"arg(a{i:02d}).\n" for i in range(n))
+
+
+def _expected_json(command: str, doc, semantics: str) -> str:
+    """The ``json.dumps`` text of ``solve``, ``bounds`` or ``rank``, built
+    from the library, one ``Extension`` and ``extension_bounds`` call per
+    row."""
+    extensions = [e.members
+                  for e in doc.framework.enumerate_extensions(semantics)]
+    if command == "solve":
+        return _dumps({"semantics": semantics, "extensions": [
+            {"members": list(names)} for names in extensions]})
+    pairs = _bounds_entries(doc, extensions)
+    if command == "bounds":
+        return _dumps({"semantics": semantics,
+                       "extensions": [entry for entry, _ in pairs]})
+    entries = {tuple(entry["members"]): entry
+               for entry, result in pairs if result is not None}
+    ranked = rank_extensions([result for _, result in pairs
+                              if result is not None])
+    return _dumps({
+        "semantics": semantics,
+        "extensions": [{**entries[result.extension.members], "rank": i}
+                       for i, result in enumerate(ranked, start=1)],
+        "unranked": [entry for entry, result in pairs if result is None]})
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that keeps only the size of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return len(text)
+
+
+class TestStreamedOutput:
+    """``solve``, ``bounds`` and ``rank`` write their rows a chunk at a
+    time, and the text stays the ``json.dumps`` text."""
+
+    @pytest.mark.parametrize("text, code, semantics, chunk", [
+        # 4,096 rows: two chunks of the default size
+        pytest.param(_no_attacks(12), "cf", "conflict-free", None,
+                     id="two-chunks"),
+        # refusals and the empty set, 7 rows a chunk
+        pytest.param(emit_caf(diagnosis_document()), "cf", "conflict-free",
+                     7, id="refusals-in-small-chunks"),
+        # an empty list: stable has no extension on the 3-cycle
+        pytest.param(THREE_CYCLE, "st", "stable", None, id="no-extensions"),
+        # the grounded row, a single mask
+        pytest.param(emit_caf(diagnosis_document()), "gr", "grounded", None,
+                     id="grounded"),
+        pytest.param(THREE_CYCLE, "gr", "grounded", 1, id="grounded-empty"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "bounds", "rank"])
+    def test_json_is_the_json_dumps_text(self, capsys, tmp_path,
+                                         monkeypatch, command, text, code,
+                                         semantics, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        path = tmp_path / "doc.caf"
+        path.write_text(text)
+        rc, out, err = run(capsys, command, "--input", str(path),
+                           "--semantics", code, "--format", "json")
+        assert (rc, err) == (0, "")
+        assert out == _expected_json(command, parse_caf(text), semantics)
+
+    def test_text_lines_span_chunks(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+        path = tmp_path / "doc.caf"
+        path.write_text(_no_attacks(4))
+        framework = parse_caf(_no_attacks(4)).framework
+        _, out, _ = run(capsys, "solve", "--input", str(path),
+                        "--semantics", "ad")
+        assert out == "".join(str(e) + "\n" for e in
+                              framework.enumerate_extensions("admissible"))
+        _, out, _ = run(capsys, "bounds", "--input", str(path),
+                        "--semantics", "ad")
+        assert out.splitlines()[0] == "{} 0.000000 1.000000 empty"
+        assert len(out.splitlines()) == 16
+
+    def test_rows_are_written_a_chunk_at_a_time(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 100)
+        path = tmp_path / "doc.caf"
+        path.write_text(_no_attacks(10))
+        for command in ("solve", "bounds"):
+            sink = _Sink()
+            with contextlib.redirect_stdout(sink):
+                assert main([command, "--input", str(path), "--semantics",
+                             "cf", "--format", "json"]) == 0
+            # 1,024 rows, none longer than 400 characters
+            assert len(sink.sizes) > 10
+            assert max(sink.sizes) < 100 * 400
+
+    def test_solve_memory_stays_bounded_at_18_arguments(self, tmp_path):
+        # 262,144 rows, 44 MB of JSON text, and a traced peak of about
+        # 14.4 MiB: one int per row and one chunk of text. Holding every
+        # row's names and text, as a writer that joins them once does,
+        # peaks at about 113 MiB
+        path = tmp_path / "doc.caf"
+        path.write_text(_no_attacks(18))
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                rc = main(["solve", "--input", str(path), "--semantics",
+                           "ad", "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert sum(sink.sizes) > 40_000_000
+        assert peak < 24 * 2**20, peak / 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_bounds_peak_rss_stays_bounded_at_18_arguments(self, tmp_path):
+        # tracemalloc would make this 262,144-row run about 20x slower, so
+        # the bound is on the peak RSS of a one-shot process: about 31 MiB,
+        # against 190 MiB for a writer that holds every row. VmHWM counts
+        # only the process image after exec, unlike ru_maxrss, which keeps
+        # the high-water mark of the process that spawned it
+        path = tmp_path / "doc.caf"
+        path.write_text(_no_attacks(18))
+        probe = ("import sys\n"
+                 "from credalarg.cli import main\n"
+                 "rc = main(sys.argv[1:])\n"
+                 "sys.stdout.flush()\n"
+                 "status = open('/proc/self/status').read()\n"
+                 "print(rc, status.split('VmHWM:')[1].split()[0],"
+                 " file=sys.stderr)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "bounds", "--input", str(path),
+             "--semantics", "cf", "--format", "json"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=_child_env(), timeout=300)
+        rc, peak_kib = map(int, proc.stderr.split())
+        assert rc == 0
+        assert peak_kib < 64 * 1024, peak_kib / 1024
+
+
+def _child_env() -> dict:
+    """The environment of a child ``python`` that imports this checkout's
+    ``credalarg``, with block-buffered stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestClosedPipe:
+    def test_in_process_write_to_a_closed_pipe_exits_0(self, capsys,
+                                                       diagnosis_caf):
+        class Closed(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(Closed()):
+            rc = main(["solve", "--input", diagnosis_caf,
+                       "--semantics", "cf"])
+        assert rc == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_one_shot_reader_closing_early_exits_0(self, tmp_path):
+        # block-buffered stdout, so the interpreter's flush at exit would
+        # meet the closed pipe too
+        path = tmp_path / "doc.caf"
+        path.write_text(_no_attacks(12))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "credalarg.cli", "solve", "--input",
+             str(path), "--semantics", "cf"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=_child_env())
+        proc.stdout.close()  # before the child writes anything
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
+
+
 class TestCheck:
     def test_diagnosis_diagnostics(self, capsys, diagnosis_caf):
         code, out, _ = run(capsys, "check", "--input", diagnosis_caf)
@@ -592,6 +782,8 @@ class TestUsage:
         # and the tolerance only when it compares intervals
         ("bounds", "--semantics", "cf", "--tolerance", "0.5"),
         ("bounds", "--set", "A", "--tolerance", "0.5"),
+        # the fixtures compare with their reported values, not the oracle
+        ("bounds", "--paper-fixtures", "--oracle"),
     ])
     def test_flag_the_command_does_not_read_is_a_usage_error(
             self, capsys, diagnosis_caf, argv):
@@ -604,6 +796,8 @@ class TestUsage:
             message = "unrecognized arguments"
         elif "--tolerance" in argv:
             message = "--tolerance needs --oracle or --paper-fixtures"
+        elif "--oracle" in argv:
+            message = "--paper-fixtures reads no --oracle"
         else:
             message = "%s reads no --max-args" % argv[1]
         assert message in err
