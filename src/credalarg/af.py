@@ -444,12 +444,6 @@ class ArgumentationFramework:
         masks.sort(key=int.bit_count)
         return masks
 
-    def extension_rows(self, semantics: str, max_args: int = DEFAULT_MAX_ARGS
-                       ) -> list[tuple[tuple[str, ...], int]]:
-        """``(members, mask)`` of each of :meth:`extension_masks`."""
-        masks = self.extension_masks(semantics, max_args)
-        return list(zip(map(self.row_decoder(masks), masks), masks))
-
     def enumerate_extensions(self, semantics: str,
                              max_args: int = DEFAULT_MAX_ARGS) -> list[Extension]:
         """The extensions of :meth:`extension_masks`, in its order."""

@@ -50,7 +50,8 @@ once, builds the framework, the causal graph and the profile over that
 one index, and takes each argument's credal set from the agent blocks,
 one column each. Any other text, and any text that fails a check, goes
 to the line parser, which alone words the errors: the accepted language,
-every error and every line number are the same on both paths.
+every error and every line number are the same on both paths. Both take
+time linear in the text, whitespace runs included.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import NoReturn
 
 from .af import (NAME_PATTERN, NAME_REGEX, ArgumentationFramework,
                  _framework, _sorted_index)
@@ -67,21 +67,10 @@ from .credal import MAX_AGENTS, CredalProfile, CredalSet, _sorted_profile
 from .errors import (CausalCycleError, ParseError, UnknownArgumentError,
                      ValidationError)
 
-_NAME = f"({NAME_REGEX})"
-# a number token for int()/float(): no comma or bracket, trimmed of spaces
-_NUMBER = r"([^,()\s][^,()]*?)"
-_COMMA = r"\s*,\s*"
-# One statement whose fields the checks below can take as they are. The
-# group that closes last names the kind: 1 arg, 4 att/cau, 5 agents, 8 p.
-_GRAMMAR = re.compile(
-    r"\s*(?:arg\s*\(\s*" + _NAME
-    + r"|(att|cau)\s*\(\s*" + _NAME + _COMMA + _NAME
-    + r"|agents\s*\(\s*" + _NUMBER
-    + r"|p\s*\(\s*" + _NUMBER + _COMMA + _NAME + _COMMA + _NUMBER
-    + r")\s*\)\s*\.")
-# Any bracketed statement; read only to word the error for one the grammar
-# rejected.
-_STATEMENT = re.compile(r"\s*(arg|att|cau|agents|p)\s*\(\s*([^()]*?)\s*\)\s*\.")
+# One statement. The bracket text holds no bracket, so every part of the
+# pattern has one place to end and a line is read in linear time; the
+# fields are checked in _parse_lines.
+_STATEMENT = re.compile(r"\s*(arg|att|cau|agents|p)\s*\(([^()]*)\)\s*\.")
 _ARITY = {"arg": 1, "att": 2, "cau": 2, "agents": 1, "p": 3}
 
 # Canonical lines, each kind read by one findall over "\n" + text: a match
@@ -127,9 +116,10 @@ class FrameworkDocument:
                     "without outer whitespace")
 
 
-def _name(token: str, line: int) -> None:
+def _name(token: str, line: int) -> str:
     if not NAME_PATTERN.match(token):
         raise ParseError(line, f"invalid argument name {token!r}")
+    return token
 
 
 def _int(token: str, line: int, what: str) -> int:
@@ -144,30 +134,6 @@ def _float(token: str, line: int) -> float:
         return float(token)
     except ValueError:
         raise ParseError(line, f"invalid opinion value {token!r}") from None
-
-
-def _raise_statement_error(code: str, pos: int, line: int) -> NoReturn:
-    """Raise the error for the statement at ``pos``, which ``_GRAMMAR``
-    rejected: syntax, then arity, then the first bad field from the left.
-
-    Such a statement always fails one of these checks, since the grammar
-    accepts every statement that passes them all.
-    """
-    match = _STATEMENT.match(code, pos)
-    if match:
-        kw, body = match.groups()
-        parts = [p.strip() for p in body.split(",")] if body else []
-        if len(parts) != _ARITY[kw]:
-            raise ParseError(line, f"{kw} expects {_ARITY[kw]} argument(s), "
-                                   f"got {len(parts)}")
-        if kw == "p":
-            _int(parts[0], line, "agent index")
-            _name(parts[1], line)
-            _float(parts[2], line)
-        elif kw != "agents":  # agents of arity 1 always matches the grammar
-            for token in parts:
-                _name(token, line)
-    raise ParseError(line, f"syntax error near {code[pos:].strip()!r}")
 
 
 def _metadata(comments: list[str]) -> tuple[str, str]:
@@ -285,40 +251,44 @@ def _parse_lines(text: str) -> FrameworkDocument:
             continue
         pos = 0
         while pos < end:
-            match = _GRAMMAR.match(code, pos)
+            match = _STATEMENT.match(code, pos)
             if match is None:
-                _raise_statement_error(code, pos, line_no)
+                raise ParseError(
+                    line_no, f"syntax error near {code[pos:].strip()!r}")
             pos = match.end()
-            kind = match.lastindex
-            if kind == 8:  # p
-                agent = _int(match[6], line_no, "agent index")
-                arg, token = match[7], match[8]
-                value = _float(token, line_no)
+            kw, body = match.groups()
+            parts = ([p.strip() for p in body.split(",")]
+                     if body.strip() else [])
+            if len(parts) != _ARITY[kw]:
+                raise ParseError(line_no, f"{kw} expects {_ARITY[kw]} "
+                                          f"argument(s), got {len(parts)}")
+            if kw == "p":
+                agent = _int(parts[0], line_no, "agent index")
+                arg = _name(parts[1], line_no)
+                value = _float(parts[2], line_no)
                 if not 0.0 <= value <= 1.0:
-                    raise ParseError(line_no, f"opinion {token} outside [0, 1]")
+                    raise ParseError(
+                        line_no, f"opinion {parts[2]} outside [0, 1]")
                 if agent < 1:
                     raise ParseError(line_no, "agent index must be >= 1")
                 if (agent, arg) in opinions:
                     raise ParseError(
                         line_no, f"duplicate opinion p({agent},{arg},...)")
                 opinions[agent, arg] = (value, line_no)
-            elif kind == 1:
-                arg_lines.setdefault(match[1], line_no)
-            elif kind == 4:
-                pair = (match[3], match[4])
-                if match[2] == "att":
-                    attacks.setdefault(pair, line_no)
-                else:
-                    causal.setdefault(pair, line_no)
-            else:  # agents
+            elif kw == "arg":
+                arg_lines.setdefault(_name(parts[0], line_no), line_no)
+            elif kw == "agents":
                 if agents is not None:
                     raise ParseError(line_no, "duplicate agents declaration")
-                agents = _int(match[5], line_no, "agent count")
+                agents = _int(parts[0], line_no, "agent count")
                 if agents < 1:
                     raise ParseError(line_no, "agent count must be >= 1")
                 if agents > MAX_AGENTS:
                     raise ParseError(
                         line_no, f"agent count must be <= {MAX_AGENTS}")
+            else:  # att or cau
+                pair = (_name(parts[0], line_no), _name(parts[1], line_no))
+                (attacks if kw == "att" else causal).setdefault(pair, line_no)
 
     # each dict lists its keys in the order of their first line
     for (a, b), line in attacks.items():
@@ -334,7 +304,7 @@ def _parse_lines(text: str) -> FrameworkDocument:
         if (a, b) in attacks or (b, a) in attacks:
             raise ParseError(
                 line, f"causal edge ({a},{b}) clashes with an attack")
-    # the grammar matched every name, and the ends were checked above
+    # every name was checked on its line, and the ends above
     arguments, index = _sorted_index(arg_lines)
     try:
         graph = _graph(arguments, index, frozenset(causal))

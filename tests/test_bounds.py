@@ -209,11 +209,11 @@ def test_mask_core_matches_the_wrapper_and_the_oracle(seed):
     doc = random_document(random.Random(seed), max_args=9)
     assume(doc.causality.edges)
     graph, profile = doc.causality, doc.profile
-    rows = doc.framework.extension_rows("conflict-free")
-    results = list(mask_bounds(graph, value_rows(profile, graph),
-                               [mask for _, mask in rows]))
-    assert rows[0] == ((), 0) and results[0] == (0.0, 1.0, "empty")
-    for (names, _), got in zip(rows, results):
+    masks = doc.framework.extension_masks("conflict-free")
+    names_of = doc.framework.row_decoder(masks)
+    results = list(mask_bounds(graph, value_rows(profile, graph), masks))
+    assert masks[0] == 0 and results[0] == (0.0, 1.0, "empty")
+    for names, got in zip(map(names_of, masks), results):
         try:
             result = extension_bounds(names, profile, graph)
         except CoverageError as exc:

