@@ -283,14 +283,20 @@ class ArgumentationFramework:
         mask = self._mask_of(members)
         return not any(self._out[i] & mask for i in set_bits(mask))
 
+    def extension_mask(self, members: Iterable[str]) -> int:
+        """The mask of ``members``: the first unknown name raises
+        ``UnknownArgumentError``, then a conflict ``ValidationError``."""
+        mask = self._mask_of(members)
+        if any(self._out[i] & mask for i in set_bits(mask)):
+            raise ValidationError("set {%s} is not conflict-free"
+                                  % ",".join(self._names_of(mask)))
+        return mask
+
     def extension(self, members: Iterable[str],
                   semantics: str = "conflict-free") -> Extension:
         """Build a checked extension; rejects conflicting member sets."""
-        names = self._names_of(self._mask_of(members))
-        if not self.is_conflict_free(names):
-            raise ValidationError(
-                "set {%s} is not conflict-free" % ",".join(names))
-        return Extension(names, semantics)
+        return Extension(self._names_of(self.extension_mask(members)),
+                         semantics)
 
     # -- semantics --------------------------------------------------------
 

@@ -22,7 +22,8 @@ meaningless product.
 anchors, groups, coverage checks and singles are ``&``/``|`` on the
 graph's closure masks, and a row is ``(lower, upper, case)`` or the
 refusal text, with no name decoded, yielded as it is computed.
-:func:`extension_bounds` runs it on the mask of one checked, named set.
+:func:`document_rows` gives a document's rows with their member names;
+:func:`extension_bounds` checks one named set and runs the kernel on it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .causality import CausalityGraph
 from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
                      agent_product)
 from .errors import CoverageError, ValidationError
+from .formats import FrameworkDocument
 
 EMPTY_CASE = "empty"
 SINGLETON_CASE = "singleton"
@@ -159,6 +161,14 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
                 f"not a probability interval: ({lower}, {upper})")
         yield (lower, upper,
                ALGORITHM_CASE if mask & mask - 1 else SINGLETON_CASE)
+
+
+def document_rows(doc: FrameworkDocument, masks: Sequence[int]) -> Iterator:
+    """``(names, result)`` of each of ``doc``'s member masks, drawn
+    lazily: the sorted names and the :func:`mask_bounds` row."""
+    graph = doc.causality  # it has the framework's arguments and bits
+    return zip(map(doc.framework.row_decoder(masks), masks),
+               mask_bounds(graph, value_rows(doc.profile, graph), masks))
 
 
 def extension_bounds(members: Extension | Iterable[str],

@@ -7,24 +7,19 @@ graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 
 Each command renders its rows here, as text lines or as JSON text
 written straight from the rows (only the 5 ``--paper-fixtures`` rows go
-through ``json.dumps``, as :func:`~credalarg.formats.emit_json`). One
-chunked writer, :func:`_write_rows`, serves ``solve``, ``bounds``,
-``rank`` and ``check``: it decodes, renders and writes at most
-``CHUNK_ROWS`` rows at a time, so an enumerating command holds one int
-per extension (the masks of
-:meth:`~credalarg.af.ArgumentationFramework.extension_masks`) and not
-every row's names and text. Every check, the cap and the walk run before
-the first byte is written. ``bounds`` computes its intervals as it writes
-them, through the one :func:`~credalarg.bounds.mask_bounds` generator of
-the command, so no ``Extension`` or ``BoundsResult`` is built per row
-(``bounds --set`` names one set and calls ``extension_bounds``); ``rank``
-keeps every row, since it sorts them. ``--oracle`` and
-``--paper-fixtures`` share one tolerance test. Each subcommand declares
-only the flags it reads, so any other flag is a usage error; so are
-``--max-args`` beside ``bounds --set`` or ``--paper-fixtures``, which
-enumerate nothing, ``--oracle`` beside ``--paper-fixtures``, which has
-reported values to compare with instead, and ``--tolerance`` without
-either, which compare nothing.
+through :func:`~credalarg.formats.emit_json`); ``bounds`` and ``rank``
+draw every row from :func:`~credalarg.bounds.document_rows`. One chunked
+writer, :func:`_write_rows`, serves ``solve``, ``bounds``, ``rank`` and
+``check``: it decodes, renders and writes at most ``CHUNK_ROWS`` rows at
+a time, so an enumerating command holds one int per extension mask and
+not every row's names and text (``rank`` keeps every row, since it sorts
+them). Every check, the cap and the walk run before the first byte is
+written. ``--oracle`` and ``--paper-fixtures`` share one tolerance test.
+Each subcommand declares only the flags it reads, so any other flag is a
+usage error; so are ``--max-args`` beside ``bounds --set`` or
+``--paper-fixtures``, which enumerate nothing, ``--oracle`` beside
+``--paper-fixtures``, which has reported values to compare with instead,
+and ``--tolerance`` without either, which compare nothing.
 
 The argparse parser is built on the first :func:`main` call and kept for
 the life of the process, so ``main`` may be called repeatedly in one
@@ -47,8 +42,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS
-from .bounds import (agent_valuation_oracle, extension_bounds, mask_bounds,
-                     rank_key, value_rows)
+from .bounds import agent_valuation_oracle, document_rows, rank_key
 from .credal import is_maximal, rationality_rows
 from .errors import CapExceededError, CoverageError, CredalArgError
 from .formats import FrameworkDocument, emit_json, export_dot, load_caf
@@ -285,16 +279,6 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _mask_results(doc: FrameworkDocument, masks: list[int]) -> Iterator:
-    """``(names, result)`` per mask, drawn lazily, ``result`` being the
-    ``(lower, upper, case)`` of :func:`mask_bounds` or its refusal text."""
-    # a parsed document's framework and graph share one argument tuple
-    # and index, so a framework mask is a graph mask
-    graph = doc.causality
-    return zip(map(doc.framework.row_decoder(masks), masks),
-               mask_bounds(graph, value_rows(doc.profile, graph), masks))
-
-
 def _oracle_check(ns: argparse.Namespace, doc: FrameworkDocument,
                   names: tuple[str, ...], result) -> tuple:
     """``(oracle, match)`` of a row: the oracle's interval or refusal
@@ -365,13 +349,13 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         return _cmd_paper_fixtures(ns)
     doc = load_caf(ns.input)
     if ns.explicit_set is not None:  # then ns.semantics is None
-        # one named set: the library call raises its refusal (exit 2)
-        found = extension_bounds(doc.framework.extension(ns.explicit_set),
-                                 doc.profile, doc.causality)
-        pairs = [(found.extension.members, (
-            found.interval.lower, found.interval.upper, found.case))]
+        # one named set: a refusal exits 2 before anything is written
+        pairs = list(document_rows(
+            doc, [doc.framework.extension_mask(ns.explicit_set)]))
+        if isinstance(pairs[0][1], str):
+            raise CoverageError(pairs[0][1])
     else:
-        pairs = _mask_results(doc, doc.framework.extension_masks(
+        pairs = document_rows(doc, doc.framework.extension_masks(
             ns.semantics, ns.max_args))
     # a chunk of rows is bounded first, then checked and rendered
     if ns.output_format == "json":
@@ -388,14 +372,13 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
 
 def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
     doc = diagnosis_document()
-    graph = doc.causality
-    # the bundled sets are conflict-free and none is refused
-    results = mask_bounds(graph, value_rows(doc.profile, graph), [
-        sum(1 << graph.index[n] for n in f.members)
-        for f in REPORTED_FIXTURES])
+    masks = [doc.framework.extension_mask(f.members)
+             for f in REPORTED_FIXTURES]
+    # none of the bundled sets is refused
     rows = [(f, lower, upper, _deviations(lower, upper, f.reported,
                                           ns.tolerance))
-            for f, (lower, upper, _) in zip(REPORTED_FIXTURES, results)]
+            for f, (_, (lower, upper, _)) in zip(REPORTED_FIXTURES,
+                                                 document_rows(doc, masks))]
     if ns.output_format == "json":
         print(emit_json({"fixtures": [
             {"label": f.label, "members": list(f.members),
@@ -466,7 +449,7 @@ def cmd_export_dot(ns: argparse.Namespace) -> int:
 
 def cmd_rank(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
-    pairs = list(_mask_results(doc, doc.framework.extension_masks(
+    pairs = list(document_rows(doc, doc.framework.extension_masks(
         ns.semantics, ns.max_args)))
     ranked = sorted([pair for pair in pairs if not isinstance(pair[1], str)],
                     key=lambda pair: rank_key(*pair[1][:2], pair[0]))

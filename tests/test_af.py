@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalarg import (ArgumentationFramework, CapExceededError, Extension,
-                       UnknownArgumentError, ValidationError)
+from credalarg import (ArgumentationFramework, CapExceededError,
+                       CredalArgError, Extension, UnknownArgumentError,
+                       ValidationError)
 from credalarg.af import set_bits
 from bruteforce import bf_semantics
 from randgen import random_framework
@@ -174,6 +175,8 @@ class TestEnumerate:
         af = ArgumentationFramework(("a", "b", "c"))
         with pytest.raises(CapExceededError):
             af.enumerate_extensions("conflict-free", max_args=2)
+        with pytest.raises(ValidationError, match="max_args must be >= 1"):
+            af.extension_masks("conflict-free", max_args=0)
 
 
 def ring(n: int, closed: bool) -> ArgumentationFramework:
@@ -338,6 +341,22 @@ class TestExtensionType:
             Extension("abc")
         assert str(info.value) == \
             "members must be a collection of names, not the string 'abc'"
+
+    @pytest.mark.parametrize("members", [
+        ("C", "D", "E", "F", "G", "H"), ("H", "A", "H"), (), ("B", "A"),
+        ("A", "B", "nope"), ("B", "zz", "A", "yy"), "AB"])
+    def test_extension_mask_checks_as_extension_does(self, diagnosis,
+                                                     members):
+        framework = diagnosis.framework
+        try:
+            expected = framework.extension(members)
+        except CredalArgError as exc:
+            with pytest.raises(type(exc)) as info:
+                framework.extension_mask(members)
+            assert str(info.value) == str(exc)
+        else:
+            mask = framework.extension_mask(members)
+            assert framework.row_decoder([mask])(mask) == expected.members
 
     def test_checked_construction_rejects_a_string(self, diagnosis):
         # the characters A and B are names of the framework, so only the

@@ -205,13 +205,16 @@ class TestBounds:
     def test_explicit_set_coverage_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "chain.caf"
         path.write_text("arg(x). arg(y). arg(z).\ncau(x,y). cau(y,z).\n")
-        code, out, err = run(capsys, "bounds", "--input", str(path),
-                             "--set", "x,z")
-        assert (code, out) == (2, "")
         doc = parse_caf(path.read_text())
         with pytest.raises(CoverageError) as exc:
             extension_bounds(("x", "z"), doc.profile, doc.causality)
-        assert err == f"error: {exc.value}\n"
+        assert str(exc.value) == \
+            "member 'x' consumed 2 times by the causal grouping"
+        # the row is refused before anything is written, in either format
+        for fmt in ("text", "json"):
+            assert run(capsys, "bounds", "--input", str(path), "--set",
+                       "x,z", "--format", fmt) == \
+                (2, "", f"error: {exc.value}\n")
 
     def test_json_schema(self, capsys, diagnosis_caf):
         code, out, _ = run(capsys, "bounds", "--input", diagnosis_caf,
@@ -306,6 +309,25 @@ class TestBounds:
         # agreeing and disagreeing all occurred
         assert {"error", "oracle_error", "oracle_lower", "empty",
                 ("match", True), ("match", False)} <= seen
+
+    def test_refused_row_the_oracle_accepts_is_a_mismatch(
+            self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "chain.caf"
+        path.write_text("arg(x). arg(y). arg(z).\ncau(x,y). cau(y,z).\n")
+        monkeypatch.setattr(cli, "agent_valuation_oracle",
+                            lambda *args: ProbabilityInterval(0.25, 0.5))
+        argv = ("bounds", "--input", str(path), "--semantics", "cf",
+                "--oracle")
+        _, out, _ = run(capsys, *argv)
+        assert "{x,z} coverage-error: member 'x' consumed 2 times by the " \
+            "causal grouping oracle=0.250000,0.500000 MISMATCH\n" in out
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert out == _dumps(json.loads(out))
+        assert {"members": ["x", "z"],
+                "error": "member 'x' consumed 2 times by the causal "
+                         "grouping",
+                "oracle_lower": 0.25, "oracle_upper": 0.5,
+                "oracle_match": False} in json.loads(out)["extensions"]
 
     def test_oracle_mismatch_beyond_the_tolerance(self, capsys,
                                                   diagnosis_caf,

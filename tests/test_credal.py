@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import credalarg
 from credalarg import (ArgumentationFramework, CredalProfile, CredalSet,
-                       CredalSetError, RationalityViolation, ValidationError,
+                       CredalSetError, ProbabilityInterval,
+                       RationalityViolation, ValidationError,
                        dependent_bounds, dependent_credal_set,
                        independent_bounds, is_maximal,
                        rationality_report, single_bounds)
@@ -139,6 +140,17 @@ class TestValidation:
             CredalProfile.maximal(["a"], 10**19)
         with pytest.raises(CredalSetError, match="agent count must be <="):
             CredalProfile(10**19, {})
+
+    def test_agent_count_below_one_rejected(self):
+        with pytest.raises(CredalSetError, match="agent count must be >= 1"):
+            CredalProfile(0, {})
+        # an empty table has nothing to infer the count from
+        assert CredalProfile.of({}) == CredalProfile(1, {})
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            ProbabilityInterval(0.6, 0.4)
+        assert str(info.value) == "not a probability interval: (0.6, 0.4)"
 
     def test_profile_lookup_miss(self):
         profile = CredalProfile.of({"a": [0.5]})

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from credalarg import (ArgumentationFramework, CausalCycleError,
                        CausalityGraph, CredalProfile, FrameworkDocument,
-                       ParseError, ValidationError, emit_caf, emit_json,
-                       export_dot, load_caf, parse_caf)
+                       ParseError, ValidationError, dump_caf, emit_caf,
+                       emit_json, export_dot, load_caf, parse_caf)
 from credalarg.cli import main
 from randgen import random_document
 from reference_caf import parse_caf as reference_parse_caf
@@ -24,11 +24,14 @@ class TestParse:
         assert doc.framework.arguments == ("A",)
         assert doc.profile.credal_set("A").values == (0.5,)
 
-    def test_diagnosis_document_round_trips(self, diagnosis):
+    def test_diagnosis_document_round_trips(self, diagnosis, tmp_path):
         text = emit_caf(diagnosis)
         again = parse_caf(text)
         assert again == diagnosis
         assert emit_caf(again) == text  # canonicalization is idempotent
+        path = str(tmp_path / "diagnosis.caf")
+        dump_caf(diagnosis, path)
+        assert load_caf(path) == diagnosis
 
     def test_out_of_range_value(self):
         with pytest.raises(ParseError) as err:
@@ -525,6 +528,24 @@ class TestAgainstReference:
     ])
     def test_edge_cases_match_the_reference_parser(self, text):
         _matching_outcome(text)
+
+    # canonical in shape, so only the whole-text pass's value checks send
+    # them on to the line parser, which words the error
+    @pytest.mark.parametrize("text", [
+        "agents(0).\n", "agents(10001).\n", "agents(%s).\n" % ("1" * 5000),
+        "arg(a).\nagents(1).\np(1,a,1e).\n",
+        "arg(a).\nagents(1).\np(1,a,1-2).\n",
+        "arg(a).\nagents(1).\np(1,b,0.5).\n",
+    ], ids=["agents-0", "agents-10001", "agents-5000-digits", "value-1e",
+            "value-1-2", "undeclared-p"])
+    def test_canonical_fallbacks_match_the_line_parser(self, text):
+        from credalarg import formats
+
+        assert formats._parse_canonical(text) is None
+        with pytest.raises(ParseError) as lines:
+            formats._parse_lines(text)
+        outcome = _matching_outcome(text)
+        assert outcome == (ParseError, lines.value.line, str(lines.value))
 
     @settings(max_examples=300, deadline=None)
     @given(st.text())
