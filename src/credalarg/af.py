@@ -9,13 +9,14 @@ The attacks, and the causal edges of a
 :func:`index_arguments` checks, sorts and indexes the names (bit i is
 ``arguments[i]``), and :func:`compile_pairs` turns the pairs into
 per-argument source and target bitmasks over that index. The public
-constructors reject first an invalid name (in given order), then the
-lowest pair that is not a 2-tuple (:func:`pair_set`), then the lowest
-pair with an unknown end, so the error never depends on hash or input
-order. The `.caf` loader, which has matched every name and pair already,
-indexes the names once and builds the framework and the graph over that
-one tuple and index, so in a parsed document they share ``arguments``
-and a framework mask is a graph mask.
+constructors reject first an invalid name, then a pair that is not a
+2-tuple (:func:`pair_set`), then a pair with an unknown end. Each
+refusal, there and in :class:`Extension` and the member-list queries,
+names the lowest offender, so none depends on hash or input order. The
+`.caf` loader, which has matched every name and pair already, indexes
+the names once and builds the framework and the graph over that one
+tuple and index, so in a parsed document they share ``arguments`` and a
+framework mask is a graph mask.
 
 The grounded extension comes from the grounded labelling (Modgil &
 Caminada 2009): an argument is IN once all its attackers are OUT, and
@@ -121,19 +122,19 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _member_names(members: Iterable[str]) -> tuple:
-    # a str is an iterable of one-character names, never a member list
+def _names(members: Iterable[str]) -> tuple:
+    # members as a tuple; a str (never a member list) or an invalid name,
+    # the lowest by repr, raises ValidationError
     if isinstance(members, str):
+        raise ValidationError("members must be a collection of names, not "
+                              f"the string {members!r}")
+    names = tuple(members)
+    invalid = [name for name in names
+               if not isinstance(name, str) or not NAME_PATTERN.match(name)]
+    if invalid:
         raise ValidationError(
-            f"members must be a collection of names, not the string "
-            f"{members!r}")
-    return tuple(members)
-
-
-def _check_name(name: str) -> str:
-    if not isinstance(name, str) or not NAME_PATTERN.match(name):
-        raise ValidationError(f"invalid argument name: {name!r}")
-    return name
+            f"invalid argument name: {min(invalid, key=repr)!r}")
+    return names
 
 
 def _sorted_index(names: Iterable[str]) -> tuple:
@@ -145,9 +146,9 @@ def _sorted_index(names: Iterable[str]) -> tuple:
 
 def index_arguments(arguments: Iterable[str]) -> tuple:
     """The sorted distinct ``arguments`` and the name -> bit index over
-    them; an invalid name raises ``ValidationError``, the first in given
-    order."""
-    return _sorted_index(map(_check_name, arguments))
+    them; a string, or an invalid name (the lowest by ``repr``), raises
+    ``ValidationError``."""
+    return _sorted_index(_names(arguments))
 
 
 def pair_set(pairs: Iterable[tuple[str, str]], kind: str) -> frozenset:
@@ -200,13 +201,8 @@ class Extension:
     semantics: str = "conflict-free"
 
     def __post_init__(self):
-        members = _member_names(self.members)
-        invalid = [m for m in members
-                   if not isinstance(m, str) or not NAME_PATTERN.match(m)]
-        if invalid:
-            # the lowest by repr, so the error does not follow hash order
-            _check_name(min(invalid, key=repr))
-        object.__setattr__(self, "members", tuple(sorted(set(members))))
+        object.__setattr__(self, "members",
+                           tuple(sorted(set(_names(self.members)))))
         if self.semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {self.semantics!r}")
 
@@ -248,14 +244,12 @@ class ArgumentationFramework:
 
     # -- mask helpers -----------------------------------------------------
 
-    def _mask_of(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in _member_names(names):
-            i = self._index.get(name)
-            if i is None:
-                raise UnknownArgumentError(f"unknown argument {name!r}")
-            mask |= 1 << i
-        return mask
+    def _mask_of(self, members: Iterable[str]) -> int:
+        names = set(_names(members))
+        unknown = names - self._index.keys()
+        if unknown:
+            raise UnknownArgumentError(f"unknown argument {min(unknown)!r}")
+        return sum(1 << self._index[name] for name in names)
 
     def _names_of(self, mask: int) -> tuple[str, ...]:
         # bin() lists bits high first; reversed, byte i flags arguments[i]
@@ -284,8 +278,9 @@ class ArgumentationFramework:
         return not any(self._out[i] & mask for i in set_bits(mask))
 
     def extension_mask(self, members: Iterable[str]) -> int:
-        """The mask of ``members``: the first unknown name raises
-        ``UnknownArgumentError``, then a conflict ``ValidationError``."""
+        """The mask of ``members``: a name check as in :class:`Extension`,
+        then the lowest unknown name raises ``UnknownArgumentError``, then
+        a conflict ``ValidationError``."""
         mask = self._mask_of(members)
         if any(self._out[i] & mask for i in set_bits(mask)):
             raise ValidationError("set {%s} is not conflict-free"

@@ -36,13 +36,18 @@ class CredalSet:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = []
+        for v in self.values:  # a value float() refuses is outside too
+            try:
+                value = float(v)
+            except (TypeError, ValueError, OverflowError):
+                raise CredalSetError(f"opinion {v!r} outside [0, 1]") from None
+            if not 0.0 <= value <= 1.0:
+                raise CredalSetError(f"opinion {value!r} outside [0, 1]")
+            vals.append(value)
         if not vals:
             raise CredalSetError("credal set must hold at least one opinion")
-        for v in vals:
-            if not 0.0 <= v <= 1.0:
-                raise CredalSetError(f"opinion {v!r} outside [0, 1]")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(vals))
 
     @classmethod
     def _trusted(cls, values: tuple[float, ...]) -> CredalSet:
@@ -67,9 +72,6 @@ class ProbabilityInterval:
             raise ValidationError(
                 f"not a probability interval: ({self.lower}, {self.upper})")
 
-    def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2.0
-
 
 @dataclass(frozen=True)
 class CredalProfile:
@@ -90,12 +92,12 @@ class CredalProfile:
 
     @classmethod
     def of(cls, table: Mapping[str, Sequence[float]]) -> "CredalProfile":
-        """Build from raw value lists, inferring the agent count."""
-        sets = {name: CredalSet(tuple(vals)) for name, vals in table.items()}
+        """Build from raw value lists, in sorted-name order, taking the
+        agent count from the lowest-named list."""
+        sets = {name: CredalSet(tuple(table[name])) for name in sorted(table)}
         if not sets:
             return cls(1, {})
-        m = len(next(iter(sets.values())))
-        return cls(m, sets)
+        return cls(len(next(iter(sets.values()))), sets)
 
     @classmethod
     def maximal(cls, arguments: Iterable[str],

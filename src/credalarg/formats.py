@@ -35,6 +35,8 @@ failed check raises :class:`ParseError` with its line, in this order:
    above the count and an undeclared argument;
 5. arguments, by declaration: a missing opinion, on the ``arg`` line.
 
+An error echoes at most 40 characters of a token or of the rest of a line.
+
 Plain `arg`/`att` solver benchmarks load as-is: without any ``p``
 statements the profile defaults to all-ones, which reduces the analysis to
 classical acceptance.
@@ -116,24 +118,22 @@ class FrameworkDocument:
                     "without outer whitespace")
 
 
+def _clip(text: str) -> str:
+    # at most 40 characters of the text an error echoes, "..." marking a cut
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _name(token: str, line: int) -> str:
     if not NAME_PATTERN.match(token):
-        raise ParseError(line, f"invalid argument name {token!r}")
+        raise ParseError(line, f"invalid argument name {_clip(token)!r}")
     return token
 
 
-def _int(token: str, line: int, what: str) -> int:
+def _number(parse: type, token: str, line: int, what: str):
     try:
-        return int(token)
+        return parse(token)
     except ValueError:
-        raise ParseError(line, f"invalid {what} {token!r}") from None
-
-
-def _float(token: str, line: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(line, f"invalid opinion value {token!r}") from None
+        raise ParseError(line, f"invalid {what} {_clip(token)!r}") from None
 
 
 def _metadata(comments: list[str]) -> tuple[str, str]:
@@ -253,8 +253,8 @@ def _parse_lines(text: str) -> FrameworkDocument:
         while pos < end:
             match = _STATEMENT.match(code, pos)
             if match is None:
-                raise ParseError(
-                    line_no, f"syntax error near {code[pos:].strip()!r}")
+                raise ParseError(line_no, "syntax error near "
+                                          f"{_clip(code[pos:].strip())!r}")
             pos = match.end()
             kw, body = match.groups()
             parts = ([p.strip() for p in body.split(",")]
@@ -263,12 +263,12 @@ def _parse_lines(text: str) -> FrameworkDocument:
                 raise ParseError(line_no, f"{kw} expects {_ARITY[kw]} "
                                           f"argument(s), got {len(parts)}")
             if kw == "p":
-                agent = _int(parts[0], line_no, "agent index")
+                agent = _number(int, parts[0], line_no, "agent index")
                 arg = _name(parts[1], line_no)
-                value = _float(parts[2], line_no)
+                value = _number(float, parts[2], line_no, "opinion value")
                 if not 0.0 <= value <= 1.0:
                     raise ParseError(
-                        line_no, f"opinion {parts[2]} outside [0, 1]")
+                        line_no, f"opinion {_clip(parts[2])} outside [0, 1]")
                 if agent < 1:
                     raise ParseError(line_no, "agent index must be >= 1")
                 if (agent, arg) in opinions:
@@ -280,7 +280,7 @@ def _parse_lines(text: str) -> FrameworkDocument:
             elif kw == "agents":
                 if agents is not None:
                     raise ParseError(line_no, "duplicate agents declaration")
-                agents = _int(parts[0], line_no, "agent count")
+                agents = _number(int, parts[0], line_no, "agent count")
                 if agents < 1:
                     raise ParseError(line_no, "agent count must be >= 1")
                 if agents > MAX_AGENTS:

@@ -4,7 +4,8 @@ A verbatim copy of the statement-by-statement parser that split each
 statement body on commas and checked every name on its own. It is kept
 only as an oracle: ``formats.parse_caf`` must return an equal document,
 or raise the same exception type with the same line and message, on any
-input text.
+input text. Its echoes of a token or of the rest of a line are cut to 40
+characters, as the loader cuts them.
 """
 
 from __future__ import annotations
@@ -20,9 +21,14 @@ _STATEMENT = re.compile(r"\s*(arg|att|cau|agents|p)\s*\(\s*([^()]*?)\s*\)\s*\.")
 _ARITY = {"arg": 1, "att": 2, "cau": 2, "agents": 1, "p": 3}
 
 
+def _clip(text: str) -> str:
+    # at most 40 characters of the text an error echoes, "..." marking a cut
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _name(token: str, line: int) -> str:
     if not NAME_PATTERN.match(token):
-        raise ParseError(line, f"invalid argument name {token!r}")
+        raise ParseError(line, f"invalid argument name {_clip(token)!r}")
     return token
 
 
@@ -30,7 +36,7 @@ def _int(token: str, line: int, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(line, f"invalid {what} {token!r}") from None
+        raise ParseError(line, f"invalid {what} {_clip(token)!r}") from None
 
 
 def parse_caf(text: str) -> FrameworkDocument:
@@ -60,8 +66,8 @@ def parse_caf(text: str) -> FrameworkDocument:
         while pos < len(code) and code[pos:].strip():
             match = _STATEMENT.match(code, pos)
             if not match:
-                raise ParseError(line_no,
-                                 f"syntax error near {code[pos:].strip()!r}")
+                raise ParseError(line_no, "syntax error near "
+                                          f"{_clip(code[pos:].strip())!r}")
             pos = match.end()
             kw, body = match.group(1), match.group(2)
             parts = [p.strip() for p in body.split(",")] if body.strip() else []
@@ -93,10 +99,11 @@ def parse_caf(text: str) -> FrameworkDocument:
                     value = float(parts[2])
                 except ValueError:
                     raise ParseError(
-                        line_no, f"invalid opinion value {parts[2]!r}") from None
+                        line_no,
+                        f"invalid opinion value {_clip(parts[2])!r}") from None
                 if not 0.0 <= value <= 1.0:
                     raise ParseError(
-                        line_no, f"opinion {parts[2]} outside [0, 1]")
+                        line_no, f"opinion {_clip(parts[2])} outside [0, 1]")
                 if agent < 1:
                     raise ParseError(line_no, "agent index must be >= 1")
                 if (agent, arg) in opinions:

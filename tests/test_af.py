@@ -243,6 +243,13 @@ class TestConstruction:
             ArgumentationFramework(("a", "b-c"), frozenset({("a", "zz")}))
         assert str(err.value) == "invalid argument name: 'b-c'"
 
+    def test_string_is_not_an_argument_list(self):
+        # "ab" would otherwise be read as the arguments a and b
+        with pytest.raises(ValidationError) as err:
+            ArgumentationFramework("ab")
+        assert str(err.value) == \
+            "members must be a collection of names, not the string 'ab'"
+
     def test_ends_that_are_not_names_are_unknown(self):
         with pytest.raises(UnknownArgumentError) as err:
             ArgumentationFramework(("a",), frozenset({("a", "zz"), ("a", 1)}))

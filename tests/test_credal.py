@@ -128,6 +128,22 @@ class TestValidation:
         with pytest.raises(CredalSetError):
             CredalSet((-0.1,))
 
+    @pytest.mark.parametrize("values, message", [
+        (("x",), "opinion 'x' outside [0, 1]"),
+        ((None,), "opinion None outside [0, 1]"),
+        # the first offender in agent order, numeric or not
+        ((0.5, None, 2, "x"), "opinion None outside [0, 1]"),
+        ((0.5, 2, "x"), "opinion 2.0 outside [0, 1]"),
+    ])
+    def test_non_numeric_opinion_is_a_credal_set_error(self, values,
+                                                       message):
+        with pytest.raises(CredalSetError) as info:
+            CredalSet(values)
+        assert str(info.value) == message
+        with pytest.raises(CredalSetError) as info:
+            CredalProfile.of({"b": [0.5] * len(values), "a": list(values)})
+        assert str(info.value) == message
+
     def test_profile_requires_equal_lengths(self):
         with pytest.raises(CredalSetError):
             CredalProfile(2, {"a": CredalSet((0.5, 0.5)),

@@ -565,10 +565,12 @@ class TestAgainstReference:
 
 
 class TestLinearTime:
+    # an echo keeps 40 characters of the run, so the text is the same at
+    # every length
     @pytest.mark.parametrize("shape, message", [
-        ("unclosed p", "syntax error near 'p(1,A,1{}x.'"),
+        ("unclosed p", "syntax error near 'p(1,A,1%s...'" % (" " * 33)),
         ("unclosed arg", "syntax error near 'arg(A'"),
-        ("spaced name", "invalid argument name 'A{}B'"),
+        ("spaced name", "invalid argument name 'A%s...'" % (" " * 39)),
     ])
     def test_whitespace_runs_are_refused_in_linear_time(self, shape,
                                                         message):
@@ -583,7 +585,7 @@ class TestLinearTime:
                 with pytest.raises(ParseError) as err:
                     parse_caf(text)
                 best = min(best, time.perf_counter() - start)
-            assert str(err.value) == "line 1: " + message.format(" " * n)
+            assert str(err.value) == "line 1: " + message
             assert best < 0.25, (n, best)
             times.append(best)
         assert times[1] <= 3 * times[0] + 0.001, times

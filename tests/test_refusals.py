@@ -1,0 +1,111 @@
+"""Every library refusal names its lowest offender: the message follows
+neither the hash seed (``PYTHONHASHSEED``) nor the order of the input."""
+
+import os
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
+
+import pytest
+
+import credalarg
+from credalarg import (ArgumentationFramework, CausalityGraph,
+                       CredalArgError, CredalProfile, Extension)
+
+_FRAMEWORK = ArgumentationFramework(("a", "b", "c"), frozenset({("a", "b")}))
+
+# (call on a member list, a list holding three offenders, the message);
+# CredalProfile.of takes the list as the items of its dict
+_CASES = {
+    "framework": (ArgumentationFramework, ["c-3", "e", "a-1", "b-2"],
+                  "ValidationError: invalid argument name: 'a-1'"),
+    "graph": (CausalityGraph, ["c-3", "e", "a-1", "b-2"],
+              "ValidationError: invalid argument name: 'a-1'"),
+    "Extension": (Extension, ["b-2", 1, "c", "a-1"],
+                  "ValidationError: invalid argument name: 'a-1'"),
+    "extension_mask": (_FRAMEWORK.extension_mask, ["zz", "a", "xx", "yy"],
+                       "UnknownArgumentError: unknown argument 'xx'"),
+    "extension_mask, not a string": (
+        _FRAMEWORK.extension_mask, [["l"], "a", "a-b", 2],
+        "ValidationError: invalid argument name: 'a-b'"),
+    "extension": (_FRAMEWORK.extension, ["zz", "a-b", "a", "yy"],
+                  "ValidationError: invalid argument name: 'a-b'"),
+    "is_conflict_free": (_FRAMEWORK.is_conflict_free, ["zz", "b", "yy", "xx"],
+                         "UnknownArgumentError: unknown argument 'xx'"),
+    "profile counts": (
+        lambda items: CredalProfile.of(dict(items)),
+        [("c", [0.1, 0.2, 0.3]), ("a", [0.1, 0.2]), ("d", [0.4]),
+         ("b", [0.3])],
+        "CredalSetError: credal set for 'b' has 1 opinions, expected 2"),
+    "profile opinions": (
+        lambda items: CredalProfile.of(dict(items)),
+        [("c", [2.0, 0.5]), ("a", [0.5, "x"]), ("b", [None, 0.5])],
+        "CredalSetError: opinion 'x' outside [0, 1]"),
+}
+
+
+def _message(call, members) -> str:
+    try:
+        call(members)
+    except CredalArgError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # an untyped error is a message of its own
+        return f"untyped {type(exc).__name__}: {exc}"
+    return "accepted"
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_refusal_does_not_depend_on_input_order(case):
+    call, members, message = _CASES[case]
+    assert {_message(call, list(order))
+            for order in permutations(members)} == {message}
+
+
+# The same refusals from sets of four offenders, whose iteration order
+# follows the hash seed; each line is one refusal.
+_HASH_SEED_PROBE = r"""
+from credalarg import (ArgumentationFramework, CausalityGraph,
+                       CredalArgError, CredalProfile, Extension)
+
+framework = ArgumentationFramework(("a", "b", "c"), frozenset({("a", "b")}))
+invalid = {"a-1", "b-2", "c-3", "d-4", "e"}
+unknown = {"ww", "xx", "yy", "zz", "a"}
+for call, members in (
+        (ArgumentationFramework, invalid), (CausalityGraph, invalid),
+        (Extension, invalid | {1, 2.5}), (framework.extension_mask, unknown),
+        (framework.extension, unknown | {"a-b"}),
+        (framework.is_conflict_free, unknown),
+        (CredalProfile.of, {name: [0.5] * len(name)
+                            for name in {"a", "bb", "ccc", "dddd"}}),
+        (CredalProfile.of, {name: [value] for name, value in
+                            {("a", "x"), ("b", None), ("c", 2), ("d", "y")}})):
+    try:
+        call(members)
+        print("accepted")
+    except CredalArgError as exc:
+        print(f"{type(exc).__name__}: {exc}")
+    except Exception as exc:
+        print(f"untyped {type(exc).__name__}: {exc}")
+"""
+
+
+def test_refusal_does_not_depend_on_the_hash_seed():
+    src = str(Path(credalarg.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().splitlines() == [
+        "ValidationError: invalid argument name: 'a-1'",
+        "ValidationError: invalid argument name: 'a-1'",
+        "ValidationError: invalid argument name: 'a-1'",
+        "UnknownArgumentError: unknown argument 'ww'",
+        "ValidationError: invalid argument name: 'a-b'",
+        "UnknownArgumentError: unknown argument 'ww'",
+        "CredalSetError: credal set for 'bb' has 2 opinions, expected 1",
+        "CredalSetError: opinion 'x' outside [0, 1]"]
