@@ -12,9 +12,9 @@ from .bounds import (BoundsResult, CausalGroup, agent_valuation_oracle,
                      extension_bounds, rank_extensions)
 from .causality import CausalityGraph, check_attack_disjointness
 from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
-                     RationalityViolation, dependent_bounds,
-                     dependent_credal_set, independent_bounds, is_maximal,
-                     rationality_report, single_bounds)
+                     dependent_bounds, dependent_credal_set,
+                     independent_bounds, is_maximal, rationality_rows,
+                     single_bounds)
 from .errors import (CapExceededError, CausalCycleError, CoverageError,
                      CredalArgError, CredalSetError, ParseError,
                      UnknownArgumentError, ValidationError)
@@ -26,9 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentationFramework", "Extension", "SEMANTICS", "DEFAULT_MAX_ARGS",
     "CredalSet", "CredalProfile", "ProbabilityInterval",
-    "RationalityViolation", "single_bounds", "independent_bounds",
-    "dependent_credal_set", "dependent_bounds", "rationality_report",
-    "is_maximal",
+    "single_bounds", "independent_bounds", "dependent_credal_set",
+    "dependent_bounds", "rationality_rows", "is_maximal",
     "CausalityGraph", "check_attack_disjointness",
     "CausalGroup", "BoundsResult", "extension_bounds",
     "agent_valuation_oracle", "rank_extensions",

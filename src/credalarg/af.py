@@ -64,9 +64,9 @@ entries their rows touch.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, UnknownArgumentError, ValidationError
 
@@ -101,7 +101,7 @@ def _byte_decoder(arguments: tuple[str, ...]) -> Callable[[int], tuple]:
     # mask -> names through one _ByteNames per byte of the mask
     tables = [_ByteNames(arguments[k:k + 8])
               for k in range(0, len(arguments) or 1, 8)]
-    if len(tables) == 2:  # 9-16 arguments, twice as fast as the loop
+    if len(tables) == 2:  # 9-16 arguments, about 1.5x as fast as the loop
         low, high = tables
         return lambda mask: low[mask & 255] + high[mask >> 8]
 
@@ -192,7 +192,7 @@ class Extension:
 
     ``members`` is kept as a sorted tuple so extensions order and compare
     deterministically. Conflict-freeness is enforced by the surfaces that
-    build extensions (enumeration, the grounded labelling, and
+    build extensions (enumeration and
     :meth:`ArgumentationFramework.extension`); build through those unless
     you already hold a checked set.
     """
@@ -314,18 +314,6 @@ class ArgumentationFramework:
                     if not live[k]:
                         queue.append(k)
         return in_mask, out_mask
-
-    def grounded_extension(self) -> Extension:
-        """The least complete extension, from the grounded labelling.
-
-        An argument is IN once all its attackers are OUT, and everything
-        an IN argument attacks is OUT; the IN arguments form the grounded
-        extension. The labelling runs in O(n + m) for n arguments and m
-        attacks, so it stays cheap on frameworks far beyond the
-        enumeration cap.
-        """
-        return Extension._trusted(
-            self._names_of(self._grounded_labelling()[0]), "grounded")
 
     def _walk(self, semantics: str) -> list[int]:
         # Include/exclude DFS over the free arguments: those the grounded

@@ -28,9 +28,9 @@ refusal text, with no name decoded, yielded as it is computed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
 
 from .af import Extension, set_bits
 from .causality import CausalityGraph

@@ -25,9 +25,9 @@ parent, and on, must repeat a node. No error depends on hash order.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection
 
 from .af import compile_pairs, index_arguments, pair_set, set_bits
 from .errors import CausalCycleError, ValidationError
@@ -99,9 +99,6 @@ class CausalityGraph:
                 up |= ancestors[j]
             ancestors[i] = up
         return ancestors
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.index
 
     def anchor_mask(self, members: int) -> int:
         """Members that terminate a causal chain inside ``members``.

@@ -37,9 +37,9 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS
 from .bounds import agent_valuation_oracle, document_rows, rank_key

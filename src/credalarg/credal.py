@@ -9,14 +9,12 @@ taking the min/max across agents.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .af import ArgumentationFramework
 from .errors import CredalSetError, ValidationError
-
-if TYPE_CHECKING:
-    from .af import ArgumentationFramework
 
 MAX_AGENTS = 10_000  # caps what an all-ones profile allocates per argument
 
@@ -176,19 +174,8 @@ def dependent_bounds(ks: Sequence[CredalSet]) -> ProbabilityInterval:
     return single_bounds(dependent_credal_set(ks))
 
 
-@dataclass(frozen=True, order=True)
-class RationalityViolation:
-    """One agent believing both ends of an attack above 0.5."""
-
-    agent: int  # 1-based
-    attacker: str
-    target: str
-    attacker_value: float
-    target_value: float
-
-
 def rationality_rows(
-        profile: CredalProfile, af: "ArgumentationFramework",
+        profile: CredalProfile, af: ArgumentationFramework,
 ) -> list[tuple[int, str, str, float, float]]:
     """Scan every agent against every attack.
 
@@ -196,8 +183,8 @@ def rationality_rows(
     attacked argument to at most 0.5. Violations are diagnostics, never a
     rejection: perfectly sensible multi-agent tables break the rule.
     Each violation is an ``(agent, attacker, target, attacker_value,
-    target_value)`` row (agent 1-based), agent first, then the sorted
-    attacks: the :class:`RationalityViolation` field order and sort order.
+    target_value)`` row (agent 1-based), in sorted order: agent first,
+    then the sorted attacks.
     """
     rows = [(attacker, target, profile.credal_set(attacker).values,
              profile.credal_set(target).values)
@@ -206,13 +193,6 @@ def rationality_rows(
             for j in range(profile.agent_count)
             for attacker, target, a, t in rows
             if a[j] > 0.5 and t[j] > 0.5]
-
-
-def rationality_report(profile: CredalProfile,
-                       af: "ArgumentationFramework") -> list[RationalityViolation]:
-    """The rows of :func:`rationality_rows` as violations, in order."""
-    return [RationalityViolation(*row)
-            for row in rationality_rows(profile, af)]
 
 
 def is_maximal(profile: CredalProfile) -> bool:

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-from typing import Sequence
+from collections.abc import Sequence
 
 
 class CredalArgError(Exception):

@@ -273,7 +273,8 @@ def _parse_lines(text: str) -> FrameworkDocument:
                     raise ParseError(line_no, "agent index must be >= 1")
                 if (agent, arg) in opinions:
                     raise ParseError(
-                        line_no, f"duplicate opinion p({agent},{arg},...)")
+                        line_no, "duplicate opinion "
+                        f"p({_clip(str(agent))},{_clip(arg)},...)")
                 opinions[agent, arg] = (value, line_no)
             elif kw == "arg":
                 arg_lines.setdefault(_name(parts[0], line_no), line_no)
@@ -294,16 +295,18 @@ def _parse_lines(text: str) -> FrameworkDocument:
     for (a, b), line in attacks.items():
         for end in (a, b):
             if end not in arg_lines:
-                raise ParseError(line, f"att uses undeclared argument {end!r}")
+                raise ParseError(line, "att uses undeclared argument "
+                                 f"{_clip(end)!r}")
     for (a, b), line in causal.items():
         for end in (a, b):
             if end not in arg_lines:
-                raise ParseError(line, f"cau uses undeclared argument {end!r}")
+                raise ParseError(line, "cau uses undeclared argument "
+                                 f"{_clip(end)!r}")
         if a == b:
-            raise ParseError(line, f"causal self-edge on {a!r}")
+            raise ParseError(line, f"causal self-edge on {_clip(a)!r}")
         if (a, b) in attacks or (b, a) in attacks:
-            raise ParseError(
-                line, f"causal edge ({a},{b}) clashes with an attack")
+            raise ParseError(line, f"causal edge ({_clip(a)},{_clip(b)}) "
+                                   "clashes with an attack")
     # every name was checked on its line, and the ends above
     arguments, index = _sorted_index(arg_lines)
     try:
@@ -318,17 +321,18 @@ def _parse_lines(text: str) -> FrameworkDocument:
                              "opinions require an agents(M) declaration")
         for (agent, arg), (_, line) in opinions.items():
             if agent > agents:
-                raise ParseError(
-                    line, f"agent index {agent} exceeds agents({agents})")
+                raise ParseError(line, f"agent index {_clip(str(agent))} "
+                                       f"exceeds agents({agents})")
             if arg not in arg_lines:
-                raise ParseError(line, f"p uses undeclared argument {arg!r}")
+                raise ParseError(line, "p uses undeclared argument "
+                                 f"{_clip(arg)!r}")
         if len(opinions) < len(arg_lines) * agents:
             for arg, decl_line in arg_lines.items():
                 for j in range(1, agents + 1):
                     if (j, arg) not in opinions:
                         raise ParseError(
-                            decl_line, f"argument {arg!r} is missing the "
-                            f"opinion of agent {j}")
+                            decl_line, f"argument {_clip(arg)!r} is missing "
+                            f"the opinion of agent {j}")
         profile = CredalProfile(agents, {
             arg: CredalSet(tuple([opinions[j, arg][0]
                                   for j in range(1, agents + 1)]))

@@ -108,7 +108,8 @@ def parse_caf(text: str) -> FrameworkDocument:
                     raise ParseError(line_no, "agent index must be >= 1")
                 if (agent, arg) in opinions:
                     raise ParseError(
-                        line_no, f"duplicate opinion p({agent},{arg},...)")
+                        line_no, "duplicate opinion "
+                        f"p({_clip(str(agent))},{_clip(arg)},...)")
                 if first_opinion_line is None:
                     first_opinion_line = line_no
                 opinions[(agent, arg)] = value
@@ -117,16 +118,19 @@ def parse_caf(text: str) -> FrameworkDocument:
     for (a, b), line in sorted(attacks.items(), key=lambda kv: kv[1]):
         for end in (a, b):
             if end not in arg_lines:
-                raise ParseError(line, f"att uses undeclared argument {end!r}")
+                raise ParseError(line, "att uses undeclared argument "
+                                 f"{_clip(end)!r}")
     for (a, b), line in sorted(causal.items(), key=lambda kv: kv[1]):
         for end in (a, b):
             if end not in arg_lines:
-                raise ParseError(line, f"cau uses undeclared argument {end!r}")
+                raise ParseError(line, "cau uses undeclared argument "
+                                 f"{_clip(end)!r}")
         if a == b:
-            raise ParseError(line, f"causal self-edge on {a!r}")
+            raise ParseError(line, f"causal self-edge on {_clip(a)!r}")
         if (a, b) in attacks or (b, a) in attacks:
             raise ParseError(
-                line, f"causal edge ({a},{b}) clashes with an attack")
+                line, f"causal edge ({_clip(a)},{_clip(b)}) clashes with "
+                "an attack")
     _reject_causal_cycle(causal)
 
     if opinions:
@@ -137,15 +141,17 @@ def parse_caf(text: str) -> FrameworkDocument:
                                          key=lambda kv: kv[1]):
             if agent > agents:
                 raise ParseError(
-                    line, f"agent index {agent} exceeds agents({agents})")
+                    line, f"agent index {_clip(str(agent))} exceeds "
+                    f"agents({agents})")
             if arg not in arg_lines:
-                raise ParseError(line, f"p uses undeclared argument {arg!r}")
+                raise ParseError(line, "p uses undeclared argument "
+                                 f"{_clip(arg)!r}")
         for arg, decl_line in arg_lines.items():
             for j in range(1, agents + 1):
                 if (j, arg) not in opinions:
                     raise ParseError(
-                        decl_line,
-                        f"argument {arg!r} is missing the opinion of agent {j}")
+                        decl_line, f"argument {_clip(arg)!r} is missing the "
+                        f"opinion of agent {j}")
         profile = CredalProfile(agents, {
             arg: CredalSet(tuple(opinions[(j, arg)]
                                  for j in range(1, agents + 1)))

@@ -79,16 +79,18 @@ class TestDefends:
 
 class TestGrounded:
     def test_diagnosis_grounded(self, diagnosis):
-        ext = diagnosis.framework.grounded_extension()
+        [ext] = diagnosis.framework.enumerate_extensions("grounded")
         assert set(ext.members) == {"C", "D", "E", "F", "G", "H"}
         assert ext.semantics == "grounded"
 
     def test_no_attacks_accepts_everything(self):
         af = ArgumentationFramework(("x", "y", "z"))
-        assert set(af.grounded_extension().members) == {"x", "y", "z"}
+        [ext] = af.enumerate_extensions("grounded")
+        assert set(ext.members) == {"x", "y", "z"}
 
     def test_three_cycle_grounds_to_nothing(self):
-        assert THREE_CYCLE.grounded_extension().members == ()
+        [ext] = THREE_CYCLE.enumerate_extensions("grounded")
+        assert ext.members == ()
 
     def test_long_chain_accepts_every_other_argument(self):
         # c0 -> c1 -> ... -> c4000; unpadded names so sorted order is not
@@ -96,13 +98,15 @@ class TestGrounded:
         names = [f"c{i}" for i in range(4001)]
         attacks = frozenset(zip(names, names[1:]))
         af = ArgumentationFramework(tuple(names), attacks)
-        assert set(af.grounded_extension().members) == set(names[::2])
+        [ext] = af.enumerate_extensions("grounded")
+        assert set(ext.members) == set(names[::2])
 
     def test_long_odd_cycle_grounds_to_nothing(self):
         names = [f"o{i}" for i in range(1001)]
         attacks = frozenset(zip(names, names[1:] + names[:1]))
         af = ArgumentationFramework(tuple(names), attacks)
-        assert af.grounded_extension().members == ()
+        [ext] = af.enumerate_extensions("grounded")
+        assert ext.members == ()
 
 
 class TestEnumerate:
@@ -150,7 +154,8 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             af.enumerate_extensions("conflict-free")
         # grounded bypasses subset enumeration entirely
-        assert len(af.grounded_extension().members) == 26
+        [ext] = af.enumerate_extensions("grounded")
+        assert len(ext.members) == 26
 
     def test_mutual_attack_pairs(self):
         pairs = [(f"p{i}", f"q{i}") for i in range(8)]
@@ -393,7 +398,7 @@ class TestAgainstBruteForce:
                                   attack_p=(0.1, 0.2, 0.35)[seed % 3])
             self_attacks += any(a == b for a, b in af.attacks)
             expected = bf_semantics(af.arguments, af.attacks)
-            assert [frozenset(af.grounded_extension().members)] == \
+            assert members(af.enumerate_extensions("grounded")) == \
                 expected["grounded"], seed
             for semantics in ("conflict-free", "admissible", "complete",
                               "preferred", "stable"):
@@ -436,13 +441,14 @@ class TestAgainstBruteForce:
             assert by_sem["complete"] <= by_sem["admissible"]
             assert by_sem["preferred"] <= by_sem["complete"]
             assert by_sem["stable"] <= by_sem["preferred"]
-            grounded = frozenset(af.grounded_extension().members)
-            assert all(grounded <= c for c in by_sem["complete"])
+            [ext] = af.enumerate_extensions("grounded")
+            assert all(set(ext.members) <= c for c in by_sem["complete"])
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_grounded_is_a_fixpoint_of_the_defense_operator(seed):
     af = random_framework(random.Random(seed), max_args=9)
-    grounded = set(af.grounded_extension().members)
+    [ext] = af.enumerate_extensions("grounded")
+    grounded = set(ext.members)
     assert defended_arguments(af, grounded) == grounded

@@ -234,6 +234,14 @@ def test_mask_core_matches_the_wrapper_and_the_oracle(seed):
             assert got[:2] == (oracle.lower, oracle.upper), names
 
 
+def test_mask_core_refuses_rows_outside_the_unit_interval():
+    # value rows are trusted, but an interval the kernel yields is checked
+    graph = CausalityGraph(("a",), frozenset())
+    with pytest.raises(ValidationError) as info:
+        list(mask_bounds(graph, [(1.5,)], [1]))
+    assert str(info.value) == "not a probability interval: (1.5, 1.5)"
+
+
 def test_bounds_survive_argument_relabeling():
     rng = random.Random(0xC0FFEE)
     for _ in range(25):
@@ -315,7 +323,7 @@ def test_lone_group_product_equals_the_dependent_rule_exactly():
     assert lone > 50
 
 
-def test_large_grounded_extension_matches_the_oracle():
+def test_large_grounded_set_matches_the_oracle():
     # No attack reaches the chains, isolated arguments or free causes, so
     # the grounded extension holds 2,300 members: 300 four-link causal
     # chains (one group each), 500 isolated arguments, and 300 causes whose
@@ -333,7 +341,7 @@ def test_large_grounded_extension_matches_the_oracle():
     # opinions near 1, so a product of 1,400 factors does not underflow
     profile = CredalProfile.of(
         {a: [1.0 - rng.random() * 1e-3 for _ in range(4)] for a in args})
-    ext = af.grounded_extension()
+    [ext] = af.enumerate_extensions("grounded")
     assert len(ext.members) == 2300
     result = extension_bounds(ext, profile, graph)
     assert len(result.groups) == 300

@@ -97,8 +97,8 @@ class TestAncestors:
         assert str(info.value) == "causality graph has no argument 'Z'"
 
     def test_membership(self, diagnosis):
-        assert "E" in diagnosis.causality
-        assert "Z" not in diagnosis.causality
+        assert "E" in diagnosis.causality.index
+        assert "Z" not in diagnosis.causality.index
 
     def test_monotone_under_edge_addition(self):
         rng = random.Random(21)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -15,7 +14,7 @@ from credalarg import (CoverageError, Extension, ProbabilityInterval, cli,
                        extension_bounds, rank_extensions)
 from credalarg.bounds import BoundsResult
 from credalarg.cli import main
-from credalarg.credal import is_maximal, rationality_report
+from credalarg.credal import is_maximal, rationality_rows
 from credalarg.formats import emit_caf, parse_caf
 from credalarg.samples import REPORTED_FIXTURES, diagnosis_document
 from randgen import random_document
@@ -508,6 +507,15 @@ def _child_env() -> dict:
     return env
 
 
+def test_cli_imports_no_typing():
+    # without site, whose .pth files may import typing themselves
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, credalarg.cli\n"
+         "print('typing' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 class TestClosedPipe:
     def test_in_process_write_to_a_closed_pipe_exits_0(self, capsys,
                                                        diagnosis_caf):
@@ -587,11 +595,13 @@ class TestCheck:
         rng = random.Random(0xC4EC)
         texts = [THREE_CYCLE, emit_caf(diagnosis)] + [
             emit_caf(random_document(rng)) for _ in range(40)]
+        keys = ("agent", "attacker", "target", "attacker_value",
+                "target_value")
         with_violations = without = 0
         for text in texts:
             path.write_text(text)
             doc = parse_caf(text)
-            violations = rationality_report(doc.profile, doc.framework)
+            violations = rationality_rows(doc.profile, doc.framework)
             _, out, _ = run(capsys, "check", "--input", str(path),
                             "--format", "json")
             assert out == json.dumps(
@@ -602,7 +612,7 @@ class TestCheck:
                  "causality_valid": True,
                  "maximal": is_maximal(doc.profile),
                  "uniform": True,
-                 "violations": [dataclasses.asdict(v) for v in violations]},
+                 "violations": [dict(zip(keys, v)) for v in violations]},
                 indent=2, sort_keys=True) + "\n"
             with_violations += bool(violations)
             without += not violations
@@ -727,6 +737,11 @@ MALFORMED_DOCUMENTS = [
     "arg(a). arg(b). att(a,b). cau(a,b).",  # attack/causal clash
     "arg(a). arg(b). cau(a,b). cau(b,a).",  # causal cycle
     "arg(a). agents(2). p(1,a,0.5).",     # missing opinion
+    # an error echoes at most 40 characters of a name or an index
+    pytest.param("arg(a). att(a,%s)." % ("n" * 400_000),
+                 id="long undeclared name"),
+    pytest.param("arg(a). agents(1). p(%s,a,1)." % ("1" * 4000),
+                 id="long agent index"),
 ]
 
 
@@ -739,6 +754,7 @@ def test_malformed_documents_always_exit_2(capsys, tmp_path, text):
         code, _, err = run(capsys, *command, "--input", str(path))
         assert code == 2
         assert "error" in err
+        assert len(err.encode()) < 1024, len(err)
 
 
 def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 import credalarg
 from credalarg import (ArgumentationFramework, CredalProfile, CredalSet,
-                       CredalSetError, ProbabilityInterval,
-                       RationalityViolation, ValidationError,
+                       CredalSetError, ProbabilityInterval, ValidationError,
                        dependent_bounds, dependent_credal_set,
-                       independent_bounds, is_maximal,
-                       rationality_report, single_bounds)
+                       independent_bounds, is_maximal, rationality_rows,
+                       single_bounds)
 from randgen import random_framework, random_profile
 
 TOL = 1e-9
@@ -176,29 +175,29 @@ class TestValidation:
 
 class TestRationality:
     def test_diagnosis_violations(self, diagnosis):
-        report = rationality_report(diagnosis.profile, diagnosis.framework)
-        assert RationalityViolation(1, "D", "B", 0.75, 0.8) in report
-        assert [(v.agent, v.attacker, v.target) for v in report] == \
+        report = rationality_rows(diagnosis.profile, diagnosis.framework)
+        assert (1, "D", "B", 0.75, 0.8) in report
+        assert [row[:3] for row in report] == \
             [(1, "D", "B"), (1, "F", "B"), (2, "C", "A")]
 
     def test_low_opinions_never_fire(self):
         af = ArgumentationFramework(("a", "b"), frozenset({("a", "b")}))
         profile = CredalProfile.of({"a": [0.5, 0.2], "b": [0.5, 0.9]})
-        assert rationality_report(profile, af) == []
+        assert rationality_rows(profile, af) == []
 
     def test_no_attacks_vacuous(self):
         af = ArgumentationFramework(("a", "b"))
         profile = CredalProfile.maximal(af.arguments, 3)
-        assert rationality_report(profile, af) == []
+        assert rationality_rows(profile, af) == []
 
     def test_report_is_every_violation_in_sorted_order(self):
         rng = random.Random(17)
         af = random_framework(rng, min_args=30, max_args=30, attack_p=0.3)
         profile = random_profile(rng, af, agent_count=4)
-        report = rationality_report(profile, af)
+        report = rationality_rows(profile, af)
         expected = {
-            RationalityViolation(j + 1, a, b, profile.credal_set(a).values[j],
-                                 profile.credal_set(b).values[j])
+            (j + 1, a, b, profile.credal_set(a).values[j],
+             profile.credal_set(b).values[j])
             for a, b in af.attacks for j in range(4)
             if profile.credal_set(a).values[j] > 0.5
             and profile.credal_set(b).values[j] > 0.5}

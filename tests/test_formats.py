@@ -591,6 +591,46 @@ class TestLinearTime:
         assert times[1] <= 3 * times[0] + 0.001, times
 
 
+# a 400,000-letter name, a 4,000-digit agent index, and how an error
+# echoes each: at most 40 characters, "..." marking the cut
+_LONG_NAME, _LONG_INDEX = "n" * 400_000, "1" * 4000
+_NAME_ECHO, _INDEX_ECHO = "n" * 40 + "...", "1" * 40 + "..."
+_LONG_ECHOES = {
+    "att undeclared": (f"arg(a). att(a,{_LONG_NAME}).",
+                       f"att uses undeclared argument '{_NAME_ECHO}'"),
+    "cau undeclared": (f"arg(a). cau({_LONG_NAME},a).",
+                       f"cau uses undeclared argument '{_NAME_ECHO}'"),
+    "self-edge": (f"arg({_LONG_NAME}). cau({_LONG_NAME},{_LONG_NAME}).",
+                  f"causal self-edge on '{_NAME_ECHO}'"),
+    "clash": (f"arg(a). arg({_LONG_NAME}). att(a,{_LONG_NAME}). "
+              f"cau({_LONG_NAME},a).",
+              f"causal edge ({_NAME_ECHO},a) clashes with an attack"),
+    "duplicate name": (f"arg(a). agents(1). p(1,{_LONG_NAME},1). "
+                       f"p(1,{_LONG_NAME},1).",
+                       f"duplicate opinion p(1,{_NAME_ECHO},...)"),
+    "duplicate index": (f"arg(a). agents(1). p({_LONG_INDEX},a,1). "
+                        f"p({_LONG_INDEX},a,1).",
+                        f"duplicate opinion p({_INDEX_ECHO},a,...)"),
+    "index exceeds": (f"arg(a). agents(1). p({_LONG_INDEX},a,1).",
+                      f"agent index {_INDEX_ECHO} exceeds agents(1)"),
+    "p undeclared": (f"arg(a). agents(1). p(1,a,1). p(1,{_LONG_NAME},1).",
+                     f"p uses undeclared argument '{_NAME_ECHO}'"),
+    "missing opinion": (f"arg({_LONG_NAME}). agents(2). "
+                        f"p(1,{_LONG_NAME},1).",
+                        f"argument '{_NAME_ECHO}' is missing the opinion "
+                        "of agent 2"),
+}
+
+
+@pytest.mark.parametrize("text, message", _LONG_ECHOES.values(),
+                         ids=_LONG_ECHOES.keys())
+def test_long_names_and_indices_are_echoed_clipped(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_caf(text)
+    assert str(err.value) == "line 1: " + message
+    _matching_outcome(text)
+
+
 def _set_field(line: str, index: int, token: str) -> str:
     """``kw(f0,f1,...).`` with field ``index`` replaced by ``token``."""
     kw, _, body = line.partition("(")
