@@ -68,7 +68,8 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .errors import CapExceededError, UnknownArgumentError, ValidationError
+from .errors import (CapExceededError, UnknownArgumentError, ValidationError,
+                     _clip, _echo)
 
 SEMANTICS = ("conflict-free", "admissible", "complete", "preferred",
              "grounded", "stable")
@@ -133,7 +134,7 @@ def _names(members: Iterable[str]) -> tuple:
                if not isinstance(name, str) or not NAME_PATTERN.match(name)]
     if invalid:
         raise ValidationError(
-            f"invalid argument name: {min(invalid, key=repr)!r}")
+            f"invalid argument name: {_echo(min(invalid, key=repr))}")
     return names
 
 
@@ -181,8 +182,8 @@ def compile_pairs(index: dict[str, int], pairs: frozenset,
     if unknown:  # by text, so ends that are not strings still compare
         a, b = min(unknown, key=lambda pair: [str(end) for end in pair])
         raise UnknownArgumentError(
-            f"{kind} ({a},{b}) mentions unknown argument "
-            f"{a if a not in index else b!r}")
+            f"{kind} ({_clip(str(a))},{_clip(str(b))}) mentions unknown "
+            f"argument {_echo(a if a not in index else b)}")
     return sources, targets
 
 
@@ -248,7 +249,8 @@ class ArgumentationFramework:
         names = set(_names(members))
         unknown = names - self._index.keys()
         if unknown:
-            raise UnknownArgumentError(f"unknown argument {min(unknown)!r}")
+            raise UnknownArgumentError(
+                f"unknown argument {_echo(min(unknown))}")
         return sum(1 << self._index[name] for name in names)
 
     def _names_of(self, mask: int) -> tuple[str, ...]:
@@ -301,15 +303,24 @@ class ArgumentationFramework:
         # happens to an OUT argument, whose IN attacker stays live, so a
         # self-attacker is never accepted. An argument attacked by several
         # IN arguments is labelled OUT, and counted down from, only once.
+        outs = self._out
         live = [m.bit_count() for m in self._in]
         queue = [i for i, count in enumerate(live) if not count]
         in_mask = out_mask = 0
         while queue:
             i = queue.pop()
             in_mask |= 1 << i
-            for j in set_bits(self._out[i] & ~out_mask):
-                out_mask |= 1 << j
-                for k in set_bits(self._out[j]):
+            # bits walked inline: most nodes attack little or nothing
+            targets = outs[i] & ~out_mask
+            out_mask |= targets
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                attacked = outs[low.bit_length() - 1]
+                while attacked:
+                    bit = attacked & -attacked
+                    attacked ^= bit
+                    k = bit.bit_length() - 1
                     live[k] -= 1
                     if not live[k]:
                         queue.append(k)

@@ -22,7 +22,8 @@ meaningless product.
 anchors, groups, coverage checks and singles are ``&``/``|`` on the
 graph's closure masks, and a row is ``(lower, upper, case)`` or the
 refusal text, with no name decoded, yielded as it is computed.
-:func:`document_rows` gives a document's rows with their member names;
+:func:`document_rows` runs it over a document's ``profile.rows``, the
+opinion values by bit, and gives each row with its member names;
 :func:`extension_bounds` checks one named set and runs the kernel on it.
 """
 
@@ -87,18 +88,13 @@ def _group_masks(graph: CausalityGraph, mask: int, anchors: int) -> list:
             for top in set_bits(anchors)]
 
 
-def value_rows(profile: CredalProfile, graph: CausalityGraph) -> list[tuple]:
-    """The opinion values of each of the graph's arguments, by bit."""
-    return [profile.credal_set(name).values for name in graph.arguments]
-
-
 def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
                 masks: Iterable[int]) -> Iterator:
     """Yield ``(lower, upper, case)`` of each member mask, or the message
     of the :class:`~credalarg.errors.CoverageError` that refuses it.
 
-    ``rows[i]`` holds the opinion values of ``graph.arguments[i]``, as
-    :func:`value_rows` builds them; the members are trusted to be in the
+    ``rows[i]`` holds the opinion values of ``graph.arguments[i]``, as a
+    document's ``profile.rows`` does; the members are trusted to be in the
     graph. Factors multiply in ascending lowest-bit order, so intervals are
     bit-reproducible; a group's per-agent minimum is computed once a call.
     Rows are computed as they are drawn, so a caller may write them a chunk
@@ -166,9 +162,9 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
 def document_rows(doc: FrameworkDocument, masks: Sequence[int]) -> Iterator:
     """``(names, result)`` of each of ``doc``'s member masks, drawn
     lazily: the sorted names and the :func:`mask_bounds` row."""
-    graph = doc.causality  # it has the framework's arguments and bits
+    # the graph and the profile have the framework's arguments, in bit order
     return zip(map(doc.framework.row_decoder(masks), masks),
-               mask_bounds(graph, value_rows(doc.profile, graph), masks))
+               mask_bounds(doc.causality, doc.profile.rows, masks))
 
 
 def extension_bounds(members: Extension | Iterable[str],

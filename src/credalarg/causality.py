@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .af import compile_pairs, index_arguments, pair_set, set_bits
-from .errors import CausalCycleError, ValidationError
+from .errors import CausalCycleError, ValidationError, _clip, _echo
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,18 @@ class CausalityGraph:
         parents, children = compile_pairs(index, edges, "causal edge")
         for i, name in enumerate(arguments):
             if children[i] >> i & 1:
-                raise ValidationError(f"causal self-edge on {name!r}")
+                raise ValidationError(f"causal self-edge on {_echo(name)}")
 
-        # Kahn's algorithm: parents come before their children in ``order``
+        # Kahn's algorithm: parents come before their children in ``order``;
+        # bits walked inline, since most nodes have no child
         waiting = [p.bit_count() for p in parents]
         order = [i for i, count in enumerate(waiting) if not count]
         for i in order:
-            for j in set_bits(children[i]):
+            down = children[i]
+            while down:
+                low = down & -down
+                down ^= low
+                j = low.bit_length() - 1
                 waiting[j] -= 1
                 if not waiting[j]:
                     order.append(j)
@@ -94,9 +99,11 @@ class CausalityGraph:
         ancestors = [0] * len(self.arguments)
         parents = self._parents
         for i in self._order:
-            up = parents[i]
-            for j in set_bits(parents[i]):
-                up |= ancestors[j]
+            up = rest = parents[i]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                up |= ancestors[low.bit_length() - 1]
             ancestors[i] = up
         return ancestors
 
@@ -144,7 +151,8 @@ def check_attack_disjointness(graph: CausalityGraph,
                if pair in attacks]
     if clashes:
         a, b = min(clashes)
-        raise ValidationError(f"attack ({a},{b}) clashes with a causal edge")
+        raise ValidationError(
+            f"attack ({_clip(a)},{_clip(b)}) clashes with a causal edge")
 
 
 def _graph(arguments: tuple[str, ...], index: dict[str, int],

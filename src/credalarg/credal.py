@@ -73,7 +73,13 @@ class ProbabilityInterval:
 
 @dataclass(frozen=True)
 class CredalProfile:
-    """Total mapping from argument names to equal-length credal sets."""
+    """Total mapping from argument names to equal-length credal sets.
+
+    ``arguments`` holds the names sorted, and ``rows`` their values in that
+    order, a document's bit order. A profile the `.caf` loader or
+    :meth:`maximal` built holds only those two, and makes ``assignment``
+    and its sets on first use.
+    """
 
     agent_count: int
     assignment: Mapping[str, CredalSet] = field(default_factory=dict)
@@ -87,6 +93,18 @@ class CredalProfile:
                     f"credal set for {name!r} has {len(k)} opinions, "
                     f"expected {self.agent_count}")
         object.__setattr__(self, "assignment", norm)
+        object.__setattr__(self, "arguments", tuple(norm))
+        object.__setattr__(self, "rows",
+                           tuple(k.values for k in norm.values()))
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not yet set: a row-built profile's
+        # assignment, made once
+        if name != "assignment":
+            raise AttributeError(name)
+        value = dict(zip(self.arguments, map(CredalSet._trusted, self.rows)))
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
     def of(cls, table: Mapping[str, Sequence[float]]) -> "CredalProfile":
@@ -101,8 +119,9 @@ class CredalProfile:
     def maximal(cls, arguments: Iterable[str],
                 agent_count: int = 1) -> "CredalProfile":
         """All-ones profile: every agent fully believes every argument."""
-        ones = CredalSet((1.0,) * _checked_agent_count(agent_count))
-        return cls(agent_count, {name: ones for name in arguments})
+        ones = (1.0,) * _checked_agent_count(agent_count)
+        names = tuple(sorted(dict.fromkeys(arguments)))
+        return _row_profile(agent_count, names, (ones,) * len(names))
 
     def credal_set(self, name: str) -> CredalSet:
         try:
@@ -111,19 +130,17 @@ class CredalProfile:
             raise ValidationError(
                 f"profile has no opinions for argument {name!r}") from None
 
-    @property
-    def arguments(self) -> tuple[str, ...]:
-        return tuple(self.assignment)
 
-
-def _sorted_profile(agent_count: int,
-                    assignment: dict[str, CredalSet]) -> CredalProfile:
-    # for a count in 1..MAX_AGENTS and a dict in sorted-name order of sets
-    # of that many opinions, which the caller checked
+def _row_profile(agent_count: int, arguments: tuple[str, ...],
+                 rows: Sequence[tuple[float, ...]]) -> CredalProfile:
+    # for a count in 1..MAX_AGENTS, sorted distinct names and, per name,
+    # a tuple of that many floats in [0, 1], which the caller checked
     profile = object.__new__(CredalProfile)
     object.__setattr__(profile, "agent_count", agent_count)
-    object.__setattr__(profile, "assignment", assignment)
+    object.__setattr__(profile, "arguments", arguments)
+    object.__setattr__(profile, "rows", rows)
     return profile
+
 
 def agent_minimum(rows: Sequence[tuple[float, ...]]) -> tuple[float, ...]:
     """Per-agent minimum of equal-length value rows (the dependent rule)."""
@@ -186,9 +203,13 @@ def rationality_rows(
     target_value)`` row (agent 1-based), in sorted order: agent first,
     then the sorted attacks.
     """
-    rows = [(attacker, target, profile.credal_set(attacker).values,
-             profile.credal_set(target).values)
-            for attacker, target in sorted(af.attacks)]
+    values = dict(zip(profile.arguments, profile.rows))
+    try:
+        rows = [(attacker, target, values[attacker], values[target])
+                for attacker, target in sorted(af.attacks)]
+    except KeyError as exc:  # credal_set words the first missing name
+        profile.credal_set(exc.args[0])
+        raise
     return [(j + 1, attacker, target, a[j], t[j])
             for j in range(profile.agent_count)
             for attacker, target, a, t in rows
@@ -197,5 +218,4 @@ def rationality_rows(
 
 def is_maximal(profile: CredalProfile) -> bool:
     """True iff every opinion of every agent equals 1."""
-    return all(v == 1.0 for k in profile.assignment.values()
-               for v in k.values)
+    return all(v == 1.0 for row in profile.rows for v in row)

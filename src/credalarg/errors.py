@@ -3,6 +3,17 @@
 from collections.abc import Sequence
 
 
+def _clip(text: str) -> str:
+    # at most 40 characters of the text an error echoes, "..." marking a cut
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _echo(value) -> str:
+    # the repr of a value an error names, clipped: a str is cut before its
+    # repr, anything else after
+    return repr(_clip(value)) if isinstance(value, str) else _clip(repr(value))
+
+
 class CredalArgError(Exception):
     """Base class for every error raised by this package."""
 
@@ -18,12 +29,14 @@ class ValidationError(CredalArgError):
 class CausalCycleError(ValidationError):
     """A causal graph has a cycle.
 
-    ``nodes`` walks it in cause -> effect order and ends where it started.
+    ``nodes`` walks it in cause -> effect order and ends where it started;
+    the message echoes each name cut to 40 characters.
     """
 
     def __init__(self, nodes: Sequence[str]):
         self.nodes = tuple(nodes)
-        super().__init__("causal cycle: " + " -> ".join(self.nodes))
+        super().__init__(
+            "causal cycle: " + " -> ".join(map(_clip, self.nodes)))
 
 
 class CredalSetError(CredalArgError):

@@ -49,11 +49,13 @@ every block listing each argument once and in the order of the first.
 Lines of different kinds may interleave. A whole-text pass reads it: it
 checks every rule above on whole columns, sorts and indexes the arguments
 once, builds the framework, the causal graph and the profile over that
-one index, and takes each argument's credal set from the agent blocks,
-one column each. Any other text, and any text that fails a check, goes
-to the line parser, which alone words the errors: the accepted language,
-every error and every line number are the same on both paths. Both take
-time linear in the text, whitespace runs included.
+one index, and takes each argument's row of opinion values from the
+agent blocks, one column each, in bit order. Any other text, and any
+text that fails a check, goes to the line parser, which alone words the
+errors: the accepted language, every error and every line number are the
+same on both paths. Both take time linear in the text, whitespace runs
+included. Neither path makes a credal set: the profile makes its sets on
+first use.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ from dataclasses import dataclass
 from .af import (NAME_PATTERN, NAME_REGEX, ArgumentationFramework,
                  _framework, _sorted_index)
 from .causality import CausalityGraph, _graph, check_attack_disjointness
-from .credal import MAX_AGENTS, CredalProfile, CredalSet, _sorted_profile
+from .credal import MAX_AGENTS, CredalProfile, _row_profile
 from .errors import (CausalCycleError, ParseError, UnknownArgumentError,
-                     ValidationError)
+                     ValidationError, _clip)
 
 # One statement. The bracket text holds no bracket, so every part of the
 # pattern has one place to end and a line is read in linear time; the
@@ -116,11 +118,6 @@ class FrameworkDocument:
                 raise ValidationError(
                     f"document {field_name} {value!r} must be one line "
                     "without outer whitespace")
-
-
-def _clip(text: str) -> str:
-    # at most 40 characters of the text an error echoes, "..." marking a cut
-    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _name(token: str, line: int) -> str:
@@ -179,7 +176,7 @@ def _parse_canonical(text: str) -> FrameworkDocument | None:
     if count is not None and not 1 <= count <= MAX_AGENTS:
         return None
     if opinions:
-        profile = _opinion_profile(index, count, opinions)
+        profile = _opinion_profile(arguments, index, count, opinions)
         if profile is None:
             return None
     else:
@@ -193,7 +190,8 @@ def _parse_canonical(text: str) -> FrameworkDocument | None:
         return None
 
 
-def _opinion_profile(index: dict[str, int], count: int | None,
+def _opinion_profile(arguments: tuple[str, ...], index: dict[str, int],
+                     count: int | None,
                      opinions: list[str]) -> CredalProfile | None:
     """The profile of the canonical ``p`` fields (``"agent,name,value"``
     per line), or None unless they come as one block per agent,
@@ -217,13 +215,13 @@ def _opinion_profile(index: dict[str, int], count: int | None,
     # a value of the pattern's characters is never NaN
     if not 0.0 <= min(values) <= max(values) <= 1.0:
         return None
-    # each argument's credal set is its column across the agent blocks
+    # each argument's row is its column across the agent blocks
     by_name = dict(zip(first, zip(*[values[k * n:(k + 1) * n]
                                     for k in range(count)])))
     if by_name.keys() != index.keys():
         return None
-    return _sorted_profile(count, {name: CredalSet._trusted(by_name[name])
-                                   for name in index})
+    return _row_profile(count, arguments,
+                        tuple(map(by_name.__getitem__, arguments)))
 
 
 def parse_caf(text: str) -> FrameworkDocument:
@@ -333,12 +331,11 @@ def _parse_lines(text: str) -> FrameworkDocument:
                         raise ParseError(
                             decl_line, f"argument {_clip(arg)!r} is missing "
                             f"the opinion of agent {j}")
-        profile = CredalProfile(agents, {
-            arg: CredalSet(tuple([opinions[j, arg][0]
-                                  for j in range(1, agents + 1)]))
-            for arg in arg_lines})
+        profile = _row_profile(agents, arguments, tuple(
+            tuple([opinions[j, arg][0] for j in range(1, agents + 1)])
+            for arg in arguments))
     else:
-        profile = CredalProfile.maximal(arg_lines, agents or 1)
+        profile = CredalProfile.maximal(arguments, agents or 1)
 
     framework = _framework(arguments, index, frozenset(attacks))
     return FrameworkDocument(framework, profile, graph, *_metadata(comments))
@@ -359,10 +356,9 @@ def emit_caf(doc: FrameworkDocument) -> str:
     lines.extend(f"att({a},{b})." for a, b in sorted(doc.framework.attacks))
     lines.extend(f"cau({a},{b})." for a, b in sorted(doc.causality.edges))
     lines.append(f"agents({doc.profile.agent_count}).")
-    for j in range(1, doc.profile.agent_count + 1):
-        for arg in doc.framework.arguments:
-            value = doc.profile.credal_set(arg).values[j - 1]
-            lines.append(f"p({j},{arg},{value!r}).")
+    for j in range(doc.profile.agent_count):
+        lines.extend(f"p({j + 1},{arg},{row[j]!r})." for arg, row in
+                     zip(doc.framework.arguments, doc.profile.rows))
     return "\n".join(lines) + "\n"
 
 

@@ -4,8 +4,8 @@ A verbatim copy of the statement-by-statement parser that split each
 statement body on commas and checked every name on its own. It is kept
 only as an oracle: ``formats.parse_caf`` must return an equal document,
 or raise the same exception type with the same line and message, on any
-input text. Its echoes of a token or of the rest of a line are cut to 40
-characters, as the loader cuts them.
+input text. Its echoes of a token, of the rest of a line or of a name in
+a causal cycle are cut to 40 characters, as the loader cuts them.
 """
 
 from __future__ import annotations
@@ -180,4 +180,5 @@ def _reject_causal_cycle(causal: dict[tuple[str, str], int]) -> None:
                  for i in range(len(nodes) - 1)
                  if (nodes[i], nodes[i + 1]) in causal]
         raise ParseError(min(lines) if lines else 1,
-                         "causal cycle: " + " -> ".join(nodes)) from None
+                         "causal cycle: " + " -> ".join(map(_clip, nodes))
+                         ) from None

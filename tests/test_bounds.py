@@ -10,7 +10,7 @@ from credalarg import (ArgumentationFramework, CausalGroup, CausalityGraph,
                        ProbabilityInterval, ValidationError,
                        agent_valuation_oracle, dependent_bounds,
                        extension_bounds, independent_bounds, rank_extensions)
-from credalarg.bounds import BoundsResult, mask_bounds, value_rows
+from credalarg.bounds import BoundsResult, mask_bounds
 from randgen import (random_causality, random_document, random_framework,
                      random_profile)
 
@@ -211,7 +211,7 @@ def test_mask_core_matches_the_wrapper_and_the_oracle(seed):
     graph, profile = doc.causality, doc.profile
     masks = doc.framework.extension_masks("conflict-free")
     names_of = doc.framework.row_decoder(masks)
-    results = list(mask_bounds(graph, value_rows(profile, graph), masks))
+    results = list(mask_bounds(graph, profile.rows, masks))
     assert masks[0] == 0 and results[0] == (0.0, 1.0, "empty")
     for names, got in zip(map(names_of, masks), results):
         try:

@@ -742,6 +742,9 @@ MALFORMED_DOCUMENTS = [
                  id="long undeclared name"),
     pytest.param("arg(a). agents(1). p(%s,a,1)." % ("1" * 4000),
                  id="long agent index"),
+    pytest.param("arg({m}). arg({n}). cau({m},{n}). cau({n},{m})."
+                 .format(m="m" * 100_000, n="n" * 100_000),
+                 id="causal cycle of long names"),
 ]
 
 
@@ -772,6 +775,19 @@ def test_unknown_member_in_explicit_set_exits_2(capsys, diagnosis_caf):
     code, _, _ = run(capsys, "bounds", "--input", diagnosis_caf,
                      "--set", "A,nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("members, message", [
+    ("n" * 100_000, "unknown argument '%s...'" % ("n" * 40)),
+    ("A," + "-" * 100_000, "invalid argument name: '%s...'" % ("-" * 40)),
+    ("n" * 40, "unknown argument '%s'" % ("n" * 40)),
+], ids=["long unknown name", "long invalid name", "40 letters"])
+def test_explicit_set_echoes_a_name_clipped(capsys, diagnosis_caf, members,
+                                            message):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "bounds", "--input", diagnosis_caf,
+                             "--set", members, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestUsage:

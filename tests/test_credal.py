@@ -205,6 +205,18 @@ class TestRationality:
         assert report == sorted(report)
         assert set(report) == expected and len(report) == len(expected)
 
+    @pytest.mark.parametrize("profile", [
+        CredalProfile.of({"a": [0.9]}),
+        CredalProfile.maximal(["a"]),
+        credalarg.parse_caf("arg(a).\nagents(1).\np(1,a,0.9).\n").profile,
+    ], ids=["public", "maximal", "loaded"])
+    def test_missing_argument_is_the_first_in_sorted_attacks(self, profile):
+        # sorted attacks (b,c), (c,a): b is the first end with no opinions
+        af = ArgumentationFramework(("a", "b", "c"), {("c", "a"), ("b", "c")})
+        with pytest.raises(ValidationError) as exc:
+            rationality_rows(profile, af)
+        assert str(exc.value) == "profile has no opinions for argument 'b'"
+
 
 class TestMaximalUniform:
     def test_all_ones_profile(self):

@@ -13,6 +13,7 @@ from credalarg import (ArgumentationFramework, CausalCycleError,
                        CausalityGraph, CredalProfile, FrameworkDocument,
                        ParseError, ValidationError, dump_caf, emit_caf,
                        emit_json, export_dot, load_caf, parse_caf)
+from credalarg.bounds import document_rows
 from credalarg.cli import main
 from randgen import random_document
 from reference_caf import parse_caf as reference_parse_caf
@@ -619,6 +620,11 @@ _LONG_ECHOES = {
                         f"p(1,{_LONG_NAME},1).",
                         f"argument '{_NAME_ECHO}' is missing the opinion "
                         "of agent 2"),
+    "cycle": (f"arg(a{_LONG_NAME}). arg({_LONG_NAME}). "
+              f"cau(a{_LONG_NAME},{_LONG_NAME}). "
+              f"cau({_LONG_NAME},a{_LONG_NAME}).",
+              f"causal cycle: a{_NAME_ECHO[1:]} -> {_NAME_ECHO} -> "
+              f"a{_NAME_ECHO[1:]}"),
 }
 
 
@@ -760,3 +766,113 @@ class TestCanonicalPass:
                 fast = formats._parse_canonical(variant) is not None
                 paths["canonical" if fast else "line parser"] += 1
         assert all(paths.values()), paths
+
+
+# one table three ways: canonical with the blocks in sorted-name order,
+# canonical with the blocks in another order, and line-parsed
+_TABLE = {"a": [0.25, 1.0, 0.0], "b": [0.5, 0.125, 1e-05],
+          "c": [0.1, 0.2, 0.30000000000000004]}
+_TABLE_TEXTS = {
+    "canonical": "".join(f"arg({n}).\n" for n in "abc") + "agents(3).\n"
+    + "".join(f"p({j + 1},{n},{_TABLE[n][j]!r}).\n"
+              for j in range(3) for n in "abc"),
+    "canonical, unsorted blocks": "".join(f"arg({n}).\n" for n in "cab")
+    + "agents(3).\n" + "".join(f"p({j + 1},{n},{_TABLE[n][j]!r}).\n"
+                               for j in range(3) for n in "cab"),
+    "line parser": "arg(c). arg(a). arg(b). agents(3).\n"
+    + " ".join(f"p({j + 1},{n},{_TABLE[n][j]!r})."
+               for n in "bca" for j in (2, 0, 1)),
+}
+
+
+class TestProfileRows:
+    """The loader hands the profile its value rows by bit and builds no
+    credal set; the profile still compares, prints and answers as one
+    built from the same table."""
+
+    @pytest.mark.parametrize("path", sorted(_TABLE_TEXTS))
+    def test_loaded_profile_is_the_public_one(self, path):
+        from credalarg import formats
+
+        text = _TABLE_TEXTS[path]
+        assert (formats._parse_canonical(text) is None) == (
+            path == "line parser")
+        public = CredalProfile.of(_TABLE)
+        loaded = parse_caf(text).profile
+        assert loaded.arguments == public.arguments == ("a", "b", "c")
+        assert loaded.rows == public.rows  # before the sets are made
+        assert loaded == public and public == loaded
+        assert repr(loaded) == repr(public)
+        for name in "abc":
+            assert loaded.credal_set(name) == public.credal_set(name)
+            assert loaded.credal_set(name).values == tuple(_TABLE[name])
+        with pytest.raises(ValidationError) as err:
+            loaded.credal_set("d")
+        assert str(err.value) == "profile has no opinions for argument 'd'"
+        assert loaded.rows == public.rows
+
+    @pytest.mark.parametrize("text", ["arg(b).\narg(a).\nagents(2).\n",
+                                      "arg(b).\narg(a).\n", "arg(b). arg(a)."])
+    def test_loaded_all_ones_profile_is_the_public_one(self, text):
+        count = 2 if "agents" in text else 1
+        loaded = parse_caf(text).profile
+        from credalarg import CredalSet
+
+        ones = CredalSet((1.0,) * count)
+        built = CredalProfile(count, {"b": ones, "a": ones})
+        public = CredalProfile.maximal(("b", "a"), count)
+        for profile in (loaded, public):
+            assert profile == built and built == profile
+            assert repr(profile) == repr(built)
+            assert profile.arguments == ("a", "b")
+            assert profile.rows == built.rows == ((1.0,) * count,) * 2
+            assert profile.credal_set("a") == built.credal_set("a")
+
+    def test_canonical_text_builds_no_credal_set(self, monkeypatch,
+                                                 diagnosis):
+        from credalarg import CredalSet
+
+        made = []
+        init, trusted = CredalSet.__init__, CredalSet._trusted.__func__
+
+        def counted_init(self, *args, **kwargs):
+            made.append("init")
+            init(self, *args, **kwargs)
+
+        def counted_trusted(cls, values):
+            made.append("trusted")
+            return trusted(cls, values)
+
+        monkeypatch.setattr(CredalSet, "__init__", counted_init)
+        monkeypatch.setattr(CredalSet, "_trusted",
+                            classmethod(counted_trusted))
+        texts = [emit_caf(diagnosis), _TABLE_TEXTS["canonical"],
+                 _TABLE_TEXTS["canonical, unsorted blocks"],
+                 "arg(a).\narg(b).\natt(a,b).\n"]
+        for text in texts:
+            doc = parse_caf(text)
+            rows = list(document_rows(
+                doc, doc.framework.extension_masks("conflict-free")))
+            assert rows and made == []
+        # the sets are made on first access, each once, unchecked
+        assert doc.profile.credal_set("a") == CredalSet((1.0,))
+        assert made == ["trusted", "trusted", "init"]
+        doc.profile.credal_set("b")
+        assert len(made) == 3
+
+    def test_document_rows_match_a_public_profile(self):
+        rng = random.Random(0x5EED)
+        compared = 0
+        for _ in range(60):
+            doc = random_document(rng, max_args=9)
+            loaded = parse_caf(emit_caf(doc))
+            assert loaded.profile == doc.profile
+            public = dataclasses.replace(loaded, profile=doc.profile)
+            for semantics in ("conflict-free", "grounded"):
+                masks = loaded.framework.extension_masks(semantics)
+                got = [(names, repr(row))
+                       for names, row in document_rows(loaded, masks)]
+                assert got == [(names, repr(row)) for names, row
+                               in document_rows(public, masks)]
+                compared += len(got)
+        assert compared > 500

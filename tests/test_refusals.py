@@ -1,5 +1,6 @@
 """Every library refusal names its lowest offender: the message follows
-neither the hash seed (``PYTHONHASHSEED``) nor the order of the input."""
+neither the hash seed (``PYTHONHASHSEED``) nor the order of the input.
+A name it echoes is cut to 40 characters."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import credalarg
 from credalarg import (ArgumentationFramework, CausalityGraph,
                        CredalArgError, CredalProfile, Extension)
+from credalarg.causality import check_attack_disjointness
 
 _FRAMEWORK = ArgumentationFramework(("a", "b", "c"), frozenset({("a", "b")}))
 
@@ -109,3 +111,55 @@ def test_refusal_does_not_depend_on_the_hash_seed():
         "UnknownArgumentError: unknown argument 'ww'",
         "CredalSetError: credal set for 'bb' has 2 opinions, expected 1",
         "CredalSetError: opinion 'x' outside [0, 1]"]
+
+
+# a 100,000-letter name and how a library error echoes it: at most 40
+# characters, "..." marking the cut; 40 letters are echoed whole
+_LONG, _ECHO = "n" * 100_000, "n" * 40 + "..."
+_FORTY = "m" * 40
+_ECHOES = {
+    "unknown member": (lambda: _FRAMEWORK.extension_mask(["a", _LONG]),
+                       f"UnknownArgumentError: unknown argument '{_ECHO}'"),
+    "unknown member of 40": (
+        lambda: _FRAMEWORK.is_conflict_free([_FORTY]),
+        f"UnknownArgumentError: unknown argument '{_FORTY}'"),
+    "invalid name": (lambda: Extension(["a", "-" + _LONG]),
+                     "ValidationError: invalid argument name: "
+                     f"'-{_ECHO[1:]}'"),
+    "invalid non-string": (lambda: ArgumentationFramework([[1] * 50_000]),
+                           "ValidationError: invalid argument name: "
+                           f"{repr([1] * 14)[:40]}..."),
+    "unknown attack end": (
+        lambda: ArgumentationFramework(("a",), {("a", _LONG)}),
+        f"UnknownArgumentError: attack (a,{_ECHO}) mentions unknown "
+        f"argument '{_ECHO}'"),
+    "unknown non-string end": (
+        lambda: CausalityGraph(("a",), {(5, "a")}),
+        "UnknownArgumentError: causal edge (5,a) mentions unknown "
+        "argument 5"),
+    "cycle": (lambda: CausalityGraph(("a" + _LONG, _LONG),
+                                     {("a" + _LONG, _LONG),
+                                      (_LONG, "a" + _LONG)}),
+              f"CausalCycleError: causal cycle: a{_ECHO[1:]} -> {_ECHO} -> "
+              f"a{_ECHO[1:]}"),
+    "self-edge": (lambda: CausalityGraph((_LONG,), {(_LONG, _LONG)}),
+                  f"ValidationError: causal self-edge on '{_ECHO}'"),
+    "clash": (lambda: check_attack_disjointness(
+        CausalityGraph(("a", _LONG), {("a", _LONG)}), {(_LONG, "a")}),
+              f"ValidationError: attack ({_ECHO},a) clashes with a causal "
+              "edge"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ECHOES))
+def test_long_names_are_echoed_clipped(case):
+    call, message = _ECHOES[case]
+    assert _message(lambda _: call(), None) == message
+
+
+def test_cycle_error_keeps_the_full_names():
+    with pytest.raises(credalarg.CausalCycleError) as err:
+        CausalityGraph(("a" + _LONG, _LONG),
+                       {("a" + _LONG, _LONG), (_LONG, "a" + _LONG)})
+    assert err.value.nodes == ("a" + _LONG, _LONG, "a" + _LONG)
+    assert len(str(err.value)) < 200
