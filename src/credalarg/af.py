@@ -65,8 +65,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import compress
+from operator import eq, ge, gt, le, lt
 
 from .errors import (CapExceededError, UnknownArgumentError, ValidationError,
                      _clip, _echo)
@@ -113,6 +113,47 @@ def _byte_decoder(arguments: tuple[str, ...]) -> Callable[[int], tuple]:
             mask >>= 8
         return names
     return decode
+
+
+def _compare(op: Callable) -> Callable:
+    # ``op`` on the field tuples of two instances of one class
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._key(), other._key())
+    return compare
+
+
+class _Value:
+    """An immutable value over the fields ``__match_args__`` names, in
+    order: ``==`` within one class, ``hash`` and ``repr`` of the fields,
+    and no assignment or deletion. Builders set the fields through
+    ``object.__setattr__``; pickle and copy fill ``__dict__`` directly."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    __eq__ = _compare(eq)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -187,8 +228,7 @@ def compile_pairs(index: dict[str, int], pairs: frozenset,
     return sources, targets
 
 
-@dataclass(frozen=True, order=True)
-class Extension:
+class Extension(_Value):
     """A set of arguments accepted together under one semantics.
 
     ``members`` is kept as a sorted tuple so extensions order and compare
@@ -198,14 +238,15 @@ class Extension:
     you already hold a checked set.
     """
 
-    members: tuple[str, ...]
-    semantics: str = "conflict-free"
+    __match_args__ = ("members", "semantics")
+    __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
 
-    def __post_init__(self):
-        object.__setattr__(self, "members",
-                           tuple(sorted(set(_names(self.members)))))
-        if self.semantics not in SEMANTICS:
-            raise ValidationError(f"unknown semantics: {self.semantics!r}")
+    def __init__(self, members: Iterable[str],
+                 semantics: str = "conflict-free"):
+        members = tuple(sorted(set(_names(members))))
+        if semantics not in SEMANTICS:
+            raise ValidationError(f"unknown semantics: {semantics!r}")
+        self._set(members, semantics)
 
     def __str__(self) -> str:
         return "{%s}" % ",".join(self.members)
@@ -220,20 +261,18 @@ class Extension:
         return ext
 
 
-@dataclass(frozen=True)
-class ArgumentationFramework:
+class ArgumentationFramework(_Value):
     """Arguments plus an attack relation, immutable after construction.
 
     Self-attacks and mutual attacks are allowed. All queries are pure and
     safe to run concurrently.
     """
 
-    arguments: tuple[str, ...] = ()
-    attacks: frozenset[tuple[str, str]] = field(default_factory=frozenset)
+    __match_args__ = ("arguments", "attacks")
 
-    def __post_init__(self):
-        self._compile(*index_arguments(self.arguments),
-                      pair_set(self.attacks, "attack"))
+    def __init__(self, arguments: Iterable[str] = (),
+                 attacks: Iterable[tuple[str, str]] = frozenset()):
+        self._compile(*index_arguments(arguments), pair_set(attacks, "attack"))
 
     def _compile(self, arguments: tuple[str, ...], index: dict[str, int],
                  attacks: frozenset) -> None:

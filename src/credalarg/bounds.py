@@ -30,10 +30,9 @@ opinion values by bit, and gives each row with its member names;
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .af import Extension, set_bits
+from .af import Extension, _Value, set_bits
 from .causality import CausalityGraph
 from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
                      agent_product)
@@ -45,20 +44,21 @@ SINGLETON_CASE = "singleton"
 ALGORITHM_CASE = "algorithm"
 
 
-@dataclass(frozen=True)
-class CausalGroup:
+class CausalGroup(_Value):
     """One dependent part: an anchor plus its in-extension ancestors."""
 
-    top: str
-    members: tuple[str, ...]
+    __match_args__ = ("top", "members")
+
+    def __init__(self, top: str, members: tuple[str, ...]):
+        self._set(top, members)
 
 
-@dataclass(frozen=True)
-class BoundsResult:
-    extension: Extension
-    interval: ProbabilityInterval
-    case: str
-    groups: tuple[CausalGroup, ...] = ()
+class BoundsResult(_Value):
+    __match_args__ = ("extension", "interval", "case", "groups")
+
+    def __init__(self, extension: Extension, interval: ProbabilityInterval,
+                 case: str, groups: tuple[CausalGroup, ...] = ()):
+        self._set(extension, interval, case, groups)
 
 
 def _as_extension(members: Extension | Iterable[str]) -> Extension:

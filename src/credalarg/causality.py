@@ -25,16 +25,14 @@ parent, and on, must repeat a node. No error depends on hash order.
 
 from __future__ import annotations
 
-from collections.abc import Collection
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterable
 from functools import cached_property
 
-from .af import compile_pairs, index_arguments, pair_set, set_bits
+from .af import _Value, compile_pairs, index_arguments, pair_set, set_bits
 from .errors import CausalCycleError, ValidationError, _clip, _echo
 
 
-@dataclass(frozen=True)
-class CausalityGraph:
+class CausalityGraph(_Value):
     """Acyclic cause -> effect edges over a set of argument names.
 
     Construction rejects, in this order, an edge with an unknown end
@@ -43,12 +41,12 @@ class CausalityGraph:
     sorted.
     """
 
-    arguments: tuple[str, ...] = ()
-    edges: frozenset[tuple[str, str]] = field(default_factory=frozenset)
+    __match_args__ = ("arguments", "edges")
 
-    def __post_init__(self):
-        self._compile(*index_arguments(self.arguments),
-                      pair_set(self.edges, "causal edge"))
+    def __init__(self, arguments: Iterable[str] = (),
+                 edges: Iterable[tuple[str, str]] = frozenset()):
+        self._compile(*index_arguments(arguments),
+                      pair_set(edges, "causal edge"))
 
     def _compile(self, arguments: tuple[str, ...], index: dict[str, int],
                  edges: frozenset) -> None:

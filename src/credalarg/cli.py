@@ -36,15 +36,16 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
-from .af import DEFAULT_MAX_ARGS, SEMANTICS
+from .af import DEFAULT_MAX_ARGS, NAME_REGEX, SEMANTICS
 from .bounds import agent_valuation_oracle, document_rows, rank_key
 from .credal import is_maximal, rationality_rows
-from .errors import CapExceededError, CoverageError, CredalArgError
+from .errors import CapExceededError, CoverageError, CredalArgError, _echo
 from .formats import FrameworkDocument, emit_json, export_dot, load_caf
 from .samples import REPORTED_FIXTURES, diagnosis_document
 
@@ -352,8 +353,9 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
         # one named set: a refusal exits 2 before anything is written
         pairs = list(document_rows(
             doc, [doc.framework.extension_mask(ns.explicit_set)]))
-        if isinstance(pairs[0][1], str):
-            raise CoverageError(pairs[0][1])
+        if isinstance(pairs[0][1], str):  # each name echoed clipped
+            raise CoverageError(re.sub(
+                "'(%s)'" % NAME_REGEX, lambda m: _echo(m[1]), pairs[0][1]))
     else:
         pairs = document_rows(doc, doc.framework.extension_masks(
             ns.semantics, ns.max_args))

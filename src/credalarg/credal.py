@@ -10,10 +10,9 @@ taking the min/max across agents.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from operator import mul
 
-from .af import ArgumentationFramework
+from .af import ArgumentationFramework, _Value
 from .errors import CredalSetError, ValidationError
 
 MAX_AGENTS = 10_000  # caps what an all-ones profile allocates per argument
@@ -27,15 +26,14 @@ def _checked_agent_count(count: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CredalSet:
+class CredalSet(_Value):
     """Opinions about one event, indexed by agent (position i = agent i+1)."""
 
-    values: tuple[float, ...]
+    __match_args__ = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: Iterable[float]):
         vals = []
-        for v in self.values:  # a value float() refuses is outside too
+        for v in values:  # a value float() refuses is outside too
             try:
                 value = float(v)
             except (TypeError, ValueError, OverflowError):
@@ -45,7 +43,7 @@ class CredalSet:
             vals.append(value)
         if not vals:
             raise CredalSetError("credal set must hold at least one opinion")
-        object.__setattr__(self, "values", tuple(vals))
+        self._set(tuple(vals))
 
     @classmethod
     def _trusted(cls, values: tuple[float, ...]) -> CredalSet:
@@ -58,44 +56,48 @@ class CredalSet:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ProbabilityInterval:
+class ProbabilityInterval(_Value):
     """A lower/upper probability pair, always within the unit interval."""
 
-    lower: float
-    upper: float
+    __match_args__ = ("lower", "upper")
 
-    def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper <= 1.0:
+    def __init__(self, lower: float, upper: float):
+        if not 0.0 <= lower <= upper <= 1.0:
             raise ValidationError(
-                f"not a probability interval: ({self.lower}, {self.upper})")
+                f"not a probability interval: ({lower}, {upper})")
+        self._set(lower, upper)
 
 
-@dataclass(frozen=True)
-class CredalProfile:
+class CredalProfile(_Value):
     """Total mapping from argument names to equal-length credal sets.
 
     ``arguments`` holds the names sorted, and ``rows`` their values in that
     order, a document's bit order. A profile the `.caf` loader or
     :meth:`maximal` built holds only those two, and makes ``assignment``
-    and its sets on first use.
+    and its sets on first use. Two profiles compare by ``agent_count``,
+    ``arguments`` and ``rows``, the same verdict as by ``assignment``
+    without making its sets; a profile is not hashable.
     """
 
-    agent_count: int
-    assignment: Mapping[str, CredalSet] = field(default_factory=dict)
+    __match_args__ = ("agent_count", "assignment")
+    __hash__ = None
 
-    def __post_init__(self):
-        _checked_agent_count(self.agent_count)
-        norm = {name: k for name, k in sorted(self.assignment.items())}
+    def __init__(self, agent_count: int,
+                 assignment: Mapping[str, CredalSet] = {}):  # only read
+        _checked_agent_count(agent_count)
+        norm = {name: k for name, k in sorted(assignment.items())}
         for name, k in norm.items():
-            if len(k) != self.agent_count:
+            if len(k) != agent_count:
                 raise CredalSetError(
                     f"credal set for {name!r} has {len(k)} opinions, "
-                    f"expected {self.agent_count}")
-        object.__setattr__(self, "assignment", norm)
+                    f"expected {agent_count}")
+        self._set(agent_count, norm)
         object.__setattr__(self, "arguments", tuple(norm))
         object.__setattr__(self, "rows",
                            tuple(k.values for k in norm.values()))
+
+    def _key(self) -> tuple:
+        return self.agent_count, self.arguments, self.rows
 
     def __getattr__(self, name: str):
         # reached only for an attribute not yet set: a row-built profile's

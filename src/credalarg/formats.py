@@ -62,10 +62,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
-from .af import (NAME_PATTERN, NAME_REGEX, ArgumentationFramework,
-                 _framework, _sorted_index)
+from .af import (NAME_PATTERN, NAME_REGEX, ArgumentationFramework, _framework,
+                 _sorted_index, _Value)
 from .causality import CausalityGraph, _graph, check_attack_disjointness
 from .credal import MAX_AGENTS, CredalProfile, _row_profile
 from .errors import (CausalCycleError, ParseError, UnknownArgumentError,
@@ -93,31 +92,30 @@ _CANONICAL_P = re.compile(
 _CANONICAL_COMMENT = re.compile(r"\n%([ -~]*)(?=\n)")
 
 
-@dataclass(frozen=True)
-class FrameworkDocument:
+class FrameworkDocument(_Value):
     """One analysis unit: framework + opinions + causal graph + metadata."""
 
-    framework: ArgumentationFramework
-    profile: CredalProfile
-    causality: CausalityGraph
-    name: str = ""
-    description: str = ""
+    __match_args__ = ("framework", "profile", "causality", "name",
+                      "description")
 
-    def __post_init__(self):
-        if self.causality.arguments != self.framework.arguments:
+    def __init__(self, framework: ArgumentationFramework,
+                 profile: CredalProfile, causality: CausalityGraph,
+                 name: str = "", description: str = ""):
+        if causality.arguments != framework.arguments:
             raise ValidationError(
                 "causality graph and framework disagree on the argument set")
-        if self.profile.arguments != self.framework.arguments:
+        if profile.arguments != framework.arguments:
             raise ValidationError(
                 "profile domain does not match the framework's arguments")
-        check_attack_disjointness(self.causality, self.framework.attacks)
-        for field_name in ("name", "description"):
-            value = getattr(self, field_name)
+        check_attack_disjointness(causality, framework.attacks)
+        for field_name, value in (("name", name),
+                                  ("description", description)):
             # emit_caf writes it on one comment line that parse_caf strips
             if len(value.splitlines()) > 1 or value != value.strip():
                 raise ValidationError(
                     f"document {field_name} {value!r} must be one line "
                     "without outer whitespace")
+        self._set(framework, profile, causality, name, description)
 
 
 def _name(token: str, line: int) -> str:

@@ -13,9 +13,7 @@ computed columns side by side and flags the deviations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .af import ArgumentationFramework
+from .af import ArgumentationFramework, _Value
 from .causality import CausalityGraph
 from .credal import CredalProfile, ProbabilityInterval
 from .formats import FrameworkDocument
@@ -47,13 +45,14 @@ def diagnosis_document() -> FrameworkDocument:
     )
 
 
-@dataclass(frozen=True)
-class ReportedFixture:
+class ReportedFixture(_Value):
     """One analyzed set together with its originally reported interval."""
 
-    label: str
-    members: tuple[str, ...]
-    reported: ProbabilityInterval
+    __match_args__ = ("label", "members", "reported")
+
+    def __init__(self, label: str, members: tuple[str, ...],
+                 reported: ProbabilityInterval):
+        self._set(label, members, reported)
 
 
 REPORTED_FIXTURES = (

@@ -507,11 +507,12 @@ def _child_env() -> dict:
     return env
 
 
-def test_cli_imports_no_typing():
-    # without site, whose .pth files may import typing themselves
+@pytest.mark.parametrize("module", ["typing", "dataclasses"])
+def test_cli_imports_no_typing(module):
+    # without site, whose .pth files may import either themselves
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, credalarg.cli\n"
-         "print('typing' in sys.modules)"],
+         f"print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=_child_env(), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
@@ -788,6 +789,30 @@ def test_explicit_set_echoes_a_name_clipped(capsys, diagnosis_caf, members,
         code, out, err = run(capsys, "bounds", "--input", diagnosis_caf,
                              "--set", members, "--format", fmt)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_LONG = "X" * 100_000
+
+
+@pytest.mark.parametrize("edges, members, message", [
+    (f"cau({_LONG},y). cau(y,z).", f"{_LONG},z",
+     "member '%s...' consumed 2 times by the causal grouping" % ("X" * 40)),
+    (f"cau({_LONG},y). cau({_LONG},z).", f"{_LONG},y,z",
+     "causal groups anchored at 'y' and 'z' overlap on '%s...'" % ("X" * 40)),
+], ids=["consumed twice", "overlap"])
+def test_refused_explicit_set_echoes_names_clipped(capsys, tmp_path, edges,
+                                                   members, message):
+    path = tmp_path / "long.caf"
+    path.write_text(f"arg({_LONG}). arg(y). arg(z). {edges}\n")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "bounds", "--input", str(path),
+                             "--set", members, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    # a bounds --semantics row keeps the whole name
+    _, out, _ = run(capsys, "bounds", "--input", str(path), "--semantics",
+                    "cf")
+    full = message.replace("X" * 40 + "...", _LONG)
+    assert f" coverage-error: {full}\n" in out
 
 
 class TestUsage:

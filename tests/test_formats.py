@@ -1,4 +1,3 @@
-import dataclasses
 import enum
 import json
 import random
@@ -362,13 +361,17 @@ class TestDocumentValidation:
                                        " padded", "padded\t", "a\r"])
     def test_metadata_that_cannot_round_trip_is_rejected(self, diagnosis,
                                                          field, value):
+        metadata = {"name": diagnosis.name,
+                    "description": diagnosis.description, field: value}
         with pytest.raises(ValidationError):
-            dataclasses.replace(diagnosis, **{field: value})
+            FrameworkDocument(diagnosis.framework, diagnosis.profile,
+                              diagnosis.causality, **metadata)
 
     @pytest.mark.parametrize("value", ["", "demo", "a % b", "name: x",
                                        "inner  spaces"])
     def test_metadata_round_trips(self, diagnosis, value):
-        doc = dataclasses.replace(diagnosis, name=value, description=value)
+        doc = FrameworkDocument(diagnosis.framework, diagnosis.profile,
+                                diagnosis.causality, value, value)
         assert parse_caf(emit_caf(doc)) == doc
 
     def test_profile_domain_must_match(self):
@@ -867,7 +870,9 @@ class TestProfileRows:
             doc = random_document(rng, max_args=9)
             loaded = parse_caf(emit_caf(doc))
             assert loaded.profile == doc.profile
-            public = dataclasses.replace(loaded, profile=doc.profile)
+            public = FrameworkDocument(loaded.framework, doc.profile,
+                                       loaded.causality, loaded.name,
+                                       loaded.description)
             for semantics in ("conflict-free", "grounded"):
                 masks = loaded.framework.extension_masks(semantics)
                 got = [(names, repr(row))
