@@ -8,13 +8,11 @@ command-line front end (``credalarg``).
 """
 
 from .af import DEFAULT_MAX_ARGS, SEMANTICS, ArgumentationFramework, Extension
-from .bounds import (BoundsResult, CausalGroup, agent_valuation_oracle,
-                     extension_bounds, rank_extensions)
+from .bounds import agent_valuation_oracle, document_rows
 from .causality import CausalityGraph, check_attack_disjointness
 from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
-                     dependent_bounds, dependent_credal_set,
-                     independent_bounds, is_maximal, rationality_rows,
-                     single_bounds)
+                     dependent_bounds, independent_bounds, is_maximal,
+                     rationality_rows)
 from .errors import (CapExceededError, CausalCycleError, CoverageError,
                      CredalArgError, CredalSetError, ParseError,
                      UnknownArgumentError, ValidationError)
@@ -26,11 +24,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentationFramework", "Extension", "SEMANTICS", "DEFAULT_MAX_ARGS",
     "CredalSet", "CredalProfile", "ProbabilityInterval",
-    "single_bounds", "independent_bounds", "dependent_credal_set",
-    "dependent_bounds", "rationality_rows", "is_maximal",
-    "CausalityGraph", "check_attack_disjointness",
-    "CausalGroup", "BoundsResult", "extension_bounds",
-    "agent_valuation_oracle", "rank_extensions",
+    "independent_bounds", "dependent_bounds", "rationality_rows",
+    "is_maximal", "CausalityGraph", "check_attack_disjointness",
+    "document_rows", "agent_valuation_oracle",
     "FrameworkDocument", "parse_caf", "emit_caf", "emit_json", "export_dot",
     "load_caf", "dump_caf",
     "CredalArgError", "UnknownArgumentError", "ValidationError",

@@ -23,8 +23,8 @@ anchors, groups, coverage checks and singles are ``&``/``|`` on the
 graph's closure masks, and a row is ``(lower, upper, case)`` or the
 refusal text, with no name decoded, yielded as it is computed.
 :func:`document_rows` runs it over a document's ``profile.rows``, the
-opinion values by bit, and gives each row with its member names;
-:func:`extension_bounds` checks one named set and runs the kernel on it.
+opinion values by bit, and gives each row with its member names; a
+named set is the one mask that ``framework.extension_mask`` checks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .af import Extension, _Value, set_bits
+from .af import Extension, _names, set_bits
 from .causality import CausalityGraph
 from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
                      agent_product)
@@ -42,50 +42,6 @@ from .formats import FrameworkDocument
 EMPTY_CASE = "empty"
 SINGLETON_CASE = "singleton"
 ALGORITHM_CASE = "algorithm"
-
-
-class CausalGroup(_Value):
-    """One dependent part: an anchor plus its in-extension ancestors."""
-
-    __match_args__ = ("top", "members")
-
-    def __init__(self, top: str, members: tuple[str, ...]):
-        self._set(top, members)
-
-
-class BoundsResult(_Value):
-    __match_args__ = ("extension", "interval", "case", "groups")
-
-    def __init__(self, extension: Extension, interval: ProbabilityInterval,
-                 case: str, groups: tuple[CausalGroup, ...] = ()):
-        self._set(extension, interval, case, groups)
-
-
-def _as_extension(members: Extension | Iterable[str]) -> Extension:
-    return members if isinstance(members, Extension) else Extension(members)
-
-
-def _check_domains(ext: Extension, profile: CredalProfile,
-                   graph: CausalityGraph) -> tuple[int, dict[int, tuple]]:
-    """Check every member in order; return the member mask and each
-    member's opinion values by bit."""
-    mask = 0
-    rows = {}
-    for name in ext.members:
-        values = profile.credal_set(name).values  # raises on a mismatch
-        bit = graph.index.get(name)
-        if bit is None:
-            raise ValidationError(f"causality graph has no argument {name!r}")
-        mask |= 1 << bit
-        rows[bit] = values
-    return mask, rows
-
-
-def _group_masks(graph: CausalityGraph, mask: int, anchors: int) -> list:
-    """``(anchor bit, group mask)`` per anchor, in-mask ancestors added."""
-    ancestors = graph.ancestor_masks
-    return [(top, ancestors[top] & mask | 1 << top)
-            for top in set_bits(anchors)]
 
 
 def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
@@ -121,8 +77,8 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
             clash = inside & grouped
             if clash:  # name the first group that holds the lowest clash
                 low = clash & -clash
-                first = next(t for t, group in
-                             _group_masks(graph, mask, anchors) if group & low)
+                first = next(t for t in set_bits(anchors)
+                             if (ancestors[t] & mask | 1 << t) & low)
                 yield (f"causal groups anchored at {names[first]!r} and "
                        f"{names[top.bit_length() - 1]!r} overlap on "
                        f"{names[low.bit_length() - 1]!r}")
@@ -167,31 +123,6 @@ def document_rows(doc: FrameworkDocument, masks: Sequence[int]) -> Iterator:
                mask_bounds(doc.causality, doc.profile.rows, masks))
 
 
-def extension_bounds(members: Extension | Iterable[str],
-                     profile: CredalProfile,
-                     graph: CausalityGraph) -> BoundsResult:
-    """Bounds of an extension: (0, 1) if empty, else via causal grouping.
-
-    Checks the members against ``profile`` and ``graph``, then runs
-    :func:`mask_bounds` on their mask; raises its refusal as
-    ``CoverageError``. A singleton reports its own case and no groups.
-    """
-    ext = _as_extension(members)
-    mask, rows = _check_domains(ext, profile, graph)
-    result = next(mask_bounds(graph, rows, [mask]))
-    if isinstance(result, str):
-        raise CoverageError(result)
-    lower, upper, case = result
-    groups = ()
-    if case == ALGORITHM_CASE:
-        names = graph.arguments
-        groups = tuple(
-            CausalGroup(names[top], tuple(names[i] for i in set_bits(inside)))
-            for top, inside in _group_masks(graph, mask,
-                                            graph.anchor_mask(mask)))
-    return BoundsResult(ext, ProbabilityInterval(lower, upper), case, groups)
-
-
 def agent_valuation_oracle(members: Extension | Iterable[str],
                            profile: CredalProfile,
                            graph: CausalityGraph) -> ProbabilityInterval:
@@ -200,15 +131,20 @@ def agent_valuation_oracle(members: Extension | Iterable[str],
     Re-derives the same semantics from raw causal edges: each agent values
     the extension as a product over parts (group parts contribute their
     member minimum), and the bounds are the min/max across agents. Shares
-    no traversal or aggregation code with :func:`extension_bounds`, and
-    raises the same :class:`~credalarg.errors.CoverageError` on partition
-    defects.
+    no traversal or aggregation code with :func:`mask_bounds`, and raises
+    the same :class:`~credalarg.errors.CoverageError` on partition defects.
+    ``members`` is checked as :class:`Extension` checks it, then each
+    member, in sorted order, against ``profile`` and then ``graph``.
     """
-    ext = _as_extension(members)
-    if not ext.members:
+    if isinstance(members, Extension):
+        members = members.members
+    names = tuple(sorted(set(_names(members))))
+    if not names:
         raise ValidationError("oracle needs a non-empty extension")
-    _check_domains(ext, profile, graph)
-    names = ext.members
+    for name in names:
+        profile.credal_set(name)  # raises on a mismatch
+        if name not in graph.index:
+            raise ValidationError(f"causality graph has no argument {name!r}")
     inside = set(names)
     edges = sorted(graph.edges)
     effects = {b for _, b in edges}
@@ -254,16 +190,9 @@ def agent_valuation_oracle(members: Extension | Iterable[str],
 
 
 def rank_key(lower: float, upper: float, members: tuple[str, ...]) -> tuple:
-    """Sort key of :func:`rank_extensions`: midpoint descending, members."""
-    return -((lower + upper) / 2.0), members
+    """Sort key of ``rank``, best first: midpoint descending, then members.
 
-
-def rank_extensions(results: Sequence[BoundsResult]) -> list[BoundsResult]:
-    """Heuristic ordering of bounds results, best first.
-
-    Not a principled interval order: it sorts by :func:`rank_key`, which
-    agrees with pairwise dominance whenever both bounds of one interval
-    weakly exceed the other's.
+    Not a principled interval order: it agrees with pairwise dominance
+    whenever both bounds of one interval weakly exceed the other's.
     """
-    return sorted(results, key=lambda r: rank_key(
-        r.interval.lower, r.interval.upper, r.extension.members))
+    return -((lower + upper) / 2.0), members

@@ -160,12 +160,8 @@ def agent_product(rows: Iterable[Sequence[float]]) -> Sequence[float]:
     return products
 
 
-def single_bounds(k: CredalSet) -> ProbabilityInterval:
-    """Lower/upper probability of one event: min/max of its credal set."""
-    return ProbabilityInterval(min(k.values), max(k.values))
-
-
-def _check_same_cardinality(ks: Sequence[CredalSet]) -> None:
+def _bounds(ks: Sequence[CredalSet], rule) -> ProbabilityInterval:
+    # min/max across agents of ``rule`` over equal-length credal sets
     if not ks:
         raise CredalSetError("need at least one credal set")
     m = len(ks[0])
@@ -173,24 +169,18 @@ def _check_same_cardinality(ks: Sequence[CredalSet]) -> None:
         if len(k) != m:
             raise CredalSetError(
                 f"mismatched credal set cardinalities: {len(k)} vs {m}")
+    values = rule([k.values for k in ks])
+    return ProbabilityInterval(min(values), max(values))
 
 
 def independent_bounds(ks: Sequence[CredalSet]) -> ProbabilityInterval:
     """Bounds for independent events; the caller controls factor order."""
-    _check_same_cardinality(ks)
-    products = agent_product(k.values for k in ks)
-    return ProbabilityInterval(min(products), max(products))
-
-
-def dependent_credal_set(ks: Sequence[CredalSet]) -> CredalSet:
-    """Joint credal set for dependent events: per-agent minimum."""
-    _check_same_cardinality(ks)
-    return CredalSet(agent_minimum([k.values for k in ks]))
+    return _bounds(ks, agent_product)
 
 
 def dependent_bounds(ks: Sequence[CredalSet]) -> ProbabilityInterval:
-    """Bounds for dependent events: min/max of the joint credal set."""
-    return single_bounds(dependent_credal_set(ks))
+    """Bounds for dependent events: min/max of the per-agent minimum."""
+    return _bounds(ks, agent_minimum)
 
 
 def rationality_rows(

@@ -1,5 +1,6 @@
 """Seeded random generators shared by the property and acceptance suites,
-and the mask encoding the suites use to read a graph's masks by name."""
+the mask encoding the suites use to read a graph's masks by name, and one
+bounds row of a named set from the kernel."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 from credalarg import (ArgumentationFramework, CausalityGraph, CredalProfile,
                        FrameworkDocument)
 from credalarg.af import set_bits
+from credalarg.bounds import mask_bounds
 
 
 def mask_of(graph: CausalityGraph, members) -> int:
@@ -18,6 +20,24 @@ def mask_of(graph: CausalityGraph, members) -> int:
 def names_of(graph: CausalityGraph, mask: int) -> set[str]:
     """The names of the set bits of ``mask``."""
     return {graph.arguments[i] for i in set_bits(mask)}
+
+
+def groups_of(graph: CausalityGraph, mask: int) -> tuple:
+    """``(anchor, members)`` of each causal group of ``mask``, in anchor
+    bit order: an anchor with its in-mask ancestors, names sorted."""
+    ancestors, names = graph.ancestor_masks, graph.arguments
+    return tuple((names[top], tuple(names[i] for i in set_bits(
+        ancestors[top] & mask | 1 << top)))
+        for top in set_bits(graph.anchor_mask(mask)))
+
+
+def kernel_row(members, profile: CredalProfile, graph: CausalityGraph):
+    """The ``mask_bounds`` row of the distinct names ``members``:
+    ``(lower, upper, case)``, or the refusal text. Each row is a call of
+    its own, so no group's per-agent minimum is shared with another row."""
+    # profile.rows are read by graph bit
+    assert profile.arguments == graph.arguments
+    return next(mask_bounds(graph, profile.rows, [mask_of(graph, members)]))
 
 
 def random_framework(rng: random.Random, max_args: int = 10,

@@ -13,13 +13,15 @@ import pytest
 
 from credalarg import (CoverageError, CredalProfile, CredalSet,
                        agent_valuation_oracle, dependent_bounds,
-                       dependent_credal_set, extension_bounds,
-                       independent_bounds, parse_caf, emit_caf)
+                       document_rows, independent_bounds, parse_caf,
+                       emit_caf)
 from credalarg.cli import main
+from credalarg.credal import agent_minimum
 from credalarg.samples import REPORTED_FIXTURES, diagnosis_document
 from bruteforce import bf_semantics
-from randgen import (mask_of, names_of, random_causality, random_document,
-                     random_framework, random_profile)
+from randgen import (groups_of, kernel_row, mask_of, names_of,
+                     random_causality, random_document, random_framework,
+                     random_profile)
 
 TOL = 1e-9
 
@@ -80,16 +82,16 @@ def test_criterion_3_worked_intermediates():
         doc = diagnosis_document()
         core = frozenset({"C", "D", "E", "F", "G", "H"})
         joint = [doc.profile.credal_set("G"), doc.profile.credal_set("H")]
-        assert dependent_credal_set(joint).values == (0.7, 0.8, 1.0, 0.9)
-        result = extension_bounds(core, doc.profile, doc.causality)
-        assert {group.top for group in result.groups} == {"G"}
+        assert agent_minimum([k.values for k in joint]) == \
+            (0.7, 0.8, 1.0, 0.9)
+        row = kernel_row(core, doc.profile, doc.causality)
         graph, mask = doc.causality, mask_of(doc.causality, core)
+        assert {top for top, _ in groups_of(graph, mask)} == {"G"}
         assert names_of(graph, graph.free_mask(
             mask, graph.anchor_mask(mask))) == {"C", "D", "F"}
-        assert result.interval.lower == pytest.approx(0.0117, abs=TOL)
-        singleton = extension_bounds(("A",), doc.profile, doc.causality)
-        assert (singleton.interval.lower, singleton.interval.upper) == \
-            (0.2, 0.75)
+        assert row[0] == pytest.approx(0.0117, abs=TOL)
+        singleton = kernel_row(("A",), doc.profile, doc.causality)
+        assert singleton[:2] == (0.2, 0.75)
 
 
 def test_criterion_4_known_deviations_match_the_frozen_oracle(capsys):
@@ -98,12 +100,10 @@ def test_criterion_4_known_deviations_match_the_frozen_oracle(capsys):
         doc = diagnosis_document()
         for fixture in REPORTED_FIXTURES:
             frozen_lower, frozen_upper = FROZEN_ORACLE[fixture.label]
-            result = extension_bounds(doc.framework.extension(fixture.members),
-                                      doc.profile, doc.causality)
-            assert result.interval.lower == pytest.approx(frozen_lower,
-                                                          abs=TOL)
-            assert result.interval.upper == pytest.approx(frozen_upper,
-                                                          abs=TOL)
+            [(_, (lower, upper, _))] = document_rows(
+                doc, [doc.framework.extension_mask(fixture.members)])
+            assert lower == pytest.approx(frozen_lower, abs=TOL)
+            assert upper == pytest.approx(frozen_upper, abs=TOL)
         # the four documented discrepancies really are discrepancies
         deviating = [f for f in REPORTED_FIXTURES
                      if abs(FROZEN_ORACLE[f.label][0] - f.reported.lower) > TOL
@@ -131,9 +131,8 @@ def test_criterion_5_maximal_profiles_collapse_to_one():
             for semantics in ("conflict-free", "admissible", "complete",
                               "preferred", "grounded", "stable"):
                 for ext in af.enumerate_extensions(semantics):
-                    try:
-                        result = extension_bounds(ext, profile, graph)
-                    except CoverageError:
+                    row = kernel_row(ext.members, profile, graph)
+                    if isinstance(row, str):
                         # documented grouping restriction; the independent
                         # oracle must refuse identically
                         with pytest.raises(CoverageError):
@@ -141,11 +140,9 @@ def test_criterion_5_maximal_profiles_collapse_to_one():
                         skipped += 1
                         continue
                     if ext.members:
-                        assert (result.interval.lower,
-                                result.interval.upper) == (1.0, 1.0)
+                        assert row[:2] == (1.0, 1.0)
                     else:
-                        assert (result.interval.lower,
-                                result.interval.upper) == (0.0, 1.0)
+                        assert row[:2] == (0.0, 1.0)
         print(f"  (criterion 5 note: {skipped} extensions hit the "
               f"documented coverage restriction, consistently on both paths)")
 
@@ -160,14 +157,12 @@ def test_criterion_6_uniform_profiles_stay_in_the_unit_interval():
             # every extension of every semantics is conflict-free, so the
             # conflict-free family covers all computable intervals
             for ext in af.enumerate_extensions("conflict-free"):
-                try:
-                    result = extension_bounds(ext, profile, graph)
-                except CoverageError:
+                row = kernel_row(ext.members, profile, graph)
+                if isinstance(row, str):
                     with pytest.raises(CoverageError):
                         agent_valuation_oracle(ext, profile, graph)
                     continue
-                assert 0.0 <= result.interval.lower \
-                    <= result.interval.upper <= 1.0
+                assert 0.0 <= row[0] <= row[1] <= 1.0
 
 
 def test_criterion_7_oracle_equivalence():
@@ -183,23 +178,18 @@ def test_criterion_7_oracle_equivalence():
             for ext in af.enumerate_extensions("conflict-free"):
                 if not ext.members:
                     continue
-                oracle_interval = algorithm_result = None
+                oracle_interval = None
                 try:
                     oracle_interval = agent_valuation_oracle(ext, profile,
                                                              graph)
                 except CoverageError:
                     pass
-                try:
-                    algorithm_result = extension_bounds(ext, profile, graph)
-                except CoverageError:
-                    pass
-                if (oracle_interval is None) != (algorithm_result is None):
+                row = kernel_row(ext.members, profile, graph)
+                if (oracle_interval is None) != isinstance(row, str):
                     mismatches += 1
                 elif oracle_interval is not None and (
-                        abs(algorithm_result.interval.lower
-                            - oracle_interval.lower) > TOL
-                        or abs(algorithm_result.interval.upper
-                               - oracle_interval.upper) > TOL):
+                        abs(row[0] - oracle_interval.lower) > TOL
+                        or abs(row[1] - oracle_interval.upper) > TOL):
                     mismatches += 1
         assert mismatches == 0
 

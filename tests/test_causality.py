@@ -9,9 +9,10 @@ import pytest
 import credalarg
 from credalarg import (ArgumentationFramework, CausalCycleError,
                        CausalityGraph, CredalProfile, UnknownArgumentError,
-                       ValidationError, check_attack_disjointness,
-                       extension_bounds)
-from randgen import mask_of, names_of, random_causality, random_framework
+                       ValidationError, agent_valuation_oracle,
+                       check_attack_disjointness)
+from randgen import (groups_of, mask_of, names_of, random_causality,
+                     random_framework)
 
 CORE = {"C", "D", "E", "F", "G", "H"}
 PICKED = {"A", "F", "H", "D", "E", "G"}
@@ -90,10 +91,10 @@ class TestAncestors:
             assert name not in ancestors(diagnosis.causality, name)
 
     def test_unknown_argument(self, diagnosis):
-        # names reach the graph only through the bounds' domain check
+        # names reach the graph only through the oracle's domain check
         with pytest.raises(ValidationError) as info:
-            extension_bounds(("Z",), CredalProfile.of({"Z": [0.5]}),
-                             diagnosis.causality)
+            agent_valuation_oracle(("Z",), CredalProfile.of({"Z": [0.5]}),
+                                   diagnosis.causality)
         assert str(info.value) == "causality graph has no argument 'Z'"
 
     def test_membership(self, diagnosis):
@@ -126,9 +127,9 @@ class TestAncestors:
 
 class TestGroupAnchors:
     def test_accepted_core(self, diagnosis):
-        result = extension_bounds(CORE, diagnosis.profile,
-                                  diagnosis.causality)
-        assert {group.top for group in result.groups} == {"G"}
+        graph = diagnosis.causality
+        assert {top for top, _ in groups_of(graph, mask_of(graph, CORE))} \
+            == {"G"}
 
     def test_hand_picked_set(self, diagnosis):
         # G is an ancestor of A which is in the set, so only A anchors

@@ -10,14 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from credalarg import (CoverageError, Extension, ProbabilityInterval, cli,
-                       extension_bounds, rank_extensions)
-from credalarg.bounds import BoundsResult
+from credalarg import CoverageError, ProbabilityInterval, cli, document_rows
+from credalarg.bounds import rank_key
 from credalarg.cli import main
 from credalarg.credal import is_maximal, rationality_rows
 from credalarg.formats import emit_caf, parse_caf
 from credalarg.samples import REPORTED_FIXTURES, diagnosis_document
-from randgen import random_document
+from randgen import kernel_row, random_document
 
 THREE_CYCLE = "arg(A). arg(B). arg(C).\natt(A,B). att(B,C). att(C,A).\n"
 
@@ -130,18 +129,17 @@ def _extension_names(framework, semantics):
 def _bounds_entries(doc, extensions, oracle=None,
                     tolerance=cli.DEFAULT_TOLERANCE):
     """The JSON entries of ``bounds`` over ``extensions``, built from the
-    library: ``(entry, result)`` pairs, ``result`` None for a refusal."""
+    library one kernel call a row: ``(entry, result)`` pairs, ``result``
+    the ``(lower, upper, case)`` row, or None for a refusal."""
     pairs = []
     for names in extensions:
         entry = {"members": list(names)}
-        try:
-            result = extension_bounds(names, doc.profile, doc.causality)
-        except CoverageError as exc:
+        result = kernel_row(names, doc.profile, doc.causality)
+        if isinstance(result, str):
+            entry["error"] = result
             result = None
-            entry["error"] = str(exc)
         else:
-            entry.update(lower=result.interval.lower,
-                         upper=result.interval.upper, case=result.case)
+            entry.update(zip(("lower", "upper", "case"), result))
         if oracle is not None and names:
             try:
                 found = oracle(names, doc.profile, doc.causality)
@@ -153,10 +151,23 @@ def _bounds_entries(doc, extensions, oracle=None,
                              oracle_upper=found.upper,
                              oracle_match=result is not None and all(
                                  abs(a - b) <= tolerance for a, b in (
-                                     (found.lower, result.interval.lower),
-                                     (found.upper, result.interval.upper))))
+                                     (found.lower, result[0]),
+                                     (found.upper, result[1]))))
         pairs.append((entry, result))
     return pairs
+
+
+def _rank_json(semantics: str, pairs) -> str:
+    """The ``json.dumps`` text of ``rank`` over ``_bounds_entries`` pairs:
+    accepted rows sorted by ``rank_key``, then the refused ones."""
+    ranked = sorted((entry for entry, result in pairs if result is not None),
+                    key=lambda entry: rank_key(entry["lower"], entry["upper"],
+                                               tuple(entry["members"])))
+    return _dumps({
+        "semantics": semantics,
+        "extensions": [{**entry, "rank": i}
+                       for i, entry in enumerate(ranked, start=1)],
+        "unranked": [entry for entry, result in pairs if result is None]})
 
 
 def _dumps(payload) -> str:
@@ -205,15 +216,13 @@ class TestBounds:
         path = tmp_path / "chain.caf"
         path.write_text("arg(x). arg(y). arg(z).\ncau(x,y). cau(y,z).\n")
         doc = parse_caf(path.read_text())
-        with pytest.raises(CoverageError) as exc:
-            extension_bounds(("x", "z"), doc.profile, doc.causality)
-        assert str(exc.value) == \
-            "member 'x' consumed 2 times by the causal grouping"
+        message = kernel_row(("x", "z"), doc.profile, doc.causality)
+        assert message == "member 'x' consumed 2 times by the causal grouping"
         # the row is refused before anything is written, in either format
         for fmt in ("text", "json"):
             assert run(capsys, "bounds", "--input", str(path), "--set",
                        "x,z", "--format", fmt) == \
-                (2, "", f"error: {exc.value}\n")
+                (2, "", f"error: {message}\n")
 
     def test_json_schema(self, capsys, diagnosis_caf):
         code, out, _ = run(capsys, "bounds", "--input", diagnosis_caf,
@@ -239,13 +248,13 @@ class TestBounds:
         core = data["fixtures"][0]
         assert core["reported_upper"] == 0.0806
         assert core["computed_upper"] == pytest.approx(0.088, abs=1e-9)
-        # the mask path gives what the checked library call gives
+        # the batched rows give what one checked named set gives
         doc = diagnosis_document()
         for fixture, row in zip(REPORTED_FIXTURES, data["fixtures"]):
-            found = extension_bounds(doc.framework.extension(fixture.members),
-                                     doc.profile, doc.causality).interval
+            [(_, found)] = document_rows(
+                doc, [doc.framework.extension_mask(fixture.members)])
             assert (row["computed_lower"], row["computed_upper"]) == \
-                (found.lower, found.upper)
+                found[:2]
 
     @pytest.mark.parametrize("tolerance, flagged", [
         ("0.06", {"cf-3": ["lower", "upper"]}), ("1", {})])
@@ -358,8 +367,7 @@ def _no_attacks(n: int) -> str:
 
 def _expected_json(command: str, doc, semantics: str) -> str:
     """The ``json.dumps`` text of ``solve``, ``bounds`` or ``rank``, built
-    from the library, one ``Extension`` and ``extension_bounds`` call per
-    row."""
+    from the library, one ``Extension`` and one kernel call per row."""
     extensions = [e.members
                   for e in doc.framework.enumerate_extensions(semantics)]
     if command == "solve":
@@ -369,15 +377,7 @@ def _expected_json(command: str, doc, semantics: str) -> str:
     if command == "bounds":
         return _dumps({"semantics": semantics,
                        "extensions": [entry for entry, _ in pairs]})
-    entries = {tuple(entry["members"]): entry
-               for entry, result in pairs if result is not None}
-    ranked = rank_extensions([result for _, result in pairs
-                              if result is not None])
-    return _dumps({
-        "semantics": semantics,
-        "extensions": [{**entries[result.extension.members], "rank": i}
-                       for i, result in enumerate(ranked, start=1)],
-        "unranked": [entry for entry, result in pairs if result is None]})
+    return _rank_json(semantics, pairs)
 
 
 class _Sink(io.TextIOBase):
@@ -691,23 +691,13 @@ class TestRank:
                                 "--semantics", code, "--format", "json")
                 pairs = _bounds_entries(
                     doc, _extension_names(doc.framework, semantics))
-                entries = {tuple(entry["members"]): entry
-                           for entry, result in pairs if result is not None}
-                ranked = rank_extensions(
-                    [result for _, result in pairs if result is not None])
-                unranked = [entry for entry, result in pairs
-                            if result is None]
-                assert out == _dumps({
-                    "semantics": semantics,
-                    "extensions": [
-                        {**entries[result.extension.members], "rank": i}
-                        for i, result in enumerate(ranked, start=1)],
-                    "unranked": unranked})
-                with_unranked += bool(unranked)
-                without += not unranked
+                assert out == _rank_json(semantics, pairs)
+                refused = any(result is None for _, result in pairs)
+                with_unranked += refused
+                without += not refused
         assert with_unranked and without
 
-    def test_order_is_the_rank_extensions_order_ties_included(
+    def test_order_is_the_rank_key_order_ties_included(
             self, capsys, tmp_path):
         # {}, {a}, {b}, {c}, {a,d}, {b,d} and {c,d} all have midpoint 0.5,
         # through three different intervals, so the members break the ties
@@ -718,13 +708,12 @@ class TestRank:
         src = ("--input", str(path), "--semantics", "cf", "--format", "json")
         _, bounds_out, _ = run(capsys, "bounds", *src)
         _, rank_out, _ = run(capsys, "rank", *src)
-        results = [BoundsResult(Extension(e["members"]),
-                                ProbabilityInterval(e["lower"], e["upper"]),
-                                e["case"])
-                   for e in json.loads(bounds_out)["extensions"]]
+        rows = [(e["lower"], e["upper"], tuple(e["members"]))
+                for e in json.loads(bounds_out)["extensions"]]
         ranked = json.loads(rank_out)["extensions"]
         assert [e["members"] for e in ranked] == \
-            [list(r.extension.members) for r in rank_extensions(results)]
+            [list(row[2]) for row in sorted(rows, key=lambda row:
+                                            rank_key(*row))]
         midpoints = [(e["lower"] + e["upper"]) / 2 for e in ranked]
         assert midpoints.count(0.5) == 7
 

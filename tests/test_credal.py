@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import credalarg
 from credalarg import (ArgumentationFramework, CredalProfile, CredalSet,
                        CredalSetError, ProbabilityInterval, ValidationError,
-                       dependent_bounds, dependent_credal_set,
-                       independent_bounds, is_maximal, rationality_rows,
-                       single_bounds)
+                       dependent_bounds, independent_bounds, is_maximal,
+                       rationality_rows)
+from credalarg.credal import agent_minimum
 from randgen import random_framework, random_profile
 
 TOL = 1e-9
@@ -41,17 +41,22 @@ def as_pair(interval):
     return (interval.lower, interval.upper)
 
 
+def dependent_set(ks):
+    """The per-agent minimum of ``ks`` as a credal set."""
+    return CredalSet(agent_minimum([k.values for k in ks]))
+
+
 class TestSingleBounds:
     def test_four_agent_set(self):
-        assert as_pair(single_bounds(CredalSet((0.2, 0.7, 0.55, 0.75)))) == \
-            (0.2, 0.75)
+        assert as_pair(independent_bounds(
+            [CredalSet((0.2, 0.7, 0.55, 0.75))])) == (0.2, 0.75)
 
     def test_singleton_collapses(self):
-        interval = single_bounds(CredalSet((0.5,)))
+        interval = independent_bounds([CredalSet((0.5,))])
         assert interval.lower == interval.upper == 0.5
 
     def test_first_event_column(self):
-        assert as_pair(single_bounds(EVENT_1)) == (0.3, 0.6)
+        assert as_pair(independent_bounds([EVENT_1])) == (0.3, 0.6)
 
 
 class TestIndependentBounds:
@@ -60,8 +65,9 @@ class TestIndependentBounds:
         assert interval.lower == pytest.approx(0.1125, abs=TOL)
         assert interval.upper == pytest.approx(0.234, abs=TOL)
 
-    def test_single_factor_equals_single_bounds(self):
-        assert independent_bounds([EVENT_2]) == single_bounds(EVENT_2)
+    def test_single_factor_gives_the_set_s_min_and_max(self):
+        assert independent_bounds([EVENT_2]) == \
+            ProbabilityInterval(min(EVENT_2.values), max(EVENT_2.values))
 
     def test_all_ones_stay_at_one(self):
         ones = CredalSet((1.0, 1.0))
@@ -69,12 +75,17 @@ class TestIndependentBounds:
         assert (interval.lower, interval.upper) == (1.0, 1.0)
 
     def test_mismatched_cardinality_rejected(self):
-        with pytest.raises(CredalSetError):
-            independent_bounds([EVENT_1, CredalSet((0.5,))])
+        for rule in (independent_bounds, dependent_bounds):
+            with pytest.raises(CredalSetError) as info:
+                rule([EVENT_1, CredalSet((0.5,))])
+            assert str(info.value) == \
+                "mismatched credal set cardinalities: 1 vs 3"
 
     def test_empty_list_rejected(self):
-        with pytest.raises(CredalSetError):
-            independent_bounds([])
+        for rule in (independent_bounds, dependent_bounds):
+            with pytest.raises(CredalSetError) as info:
+                rule([])
+            assert str(info.value) == "need at least one credal set"
 
 
 def test_agent_product_folds_a_deep_row_list_without_overflow():
@@ -92,15 +103,15 @@ def test_agent_product_folds_a_deep_row_list_without_overflow():
 
 class TestDependentAggregation:
     def test_three_event_joint_set(self):
-        joint = dependent_credal_set([EVENT_1, EVENT_2, EVENT_3])
+        joint = dependent_set([EVENT_1, EVENT_2, EVENT_3])
         assert joint.values == pytest.approx((0.3, 0.55, 0.45))
 
     def test_single_input_is_identity(self):
-        assert dependent_credal_set([EVENT_3]) == EVENT_3
+        assert dependent_set([EVENT_3]) == EVENT_3
 
     def test_diagnosis_group_columns(self, diagnosis):
-        joint = dependent_credal_set([diagnosis.profile.credal_set("G"),
-                                      diagnosis.profile.credal_set("H")])
+        joint = dependent_set([diagnosis.profile.credal_set("G"),
+                               diagnosis.profile.credal_set("H")])
         assert joint.values == (0.7, 0.8, 1.0, 0.9)
 
     def test_three_event_bounds(self):
@@ -112,8 +123,9 @@ class TestDependentAggregation:
                                      diagnosis.profile.credal_set("H")])
         assert (interval.lower, interval.upper) == (0.7, 1.0)
 
-    def test_identical_sets_collapse_to_single_bounds(self):
-        assert dependent_bounds([EVENT_1, EVENT_1]) == single_bounds(EVENT_1)
+    def test_identical_sets_collapse_to_one_set(self):
+        assert dependent_bounds([EVENT_1, EVENT_1]) == \
+            independent_bounds([EVENT_1])
 
 
 class TestValidation:
@@ -245,7 +257,7 @@ def test_aggregations_are_permutation_invariant(batch, seed):
         a, b = fn(batch), fn(shuffled)
         assert a.lower == pytest.approx(b.lower, abs=TOL)
         assert a.upper == pytest.approx(b.upper, abs=TOL)
-    assert dependent_credal_set(shuffled) == dependent_credal_set(batch)
+    assert dependent_set(shuffled) == dependent_set(batch)
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,7 +276,8 @@ def test_single_agent_collapses_every_interval(batch):
     for fn in (independent_bounds, dependent_bounds):
         interval = fn(batch)
         assert interval.lower == interval.upper
-    assert single_bounds(batch[0]).lower == single_bounds(batch[0]).upper
+    single = independent_bounds(batch[:1])
+    assert single.lower == single.upper
 
 
 @settings(max_examples=120, deadline=None)

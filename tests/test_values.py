@@ -1,4 +1,4 @@
-"""The ten value types behave as immutable values: ``==`` only within a
+"""The eight value types behave as immutable values: ``==`` only within a
 class, ``hash`` and ``repr`` over the fields, keyword construction with
 defaults, ``pickle`` and ``copy`` round trips, refused assignment and
 deletion, and the ordering of :class:`Extension`."""
@@ -8,9 +8,9 @@ import pickle
 
 import pytest
 
-from credalarg import (ArgumentationFramework, BoundsResult, CausalGroup,
-                       CausalityGraph, CredalProfile, CredalSet, Extension,
-                       FrameworkDocument, ProbabilityInterval, parse_caf)
+from credalarg import (ArgumentationFramework, CausalityGraph, CredalProfile,
+                       CredalSet, Extension, FrameworkDocument,
+                       ProbabilityInterval, parse_caf)
 from credalarg.samples import REPORTED_FIXTURES, ReportedFixture
 
 _FRAMEWORK = ArgumentationFramework(("b", "a", "c"), frozenset({("a", "b")}))
@@ -21,11 +21,6 @@ _PROFILE = CredalProfile(2, {"b": CredalSet((1, 0.5)), "c": CredalSet((0, 1)),
 
 def _document(name=""):
     return FrameworkDocument(_FRAMEWORK, _PROFILE, _GRAPH, name)
-
-
-def _result(case="singleton"):
-    return BoundsResult(Extension(("a",)), ProbabilityInterval(0.25, 0.75),
-                        case)
 
 
 # class name -> (make an instance, make an unequal one, its exact repr)
@@ -66,15 +61,6 @@ _VALUES = {
         "'c': CredalSet(values=(0.0, 1.0))}), causality=CausalityGraph("
         "arguments=('a', 'b', 'c'), edges=frozenset({('c', 'b')})), "
         "name='', description='')"),
-    "CausalGroup": (
-        lambda: CausalGroup("a", ("a", "b")),
-        lambda: CausalGroup("b", ("a", "b")),
-        "CausalGroup(top='a', members=('a', 'b'))"),
-    "BoundsResult": (
-        _result, lambda: _result("algorithm"),
-        "BoundsResult(extension=Extension(members=('a',), "
-        "semantics='conflict-free'), interval=ProbabilityInterval("
-        "lower=0.25, upper=0.75), case='singleton', groups=())"),
     "ReportedFixture": (
         lambda: ReportedFixture("cf-4", ("A",),
                                 ProbabilityInterval(0.2, 0.75)),
@@ -144,11 +130,6 @@ def test_keyword_construction_and_defaults():
                                  causality=_GRAPH)
     assert (document.name, document.description) == ("", "")
     assert document == _document()
-    assert CausalGroup(members=("a",), top="a") == CausalGroup("a", ("a",))
-    result = BoundsResult(extension=Extension(("a",)),
-                          interval=ProbabilityInterval(0.25, 0.75),
-                          case="singleton")
-    assert result.groups == () and result == _result()
     assert ReportedFixture(label="x", members=("A",),
                            reported=ProbabilityInterval(0, 1)) == \
         ReportedFixture("x", ("A",), ProbabilityInterval(0, 1))
@@ -186,8 +167,7 @@ def test_documents_survive_round_trips(round_trip, source):
     ("Extension", "members"), ("ArgumentationFramework", "arguments"),
     ("CausalityGraph", "edges"), ("CredalSet", "values"),
     ("ProbabilityInterval", "lower"), ("CredalProfile", "agent_count"),
-    ("FrameworkDocument", "name"), ("CausalGroup", "top"),
-    ("BoundsResult", "case"), ("ReportedFixture", "label"),
+    ("FrameworkDocument", "name"), ("ReportedFixture", "label"),
 ])
 def test_assignment_and_deletion_are_refused(name, field):
     instance = _VALUES[name][0]()
