@@ -7,7 +7,7 @@ dependency graph. Ships a `.caf` text format, JSON and DOT output, and a
 command-line front end (``credalarg``).
 """
 
-from .af import DEFAULT_MAX_ARGS, SEMANTICS, ArgumentationFramework, Extension
+from .af import DEFAULT_MAX_ARGS, SEMANTICS, ArgumentationFramework
 from .bounds import agent_valuation_oracle, document_rows
 from .causality import CausalityGraph, check_attack_disjointness
 from .credal import (CredalProfile, CredalSet, ProbabilityInterval,
@@ -22,7 +22,7 @@ from .formats import (FrameworkDocument, dump_caf, emit_caf, emit_json,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentationFramework", "Extension", "SEMANTICS", "DEFAULT_MAX_ARGS",
+    "ArgumentationFramework", "SEMANTICS", "DEFAULT_MAX_ARGS",
     "CredalSet", "CredalProfile", "ProbabilityInterval",
     "independent_bounds", "dependent_bounds", "rationality_rows",
     "is_maximal", "CausalityGraph", "check_attack_disjointness",

@@ -11,7 +11,7 @@ The attacks, and the causal edges of a
 per-argument source and target bitmasks over that index. The public
 constructors reject first an invalid name, then a pair that is not a
 2-tuple (:func:`pair_set`), then a pair with an unknown end. Each
-refusal, there and in :class:`Extension` and the member-list queries,
+refusal, there and in :meth:`ArgumentationFramework.extension_mask`,
 names the lowest offender, so none depends on hash or input order. The
 `.caf` loader, which has matched every name and pair already, indexes
 the names once and builds the framework and the graph over that one
@@ -54,7 +54,8 @@ decided or not, guards against accidental exponential blow-ups.
 :meth:`ArgumentationFramework.extension_masks` gives the extensions as
 member masks, in the canonical order, so callers that compute over masks
 decode the names only to print them, and may do so a chunk of rows at a
-time. :meth:`ArgumentationFramework.row_decoder` decodes a list of masks
+time. An extension's names are the sorted tuple its mask decodes to.
+:meth:`ArgumentationFramework.row_decoder` decodes a list of masks
 through one table per byte of the mask: entry ``b`` of table ``k`` is the
 names of ``arguments[8k:8k+8]`` that byte ``b`` flags, made on first use,
 so a row costs a lookup per byte and small frameworks build only the
@@ -66,7 +67,6 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import compress
-from operator import eq, ge, gt, le, lt
 
 from .errors import (CapExceededError, UnknownArgumentError, ValidationError,
                      _clip, _echo)
@@ -115,15 +115,6 @@ def _byte_decoder(arguments: tuple[str, ...]) -> Callable[[int], tuple]:
     return decode
 
 
-def _compare(op: Callable) -> Callable:
-    # ``op`` on the field tuples of two instances of one class
-    def compare(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return op(self._key(), other._key())
-    return compare
-
-
 class _Value:
     """An immutable value over the fields ``__match_args__`` names, in
     order: ``==`` within one class, ``hash`` and ``repr`` of the fields,
@@ -140,7 +131,10 @@ class _Value:
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
-    __eq__ = _compare(eq)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -228,39 +222,6 @@ def compile_pairs(index: dict[str, int], pairs: frozenset,
     return sources, targets
 
 
-class Extension(_Value):
-    """A set of arguments accepted together under one semantics.
-
-    ``members`` is kept as a sorted tuple so extensions order and compare
-    deterministically. Conflict-freeness is enforced by the surfaces that
-    build extensions (enumeration and
-    :meth:`ArgumentationFramework.extension`); build through those unless
-    you already hold a checked set.
-    """
-
-    __match_args__ = ("members", "semantics")
-    __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
-
-    def __init__(self, members: Iterable[str],
-                 semantics: str = "conflict-free"):
-        members = tuple(sorted(set(_names(members))))
-        if semantics not in SEMANTICS:
-            raise ValidationError(f"unknown semantics: {semantics!r}")
-        self._set(members, semantics)
-
-    def __str__(self) -> str:
-        return "{%s}" % ",".join(self.members)
-
-    @classmethod
-    def _trusted(cls, members: tuple[str, ...], semantics: str) -> Extension:
-        # no re-sort, for names decoded from a mask; set fields as __init__
-        # does, since touching __dict__ would make each instance larger
-        ext = object.__new__(cls)
-        object.__setattr__(ext, "members", members)
-        object.__setattr__(ext, "semantics", semantics)
-        return ext
-
-
 class ArgumentationFramework(_Value):
     """Arguments plus an attack relation, immutable after construction.
 
@@ -284,14 +245,6 @@ class ArgumentationFramework(_Value):
 
     # -- mask helpers -----------------------------------------------------
 
-    def _mask_of(self, members: Iterable[str]) -> int:
-        names = set(_names(members))
-        unknown = names - self._index.keys()
-        if unknown:
-            raise UnknownArgumentError(
-                f"unknown argument {_echo(min(unknown))}")
-        return sum(1 << self._index[name] for name in names)
-
     def _names_of(self, mask: int) -> tuple[str, ...]:
         # bin() lists bits high first; reversed, byte i flags arguments[i]
         return tuple(compress(self.arguments,
@@ -311,28 +264,22 @@ class ArgumentationFramework(_Value):
             return self._names_of
         return _byte_decoder(self.arguments)
 
-    # -- predicates -------------------------------------------------------
-
-    def is_conflict_free(self, members: Iterable[str]) -> bool:
-        """True iff no attack has both endpoints inside ``members``."""
-        mask = self._mask_of(members)
-        return not any(self._out[i] & mask for i in set_bits(mask))
-
     def extension_mask(self, members: Iterable[str]) -> int:
-        """The mask of ``members``: a name check as in :class:`Extension`,
-        then the lowest unknown name raises ``UnknownArgumentError``, then
-        a conflict ``ValidationError``."""
-        mask = self._mask_of(members)
+        """The mask of the named set ``members``, checked: a string, or an
+        invalid name (the lowest by ``repr``), raises ``ValidationError``,
+        then the lowest unknown name ``UnknownArgumentError``, then a
+        conflict ``ValidationError``. :meth:`row_decoder` gives the mask's
+        sorted names."""
+        names = set(_names(members))
+        unknown = names - self._index.keys()
+        if unknown:
+            raise UnknownArgumentError(
+                f"unknown argument {_echo(min(unknown))}")
+        mask = sum(1 << self._index[name] for name in names)
         if any(self._out[i] & mask for i in set_bits(mask)):
             raise ValidationError("set {%s} is not conflict-free"
                                   % ",".join(self._names_of(mask)))
         return mask
-
-    def extension(self, members: Iterable[str],
-                  semantics: str = "conflict-free") -> Extension:
-        """Build a checked extension; rejects conflicting member sets."""
-        return Extension(self._names_of(self.extension_mask(members)),
-                         semantics)
 
     # -- semantics --------------------------------------------------------
 
@@ -484,11 +431,12 @@ class ArgumentationFramework(_Value):
         return masks
 
     def enumerate_extensions(self, semantics: str,
-                             max_args: int = DEFAULT_MAX_ARGS) -> list[Extension]:
-        """The extensions of :meth:`extension_masks`, in its order."""
+                             max_args: int = DEFAULT_MAX_ARGS
+                             ) -> list[tuple[str, ...]]:
+        """The sorted member names of each of :meth:`extension_masks`, in
+        its order."""
         masks = self.extension_masks(semantics, max_args)
-        return [Extension._trusted(names, semantics)
-                for names in map(self.row_decoder(masks), masks)]
+        return list(map(self.row_decoder(masks), masks))
 
 
 def _framework(arguments: tuple[str, ...], index: dict[str, int],

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .af import Extension, _names, set_bits
+from .af import _names, set_bits
 from .causality import CausalityGraph
 from .credal import (CredalProfile, ProbabilityInterval, agent_minimum,
                      agent_product)
@@ -123,7 +123,7 @@ def document_rows(doc: FrameworkDocument, masks: Sequence[int]) -> Iterator:
                mask_bounds(doc.causality, doc.profile.rows, masks))
 
 
-def agent_valuation_oracle(members: Extension | Iterable[str],
+def agent_valuation_oracle(members: Iterable[str],
                            profile: CredalProfile,
                            graph: CausalityGraph) -> ProbabilityInterval:
     """Differential-testing oracle for the grouping algorithm.
@@ -133,11 +133,11 @@ def agent_valuation_oracle(members: Extension | Iterable[str],
     member minimum), and the bounds are the min/max across agents. Shares
     no traversal or aggregation code with :func:`mask_bounds`, and raises
     the same :class:`~credalarg.errors.CoverageError` on partition defects.
-    ``members`` is checked as :class:`Extension` checks it, then each
-    member, in sorted order, against ``profile`` and then ``graph``.
+    ``members`` is checked for a string or an invalid name as
+    ``extension_mask`` checks it, then each member, in sorted order,
+    through ``profile.credal_set`` and then against ``graph``. The values
+    are read from ``profile.rows``, so no other credal set is made.
     """
-    if isinstance(members, Extension):
-        members = members.members
     names = tuple(sorted(set(_names(members))))
     if not names:
         raise ValidationError("oracle needs a non-empty extension")
@@ -180,11 +180,12 @@ def agent_valuation_oracle(members: Extension | Iterable[str],
             "oracle partition mismatch: consumed %s, expected %s"
             % (",".join(flattened), ",".join(names)))
 
+    rows = dict(zip(profile.arguments, profile.rows))
     values = []
     for j in range(profile.agent_count):
         total = 1.0
         for part in sorted(parts):
-            total *= min(profile.credal_set(n).values[j] for n in part)
+            total *= min(rows[n][j] for n in part)
         values.append(total)
     return ProbabilityInterval(min(values), max(values))
 

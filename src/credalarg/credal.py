@@ -9,6 +9,7 @@ taking the min/max across agents.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from operator import mul
 
@@ -71,42 +72,25 @@ class ProbabilityInterval(_Value):
 class CredalProfile(_Value):
     """Total mapping from argument names to equal-length credal sets.
 
-    ``arguments`` holds the names sorted, and ``rows`` their values in that
-    order, a document's bit order. A profile the `.caf` loader or
-    :meth:`maximal` built holds only those two, and makes ``assignment``
-    and its sets on first use. Two profiles compare by ``agent_count``,
-    ``arguments`` and ``rows``, the same verdict as by ``assignment``
-    without making its sets; a profile is not hashable.
+    ``arguments`` holds the names sorted, and ``rows`` their opinion values
+    in that order, a document's bit order; :meth:`credal_set` makes one
+    name's set from its row. A profile is not hashable.
     """
 
-    __match_args__ = ("agent_count", "assignment")
+    __match_args__ = ("agent_count", "arguments", "rows")
     __hash__ = None
 
     def __init__(self, agent_count: int,
                  assignment: Mapping[str, CredalSet] = {}):  # only read
         _checked_agent_count(agent_count)
-        norm = {name: k for name, k in sorted(assignment.items())}
-        for name, k in norm.items():
-            if len(k) != agent_count:
+        names = tuple(sorted(assignment))
+        for name in names:
+            if len(assignment[name]) != agent_count:
                 raise CredalSetError(
-                    f"credal set for {name!r} has {len(k)} opinions, "
-                    f"expected {agent_count}")
-        self._set(agent_count, norm)
-        object.__setattr__(self, "arguments", tuple(norm))
-        object.__setattr__(self, "rows",
-                           tuple(k.values for k in norm.values()))
-
-    def _key(self) -> tuple:
-        return self.agent_count, self.arguments, self.rows
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute not yet set: a row-built profile's
-        # assignment, made once
-        if name != "assignment":
-            raise AttributeError(name)
-        value = dict(zip(self.arguments, map(CredalSet._trusted, self.rows)))
-        object.__setattr__(self, name, value)
-        return value
+                    f"credal set for {name!r} has {len(assignment[name])} "
+                    f"opinions, expected {agent_count}")
+        self._set(agent_count, names,
+                  tuple(assignment[name].values for name in names))
 
     @classmethod
     def of(cls, table: Mapping[str, Sequence[float]]) -> "CredalProfile":
@@ -126,11 +110,16 @@ class CredalProfile(_Value):
         return _row_profile(agent_count, names, (ones,) * len(names))
 
     def credal_set(self, name: str) -> CredalSet:
+        """The credal set of ``name``, made from its row."""
+        names = self.arguments
         try:
-            return self.assignment[name]
-        except KeyError:
+            i = bisect_left(names, name)
+        except TypeError:  # a name that does not compare with strings
+            i = len(names)
+        if i == len(names) or names[i] != name:
             raise ValidationError(
-                f"profile has no opinions for argument {name!r}") from None
+                f"profile has no opinions for argument {name!r}")
+        return CredalSet._trusted(self.rows[i])
 
 
 def _row_profile(agent_count: int, arguments: tuple[str, ...],

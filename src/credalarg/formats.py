@@ -54,8 +54,8 @@ agent blocks, one column each, in bit order. Any other text, and any
 text that fails a check, goes to the line parser, which alone words the
 errors: the accepted language, every error and every line number are the
 same on both paths. Both take time linear in the text, whitespace runs
-included. Neither path makes a credal set: the profile makes its sets on
-first use.
+included. Neither path makes a credal set: the profile holds the rows,
+and ``credal_set`` makes one from a row when asked.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credalarg import (ArgumentationFramework, CapExceededError,
-                       CredalArgError, Extension, UnknownArgumentError,
-                       ValidationError)
+                       UnknownArgumentError, ValidationError)
 from credalarg.af import set_bits
 from bruteforce import bf_semantics
 from randgen import random_framework
@@ -16,13 +15,19 @@ THREE_CYCLE = ArgumentationFramework(
 
 
 def members(extensions):
-    return [set(e.members) for e in extensions]
+    return [set(e) for e in extensions]
+
+
+def names(af, members):
+    """The sorted names of the checked set ``members``."""
+    mask = af.extension_mask(members)
+    return af.row_decoder([mask])(mask)
 
 
 def _counter(af, members):
     # the arguments the framework's attack masks say ``members`` attack
     hit = 0
-    for i in set_bits(af._mask_of(members)):
+    for i in set_bits(af.extension_mask(members)):
         hit |= af._out[i]
     return hit
 
@@ -30,7 +35,7 @@ def _counter(af, members):
 def defends(af, members, name):
     """Every attacker of ``name`` is attacked from ``members``."""
     counter = _counter(af, members)
-    (i,) = set_bits(af._mask_of([name]))
+    (i,) = set_bits(af.extension_mask([name]))
     return af._in[i] & ~counter == 0
 
 
@@ -43,22 +48,24 @@ def defended_arguments(af, members):
 
 class TestConflictFree:
     def test_accepted_core_is_conflict_free(self, diagnosis):
-        af = diagnosis.framework
-        assert af.is_conflict_free({"C", "D", "E", "F", "G", "H"})
+        core = {"C", "D", "E", "F", "G", "H"}
+        assert names(diagnosis.framework, core) == tuple(sorted(core))
 
     def test_empty_set_is_vacuously_conflict_free(self, diagnosis):
-        assert diagnosis.framework.is_conflict_free(set())
+        assert diagnosis.framework.extension_mask(set()) == 0
 
     def test_attacking_pair_is_not(self, diagnosis):
-        assert not diagnosis.framework.is_conflict_free({"A", "B"})
+        with pytest.raises(ValidationError, match="not conflict-free"):
+            diagnosis.framework.extension_mask({"A", "B"})
 
     def test_self_attacker_conflicts_alone(self):
         af = ArgumentationFramework(("X",), frozenset({("X", "X")}))
-        assert not af.is_conflict_free({"X"})
+        with pytest.raises(ValidationError, match="not conflict-free"):
+            af.extension_mask({"X"})
 
     def test_unknown_member_rejected(self, diagnosis):
         with pytest.raises(UnknownArgumentError):
-            diagnosis.framework.is_conflict_free({"Z"})
+            diagnosis.framework.extension_mask({"Z"})
 
 
 class TestDefends:
@@ -80,17 +87,17 @@ class TestDefends:
 class TestGrounded:
     def test_diagnosis_grounded(self, diagnosis):
         [ext] = diagnosis.framework.enumerate_extensions("grounded")
-        assert set(ext.members) == {"C", "D", "E", "F", "G", "H"}
-        assert ext.semantics == "grounded"
+        assert set(ext) == {"C", "D", "E", "F", "G", "H"}
+        assert ext == ("C", "D", "E", "F", "G", "H")
 
     def test_no_attacks_accepts_everything(self):
         af = ArgumentationFramework(("x", "y", "z"))
         [ext] = af.enumerate_extensions("grounded")
-        assert set(ext.members) == {"x", "y", "z"}
+        assert set(ext) == {"x", "y", "z"}
 
     def test_three_cycle_grounds_to_nothing(self):
         [ext] = THREE_CYCLE.enumerate_extensions("grounded")
-        assert ext.members == ()
+        assert ext == ()
 
     def test_long_chain_accepts_every_other_argument(self):
         # c0 -> c1 -> ... -> c4000; unpadded names so sorted order is not
@@ -99,14 +106,14 @@ class TestGrounded:
         attacks = frozenset(zip(names, names[1:]))
         af = ArgumentationFramework(tuple(names), attacks)
         [ext] = af.enumerate_extensions("grounded")
-        assert set(ext.members) == set(names[::2])
+        assert set(ext) == set(names[::2])
 
     def test_long_odd_cycle_grounds_to_nothing(self):
         names = [f"o{i}" for i in range(1001)]
         attacks = frozenset(zip(names, names[1:] + names[:1]))
         af = ArgumentationFramework(tuple(names), attacks)
         [ext] = af.enumerate_extensions("grounded")
-        assert ext.members == ()
+        assert ext == ()
 
 
 class TestEnumerate:
@@ -135,10 +142,11 @@ class TestEnumerate:
 
     def test_canonical_order(self, diagnosis):
         exts = diagnosis.framework.enumerate_extensions("admissible")
-        keys = [(len(e.members), e.members) for e in exts]
+        keys = [(len(e), e) for e in exts]
         assert keys == sorted(keys)
-        # the enumerated objects equal those the public constructor builds
-        assert exts == [Extension(e.members[::-1], "admissible") for e in exts]
+        # each is the sorted tuple that the named set decodes to
+        af = diagnosis.framework
+        assert exts == [names(af, e[::-1]) for e in exts]
 
     def test_deterministic_across_runs(self, diagnosis):
         one = diagnosis.framework.enumerate_extensions("conflict-free")
@@ -155,7 +163,7 @@ class TestEnumerate:
             af.enumerate_extensions("conflict-free")
         # grounded bypasses subset enumeration entirely
         [ext] = af.enumerate_extensions("grounded")
-        assert len(ext.members) == 26
+        assert len(ext) == 26
 
     def test_mutual_attack_pairs(self):
         pairs = [(f"p{i}", f"q{i}") for i in range(8)]
@@ -317,64 +325,64 @@ class TestRowDecoder:
 
 
 class TestExtensionType:
+    """An extension is the sorted tuple of its member names; a named set
+    is checked by ``extension_mask``."""
+
     def test_members_are_sorted_and_deduplicated(self):
-        ext = Extension(("b", "a", "b"))
-        assert ext.members == ("a", "b")
+        af = ArgumentationFramework(("a", "b"))
+        assert names(af, ("b", "a", "b")) == ("a", "b")
 
     def test_checked_construction_rejects_conflicts(self, diagnosis):
-        with pytest.raises(ValidationError):
-            diagnosis.framework.extension({"A", "B"})
+        with pytest.raises(ValidationError, match="not conflict-free"):
+            diagnosis.framework.extension_mask({"A", "B"})
 
     def test_checked_construction_rejects_unknown_names(self, diagnosis):
         with pytest.raises(UnknownArgumentError):
-            diagnosis.framework.extension({"nope"})
+            diagnosis.framework.extension_mask({"nope"})
 
-    def test_bad_semantics_label_rejected(self):
-        with pytest.raises(ValidationError):
-            Extension(("a",), semantics="bogus")
-
-    def test_str_renders_braced_member_list(self):
-        assert str(Extension(("a", "b"))) == "{a,b}"
-        assert str(Extension(())) == "{}"
-
-    def test_non_string_member_is_a_validation_error(self):
+    def test_non_string_member_is_a_validation_error(self, diagnosis):
         with pytest.raises(ValidationError) as info:
-            Extension(("b", 1))
+            diagnosis.framework.extension_mask(("b", 1))
         assert str(info.value) == "invalid argument name: 1"
 
-    def test_lowest_offender_by_repr_is_named(self):
+    def test_lowest_offender_by_repr_is_named(self, diagnosis):
         # reprs "'x y'" < "1.5" < "2" < "['l']", whatever the hash order
         with pytest.raises(ValidationError) as info:
-            Extension(("b", 2, ["l"], 1.5, "x y"))
+            diagnosis.framework.extension_mask(("b", 2, ["l"], 1.5, "x y"))
         assert str(info.value) == "invalid argument name: 'x y'"
 
-    def test_string_is_not_a_member_list(self):
+    def test_string_is_not_a_member_list(self, diagnosis):
         with pytest.raises(ValidationError) as info:
-            Extension("abc")
+            diagnosis.framework.extension_mask("abc")
         assert str(info.value) == \
             "members must be a collection of names, not the string 'abc'"
 
-    @pytest.mark.parametrize("members", [
-        ("C", "D", "E", "F", "G", "H"), ("H", "A", "H"), (), ("B", "A"),
-        ("A", "B", "nope"), ("B", "zz", "A", "yy"), "AB"])
+    @pytest.mark.parametrize("members, expected", [
+        (("C", "D", "E", "F", "G", "H"), ("C", "D", "E", "F", "G", "H")),
+        (("H", "A", "H"), ("A", "H")), ((), ()),
+        (("B", "A"), (ValidationError, "set {A,B} is not conflict-free")),
+        (("A", "B", "nope"), (UnknownArgumentError,
+                              "unknown argument 'nope'")),
+        (("B", "zz", "A", "yy"), (UnknownArgumentError,
+                                  "unknown argument 'yy'")),
+        ("AB", (ValidationError, "members must be a collection of names, "
+                                 "not the string 'AB'"))],
+        ids=[*(f"members{i}" for i in range(6)), "AB"])
     def test_extension_mask_checks_as_extension_does(self, diagnosis,
-                                                     members):
+                                                     members, expected):
         framework = diagnosis.framework
-        try:
-            expected = framework.extension(members)
-        except CredalArgError as exc:
-            with pytest.raises(type(exc)) as info:
+        if expected[:1] and isinstance(expected[0], type):
+            with pytest.raises(expected[0]) as info:
                 framework.extension_mask(members)
-            assert str(info.value) == str(exc)
+            assert str(info.value) == expected[1]
         else:
-            mask = framework.extension_mask(members)
-            assert framework.row_decoder([mask])(mask) == expected.members
+            assert names(framework, members) == expected
 
     def test_checked_construction_rejects_a_string(self, diagnosis):
         # the characters A and B are names of the framework, so only the
         # type of the argument can reject it
         with pytest.raises(ValidationError) as info:
-            diagnosis.framework.extension("AB")
+            diagnosis.framework.extension_mask("AB")
         assert str(info.value) == \
             "members must be a collection of names, not the string 'AB'"
 
@@ -442,7 +450,7 @@ class TestAgainstBruteForce:
             assert by_sem["preferred"] <= by_sem["complete"]
             assert by_sem["stable"] <= by_sem["preferred"]
             [ext] = af.enumerate_extensions("grounded")
-            assert all(set(ext.members) <= c for c in by_sem["complete"])
+            assert all(set(ext) <= c for c in by_sem["complete"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,5 +458,5 @@ class TestAgainstBruteForce:
 def test_grounded_is_a_fixpoint_of_the_defense_operator(seed):
     af = random_framework(random.Random(seed), max_args=9)
     [ext] = af.enumerate_extensions("grounded")
-    grounded = set(ext.members)
+    grounded = set(ext)
     assert defended_arguments(af, grounded) == grounded

@@ -10,7 +10,7 @@ from credalarg import (ArgumentationFramework, CausalityGraph,
                        CoverageError, CredalProfile, CredalSet,
                        ProbabilityInterval, ValidationError,
                        agent_valuation_oracle, dependent_bounds,
-                       independent_bounds)
+                       independent_bounds, parse_caf)
 from credalarg.bounds import mask_bounds, rank_key
 from randgen import (groups_of, kernel_row, mask_of, random_causality,
                      random_document, random_framework, random_profile)
@@ -198,9 +198,9 @@ def test_grouping_agrees_with_the_per_agent_oracle(seed):
     graph = random_causality(rng, af)
     profile = random_profile(rng, af, agent_count=rng.randint(1, 4))
     for ext in af.enumerate_extensions("conflict-free"):
-        if not ext.members:
+        if not ext:
             continue
-        got = kernel_row(ext.members, profile, graph)
+        got = kernel_row(ext, profile, graph)
         try:
             expected = agent_valuation_oracle(ext, profile, graph)
         except CoverageError:
@@ -262,11 +262,11 @@ def test_bounds_survive_argument_relabeling():
                                 frozenset((mapping[a], mapping[b])
                                           for a, b in graph.edges))
         profile2 = CredalProfile(profile.agent_count,
-                                 {mapping[a]: k
-                                  for a, k in profile.assignment.items()})
+                                 {mapping[a]: profile.credal_set(a)
+                                  for a in profile.arguments})
         for ext in af.enumerate_extensions("conflict-free"):
-            renamed = tuple(sorted(mapping[a] for a in ext.members))
-            original = kernel_row(ext.members, profile, graph)
+            renamed = tuple(sorted(mapping[a] for a in ext))
+            original = kernel_row(ext, profile, graph)
             mirrored = kernel_row(renamed, profile2, graph2)
             if isinstance(original, str):
                 assert isinstance(mirrored, str), renamed
@@ -284,13 +284,13 @@ def test_agent_subset_bounds_stay_within_the_full_range():
         profile = random_profile(rng, af, agent_count=m)
         keep = sorted(rng.sample(range(m), rng.randint(1, m - 1)))
         smaller = CredalProfile(len(keep), {
-            a: CredalSet(tuple(k.values[j] for j in keep))
-            for a, k in profile.assignment.items()})
+            a: CredalSet(tuple(row[j] for j in keep))
+            for a, row in zip(profile.arguments, profile.rows)})
         for ext in af.enumerate_extensions("conflict-free"):
-            if not ext.members:
+            if not ext:
                 continue
-            full = kernel_row(ext.members, profile, graph)
-            part = kernel_row(ext.members, smaller, graph)
+            full = kernel_row(ext, profile, graph)
+            part = kernel_row(ext, smaller, graph)
             if isinstance(full, str) or isinstance(part, str):
                 continue
             assert part[0] >= full[0] - TOL
@@ -306,18 +306,18 @@ def test_lone_group_product_equals_the_dependent_rule_exactly():
     for _ in range(200):
         doc = random_document(rng)
         for ext in doc.framework.enumerate_extensions("conflict-free"):
-            if len(ext.members) < 2:
+            if len(ext) < 2:
                 continue
-            row = kernel_row(ext.members, doc.profile, doc.causality)
+            row = kernel_row(ext, doc.profile, doc.causality)
             if isinstance(row, str):
                 continue
             groups = groups_of(doc.causality,
-                               mask_of(doc.causality, ext.members))
-            if len(groups) != 1 or groups[0][1] != ext.members:
+                               mask_of(doc.causality, ext))
+            if len(groups) != 1 or groups[0][1] != ext:
                 continue
             lone += 1
             expected = dependent_bounds(
-                [doc.profile.credal_set(n) for n in ext.members])
+                [doc.profile.credal_set(n) for n in ext])
             assert row[:2] == (expected.lower, expected.upper)
     assert lone > 50
 
@@ -341,13 +341,33 @@ def test_large_grounded_set_matches_the_oracle():
     profile = CredalProfile.of(
         {a: [1.0 - rng.random() * 1e-3 for _ in range(4)] for a in args})
     [ext] = af.enumerate_extensions("grounded")
-    assert len(ext.members) == 2300
-    lower, upper, _ = kernel_row(ext.members, profile, graph)
-    assert len(groups_of(graph, mask_of(graph, ext.members))) == 300
+    assert len(ext) == 2300
+    lower, upper, _ = kernel_row(ext, profile, graph)
+    assert len(groups_of(graph, mask_of(graph, ext))) == 300
     expected = agent_valuation_oracle(ext, profile, graph)
     assert abs(lower - expected.lower) <= 1e-12
     assert abs(upper - expected.upper) <= 1e-12
     assert 0.0 < lower < upper < 1.0
+
+
+def test_oracle_makes_no_credal_set_beyond_its_members(monkeypatch):
+    # a singleton of a loaded 4,000-argument document: the oracle checks
+    # its member through the profile, then reads the values from the rows
+    names = [f"a{i:04d}" for i in range(4000)]
+    doc = parse_caf("".join(f"arg({n}).\n" for n in names) + "agents(2).\n"
+                    + "".join(f"p({j},{n},0.5).\n"
+                              for j in (1, 2) for n in names))
+    made = []
+    trusted = CredalSet._trusted.__func__
+
+    def counted(cls, values):
+        made.append(values)
+        return trusted(cls, values)
+
+    monkeypatch.setattr(CredalSet, "_trusted", classmethod(counted))
+    interval = agent_valuation_oracle(("a1234",), doc.profile, doc.causality)
+    assert pair(interval) == (0.5, 0.5)
+    assert len(made) <= 1
 
 
 # SHA-256 of the sweep below, recorded before the grouping was compiled to
@@ -373,15 +393,15 @@ def test_oracle_sweep_is_bit_for_bit_frozen():
         graph = random_causality(rng, af)
         profile = random_profile(rng, af, agent_count=rng.randint(1, 5))
         for ext in af.enumerate_extensions("conflict-free"):
-            row = kernel_row(ext.members, profile, graph)
+            row = kernel_row(ext, profile, graph)
             if isinstance(row, str):
-                line = f"{ext.members!r} refused {row}"
+                line = f"{ext!r} refused {row}"
                 refused += 1
             else:
                 groups = () if row[2] != "algorithm" else tuple(
                     RecordedGroup(*group) for group in
-                    groups_of(graph, mask_of(graph, ext.members)))
-                line = f"{ext.members!r} {ProbabilityInterval(*row[:2])!r} " \
+                    groups_of(graph, mask_of(graph, ext)))
+                line = f"{ext!r} {ProbabilityInterval(*row[:2])!r} " \
                        f"{groups!r}"
             extensions += 1
             digest.update(line.encode() + b"\n")

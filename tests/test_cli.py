@@ -367,9 +367,8 @@ def _no_attacks(n: int) -> str:
 
 def _expected_json(command: str, doc, semantics: str) -> str:
     """The ``json.dumps`` text of ``solve``, ``bounds`` or ``rank``, built
-    from the library, one ``Extension`` and one kernel call per row."""
-    extensions = [e.members
-                  for e in doc.framework.enumerate_extensions(semantics)]
+    from the library, one member tuple and one kernel call per row."""
+    extensions = doc.framework.enumerate_extensions(semantics)
     if command == "solve":
         return _dumps({"semantics": semantics, "extensions": [
             {"members": list(names)} for names in extensions]})
@@ -429,7 +428,7 @@ class TestStreamedOutput:
         framework = parse_caf(_no_attacks(4)).framework
         _, out, _ = run(capsys, "solve", "--input", str(path),
                         "--semantics", "ad")
-        assert out == "".join(str(e) + "\n" for e in
+        assert out == "".join("{%s}\n" % ",".join(e) for e in
                               framework.enumerate_extensions("admissible"))
         _, out, _ = run(capsys, "bounds", "--input", str(path),
                         "--semantics", "ad")

@@ -12,29 +12,29 @@ import pytest
 
 import credalarg
 from credalarg import (ArgumentationFramework, CausalityGraph,
-                       CredalArgError, CredalProfile, Extension)
+                       CredalArgError, CredalProfile)
 from credalarg.causality import check_attack_disjointness
 
 _FRAMEWORK = ArgumentationFramework(("a", "b", "c"), frozenset({("a", "b")}))
 
-# (call on a member list, a list holding three offenders, the message);
-# CredalProfile.of takes the list as the items of its dict
+# (call on a member list, a list holding the offenders, the message);
+# CredalProfile.of takes the list as the items of its dict, and credal_set
+# the list itself as a name
 _CASES = {
     "framework": (ArgumentationFramework, ["c-3", "e", "a-1", "b-2"],
                   "ValidationError: invalid argument name: 'a-1'"),
     "graph": (CausalityGraph, ["c-3", "e", "a-1", "b-2"],
               "ValidationError: invalid argument name: 'a-1'"),
-    "Extension": (Extension, ["b-2", 1, "c", "a-1"],
-                  "ValidationError: invalid argument name: 'a-1'"),
-    "extension_mask": (_FRAMEWORK.extension_mask, ["zz", "a", "xx", "yy"],
+    # unknown names before the conflict of a and b
+    "extension_mask": (_FRAMEWORK.extension_mask, ["zz", "a", "b", "xx", "yy"],
                        "UnknownArgumentError: unknown argument 'xx'"),
+    # invalid names, strings or not, before the unknown zz
     "extension_mask, not a string": (
-        _FRAMEWORK.extension_mask, [["l"], "a", "a-b", 2],
+        _FRAMEWORK.extension_mask, [["l"], "a-b", 2, "zz", "c"],
         "ValidationError: invalid argument name: 'a-b'"),
-    "extension": (_FRAMEWORK.extension, ["zz", "a-b", "a", "yy"],
-                  "ValidationError: invalid argument name: 'a-b'"),
-    "is_conflict_free": (_FRAMEWORK.is_conflict_free, ["zz", "b", "yy", "xx"],
-                         "UnknownArgumentError: unknown argument 'xx'"),
+    "credal_set, not a string": (
+        CredalProfile.of({"a": [0.5]}).credal_set, ["a"],
+        "ValidationError: profile has no opinions for argument ['a']"),
     "profile counts": (
         lambda items: CredalProfile.of(dict(items)),
         [("c", [0.1, 0.2, 0.3]), ("a", [0.1, 0.2]), ("d", [0.4]),
@@ -68,16 +68,17 @@ def test_refusal_does_not_depend_on_input_order(case):
 # follows the hash seed; each line is one refusal.
 _HASH_SEED_PROBE = r"""
 from credalarg import (ArgumentationFramework, CausalityGraph,
-                       CredalArgError, CredalProfile, Extension)
+                       CredalArgError, CredalProfile)
 
 framework = ArgumentationFramework(("a", "b", "c"), frozenset({("a", "b")}))
 invalid = {"a-1", "b-2", "c-3", "d-4", "e"}
 unknown = {"ww", "xx", "yy", "zz", "a"}
 for call, members in (
         (ArgumentationFramework, invalid), (CausalityGraph, invalid),
-        (Extension, invalid | {1, 2.5}), (framework.extension_mask, unknown),
-        (framework.extension, unknown | {"a-b"}),
-        (framework.is_conflict_free, unknown),
+        (framework.extension_mask, invalid | {1, 2.5}),
+        (framework.extension_mask, unknown),
+        (framework.extension_mask, unknown | {"a-b"}),
+        (framework.extension_mask, unknown | {"b"}),
         (CredalProfile.of, {name: [0.5] * len(name)
                             for name in {"a", "bb", "ccc", "dddd"}}),
         (CredalProfile.of, {name: [value] for name, value in
@@ -121,9 +122,9 @@ _ECHOES = {
     "unknown member": (lambda: _FRAMEWORK.extension_mask(["a", _LONG]),
                        f"UnknownArgumentError: unknown argument '{_ECHO}'"),
     "unknown member of 40": (
-        lambda: _FRAMEWORK.is_conflict_free([_FORTY]),
+        lambda: _FRAMEWORK.extension_mask([_FORTY]),
         f"UnknownArgumentError: unknown argument '{_FORTY}'"),
-    "invalid name": (lambda: Extension(["a", "-" + _LONG]),
+    "invalid name": (lambda: _FRAMEWORK.extension_mask(["a", "-" + _LONG]),
                      "ValidationError: invalid argument name: "
                      f"'-{_ECHO[1:]}'"),
     "invalid non-string": (lambda: ArgumentationFramework([[1] * 50_000]),

@@ -7,7 +7,7 @@ import tokenize
 from pathlib import Path
 
 import credalarg
-from credalarg import bounds, credal
+from credalarg import af, bounds, credal
 from credalarg.formats import emit_caf
 from credalarg.samples import diagnosis_document
 
@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # deleted names; README's Library section gives each one's replacement
 DELETED = {"extension_bounds", "BoundsResult", "CausalGroup",
            "rank_extensions", "single_bounds", "dependent_credal_set",
-           "_check_same_cardinality", "_check_domains", "_as_extension"}
+           "_check_same_cardinality", "_check_domains", "_as_extension",
+           "Extension", "is_conflict_free"}
 
 
 def _code_names(path: Path) -> set:
@@ -37,8 +38,14 @@ def test_public_surface_is_the_readme_list(tmp_path, monkeypatch):
     for name in credalarg.__all__:
         getattr(credalarg, name)
 
-    for module in (credalarg, bounds, credal):
+    for module in (credalarg, af, bounds, credal):
         assert not {name for name in DELETED if hasattr(module, name)}, module
+    # an extension is its member tuple, and a profile its rows
+    for name in ("extension", "is_conflict_free"):
+        assert not hasattr(credalarg.ArgumentationFramework, name), name
+    for profile in (diagnosis_document().profile,
+                    credalarg.parse_caf("arg(a).\n").profile):
+        assert not hasattr(profile, "assignment")
     for path in sorted((ROOT / "tests").iterdir()):
         if path.suffix == ".py" and path.name != Path(__file__).name:
             assert not _code_names(path) & DELETED, path.name

@@ -1,7 +1,7 @@
-"""The eight value types behave as immutable values: ``==`` only within a
-class, ``hash`` and ``repr`` over the fields, keyword construction with
-defaults, ``pickle`` and ``copy`` round trips, refused assignment and
-deletion, and the ordering of :class:`Extension`."""
+"""The seven value types behave as immutable values: ``==`` only within a
+class and no ordering, ``hash`` and ``repr`` over the fields, keyword
+construction with defaults, ``pickle`` and ``copy`` round trips, and
+refused assignment and deletion."""
 
 import copy
 import pickle
@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from credalarg import (ArgumentationFramework, CausalityGraph, CredalProfile,
-                       CredalSet, Extension, FrameworkDocument,
+                       CredalSet, FrameworkDocument,
                        ProbabilityInterval, parse_caf)
 from credalarg.samples import REPORTED_FIXTURES, ReportedFixture
 
@@ -25,9 +25,6 @@ def _document(name=""):
 
 # class name -> (make an instance, make an unequal one, its exact repr)
 _VALUES = {
-    "Extension": (
-        lambda: Extension(("B", "A", "B")), lambda: Extension(("A",)),
-        "Extension(members=('A', 'B'), semantics='conflict-free')"),
     "ArgumentationFramework": (
         lambda: ArgumentationFramework(["b", "a"], {("a", "b")}),
         lambda: ArgumentationFramework(("a", "b")),
@@ -48,17 +45,15 @@ _VALUES = {
     "CredalProfile": (
         lambda: CredalProfile.of({"b": (1, 0.5), "a": (0.25, 0.75)}),
         lambda: CredalProfile(2),
-        "CredalProfile(agent_count=2, assignment={"
-        "'a': CredalSet(values=(0.25, 0.75)), "
-        "'b': CredalSet(values=(1.0, 0.5))})"),
+        "CredalProfile(agent_count=2, arguments=('a', 'b'), "
+        "rows=((0.25, 0.75), (1.0, 0.5)))"),
     "FrameworkDocument": (
         _document, lambda: _document("other"),
         "FrameworkDocument(framework=ArgumentationFramework(arguments="
         "('a', 'b', 'c'), attacks=frozenset({('a', 'b')})), "
-        "profile=CredalProfile(agent_count=2, assignment={"
-        "'a': CredalSet(values=(0.25, 0.75)), "
-        "'b': CredalSet(values=(1.0, 0.5)), "
-        "'c': CredalSet(values=(0.0, 1.0))}), causality=CausalityGraph("
+        "profile=CredalProfile(agent_count=2, arguments=('a', 'b', 'c'), "
+        "rows=((0.25, 0.75), (1.0, 0.5), (0.0, 1.0))), "
+        "causality=CausalityGraph("
         "arguments=('a', 'b', 'c'), edges=frozenset({('c', 'b')})), "
         "name='', description='')"),
     "ReportedFixture": (
@@ -69,7 +64,7 @@ _VALUES = {
         "reported=ProbabilityInterval(lower=0.2, upper=0.75))"),
 }
 
-# classes whose instances hold a dict, directly or through a profile
+# a profile is not hashable, and a document holds one
 _UNHASHABLE = {"CredalProfile", "FrameworkDocument"}
 
 _LOADED = "arg(a). arg(b). arg(c).\natt(a,b).\ncau(c,b).\nagents(2).\n" \
@@ -90,8 +85,10 @@ def test_equality_is_by_fields_within_one_class(value):
     assert first != other() and not first == other()
     assert first != (first,) and first.__eq__(object()) is NotImplemented
     # another value class with the same field values is not equal either
-    assert first != _VALUES["Extension" if name != "Extension"
-                            else "CredalSet"][0]()
+    assert first != _VALUES["CredalSet" if name != "CredalSet"
+                            else "ProbabilityInterval"][0]()
+    with pytest.raises(TypeError):
+        first < second
 
 
 def test_hash_is_over_the_fields(value):
@@ -110,9 +107,6 @@ def test_repr_names_every_field(value):
 
 
 def test_keyword_construction_and_defaults():
-    assert Extension(members=["b", "a"]) == Extension(("a", "b"),
-                                                      "conflict-free")
-    assert Extension(("a",), semantics="stable").semantics == "stable"
     assert repr(ArgumentationFramework()) == \
         "ArgumentationFramework(arguments=(), attacks=frozenset())"
     assert ArgumentationFramework(arguments=("a",)) == \
@@ -125,7 +119,7 @@ def test_keyword_construction_and_defaults():
     assert ProbabilityInterval(upper=0.5, lower=0.25) == \
         ProbabilityInterval(0.25, 0.5)
     assert repr(CredalProfile(agent_count=3)) == \
-        "CredalProfile(agent_count=3, assignment={})"
+        "CredalProfile(agent_count=3, arguments=(), rows=())"
     document = FrameworkDocument(framework=_FRAMEWORK, profile=_PROFILE,
                                  causality=_GRAPH)
     assert (document.name, document.description) == ("", "")
@@ -164,7 +158,7 @@ def test_documents_survive_round_trips(round_trip, source):
 
 
 @pytest.mark.parametrize("name, field", [
-    ("Extension", "members"), ("ArgumentationFramework", "arguments"),
+    ("ArgumentationFramework", "arguments"),
     ("CausalityGraph", "edges"), ("CredalSet", "values"),
     ("ProbabilityInterval", "lower"), ("CredalProfile", "agent_count"),
     ("FrameworkDocument", "name"), ("ReportedFixture", "label"),
@@ -181,20 +175,3 @@ def test_assignment_and_deletion_are_refused(name, field):
     with pytest.raises(AttributeError):
         instance.unknown = 1
     assert repr(instance) == before
-
-
-def test_extensions_order_by_members_then_semantics():
-    a, ab = Extension(("a",)), Extension(("a", "b"))
-    stable = Extension(("a",), "stable")
-    empty = Extension(())
-    assert sorted([stable, ab, a, empty]) == [empty, a, stable, ab]
-    assert a < ab <= ab and ab > a >= a and a < stable
-    assert not a < a and not ab <= a
-    for compare in (lambda x, y: x < y, lambda x, y: x <= y,
-                    lambda x, y: x > y, lambda x, y: x >= y):
-        with pytest.raises(TypeError):
-            compare(a, ("a",))
-        with pytest.raises(TypeError):
-            compare(("a",), a)
-    with pytest.raises(TypeError):
-        ProbabilityInterval(0, 1) < ProbabilityInterval(0, 1)
