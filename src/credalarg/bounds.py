@@ -18,10 +18,12 @@ consumed by exactly one part — anything else is refused with
 :class:`~credalarg.errors.CoverageError` instead of silently producing a
 meaningless product.
 
-:func:`mask_bounds` is the one kernel, a flat loop over member masks:
-anchors, groups, coverage checks and singles are ``&``/``|`` on the
-graph's closure masks, and a row is ``(lower, upper, case)`` or the
-refusal text, with no name decoded, yielded as it is computed.
+:func:`mask_bounds` is the one kernel, and it owns this cut: a flat loop
+over member masks that finds each mask's anchors, groups, isolated
+members and free causes itself, as ``&``/``|`` on the graph's effect,
+cause, child and ancestor masks, checks the coverage, and yields a row,
+``(lower, upper, case)`` or the refusal text, with no name decoded, as
+it is computed.
 :func:`document_rows` runs it over a document's ``profile.rows``, the
 opinion values by bit, and gives each row with its member names; a
 named set is the one mask that ``framework.extension_mask`` checks.
@@ -56,16 +58,22 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
     Rows are computed as they are drawn, so a caller may write them a chunk
     at a time.
     """
-    names = graph.arguments
+    names, children = graph.arguments, graph.child_masks
     ancestors = graph.ancestor_masks
-    anchor_mask, free_mask = graph.anchor_mask, graph.free_mask
-    isolated = graph.isolated_mask
+    effect_mask, cause_mask = graph.effect_mask, graph.cause_mask
     minima: dict[int, Sequence[float]] = {}
     for mask in masks:
         if not mask:
             yield 0.0, 1.0, EMPTY_CASE
             continue
-        anchors = rest = anchor_mask(mask)
+        # anchors: member effects that are no member's ancestor (only
+        # effects have ancestors)
+        rest, covered = mask & effect_mask, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            covered |= ancestors[low.bit_length() - 1]
+        anchors = rest = mask & effect_mask & ~covered
         # (lowest bit, values) per part; parts are disjoint, so ordering by
         # lowest bit is ordering by sorted members
         parts = []
@@ -92,7 +100,16 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
         if clash:
             continue
 
-        singles = mask & isolated | free_mask(mask, anchors)
+        # singles: members with no causal edge, and free causes, which
+        # feed no member directly; deciding on child_masks, not
+        # ancestor_masks, keeps the direct reading over the transitive one
+        singles = mask & ~(effect_mask | cause_mask)
+        rest = mask & cause_mask & ~anchors
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not children[low.bit_length() - 1] & mask:
+                singles |= low
         stray = mask & ~(grouped | singles) | grouped & singles
         if stray:
             low = stray & -stray
@@ -135,14 +152,15 @@ def agent_valuation_oracle(members: Iterable[str],
     the same :class:`~credalarg.errors.CoverageError` on partition defects.
     ``members`` is checked for a string or an invalid name as
     ``extension_mask`` checks it, then each member, in sorted order,
-    through ``profile.credal_set`` and then against ``graph``. The values
-    are read from ``profile.rows``, so no other credal set is made.
+    against ``profile`` and then against ``graph``. Each member's values
+    are its row of ``profile.rows``, so no credal set is made.
     """
     names = tuple(sorted(set(_names(members))))
     if not names:
         raise ValidationError("oracle needs a non-empty extension")
+    rows = {}
     for name in names:
-        profile.credal_set(name)  # raises on a mismatch
+        rows[name] = profile._row(name)  # raises on a mismatch
         if name not in graph.index:
             raise ValidationError(f"causality graph has no argument {name!r}")
     inside = set(names)
@@ -180,7 +198,6 @@ def agent_valuation_oracle(members: Iterable[str],
             "oracle partition mismatch: consumed %s, expected %s"
             % (",".join(flattened), ",".join(names)))
 
-    rows = dict(zip(profile.arguments, profile.rows))
     values = []
     for j in range(profile.agent_count):
         total = 1.0

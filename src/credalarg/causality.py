@@ -13,8 +13,7 @@ algorithm, which also gives a topological order. A graph the `.caf`
 loader builds shares its ``arguments`` tuple and ``index`` with the
 document's framework. The ancestor closure, ``ancestor_masks``, is
 computed along the topological order on first use, since only bounds
-read it. Its mask queries take and return member masks; callers decode
-names only to print them.
+read it.
 
 Errors fire in a fixed order, each naming the lowest offender: an edge
 with an unknown end (lowest pair), a self-edge (lowest looped argument),
@@ -85,9 +84,7 @@ class CausalityGraph(_Value):
                 ("arguments", arguments), ("edges", edges), ("index", index),
                 ("child_masks", children), ("_parents", parents),
                 ("_order", order), ("effect_mask", effects),
-                ("cause_mask", causes),
-                ("isolated_mask",
-                 (1 << len(arguments)) - 1 & ~(effects | causes))):
+                ("cause_mask", causes)):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -104,37 +101,6 @@ class CausalityGraph(_Value):
                 up |= ancestors[low.bit_length() - 1]
             ancestors[i] = up
         return ancestors
-
-    def anchor_mask(self, members: int) -> int:
-        """Members that terminate a causal chain inside ``members``.
-
-        An anchor is caused by something, belongs to the set, and is an
-        ancestor of no other member; each one roots a dependent group made
-        of itself plus its in-set ancestors.
-        """
-        effects = rest = members & self.effect_mask
-        ancestors, covered = self.ancestor_masks, 0
-        while rest:
-            low = rest & -rest
-            covered |= ancestors[low.bit_length() - 1]
-            rest ^= low
-        return effects & ~covered
-
-    def free_mask(self, members: int, anchors: int) -> int:
-        """Members with outgoing edges that feed no other member.
-
-        Decided on direct successors, the ``child_masks`` (testing the
-        members' ``ancestor_masks`` instead would give the transitive
-        reading); ``anchors`` are excluded since they already root a group.
-        """
-        children, free = self.child_masks, 0
-        rest = members & self.cause_mask & ~anchors
-        while rest:
-            low = rest & -rest
-            if not children[low.bit_length() - 1] & members:
-                free |= low
-            rest ^= low
-        return free
 
 
 def check_attack_disjointness(graph: CausalityGraph,

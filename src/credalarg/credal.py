@@ -111,6 +111,10 @@ class CredalProfile(_Value):
 
     def credal_set(self, name: str) -> CredalSet:
         """The credal set of ``name``, made from its row."""
+        return CredalSet._trusted(self._row(name))
+
+    def _row(self, name: str) -> tuple[float, ...]:
+        # the opinion values of ``name``, found by binary search
         names = self.arguments
         try:
             i = bisect_left(names, name)
@@ -119,7 +123,7 @@ class CredalProfile(_Value):
         if i == len(names) or names[i] != name:
             raise ValidationError(
                 f"profile has no opinions for argument {name!r}")
-        return CredalSet._trusted(self.rows[i])
+        return self.rows[i]
 
 
 def _row_profile(agent_count: int, arguments: tuple[str, ...],
@@ -184,13 +188,12 @@ def rationality_rows(
     target_value)`` row (agent 1-based), in sorted order: agent first,
     then the sorted attacks.
     """
-    values = dict(zip(profile.arguments, profile.rows))
-    try:
-        rows = [(attacker, target, values[attacker], values[target])
-                for attacker, target in sorted(af.attacks)]
-    except KeyError as exc:  # credal_set words the first missing name
-        profile.credal_set(exc.args[0])
-        raise
+    # a row is a non-empty tuple, so _row runs only on a missing name and
+    # words the refusal of the first one
+    row = dict(zip(profile.arguments, profile.rows)).get
+    rows = [(attacker, target, row(attacker) or profile._row(attacker),
+             row(target) or profile._row(target))
+            for attacker, target in sorted(af.attacks)]
     return [(j + 1, attacker, target, a[j], t[j])
             for j in range(profile.agent_count)
             for attacker, target, a, t in rows

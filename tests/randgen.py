@@ -24,11 +24,16 @@ def names_of(graph: CausalityGraph, mask: int) -> set[str]:
 
 def groups_of(graph: CausalityGraph, mask: int) -> tuple:
     """``(anchor, members)`` of each causal group of ``mask``, in anchor
-    bit order: an anchor with its in-mask ancestors, names sorted."""
+    bit order: an anchor is a member in ``effect_mask`` that lies in no
+    other member's ``ancestor_masks``, and its group is it with its
+    in-mask ancestors, names sorted."""
     ancestors, names = graph.ancestor_masks, graph.arguments
+    covered = 0
+    for i in set_bits(mask):
+        covered |= ancestors[i]
     return tuple((names[top], tuple(names[i] for i in set_bits(
         ancestors[top] & mask | 1 << top)))
-        for top in set_bits(graph.anchor_mask(mask)))
+        for top in set_bits(mask & graph.effect_mask & ~covered))
 
 
 def kernel_row(members, profile: CredalProfile, graph: CausalityGraph):

@@ -12,6 +12,7 @@ from credalarg import (ArgumentationFramework, CausalityGraph,
                        agent_valuation_oracle, dependent_bounds,
                        independent_bounds, parse_caf)
 from credalarg.bounds import mask_bounds, rank_key
+from credalarg.cli import main
 from randgen import (groups_of, kernel_row, mask_of, random_causality,
                      random_document, random_framework, random_profile)
 
@@ -350,13 +351,9 @@ def test_large_grounded_set_matches_the_oracle():
     assert 0.0 < lower < upper < 1.0
 
 
-def test_oracle_makes_no_credal_set_beyond_its_members(monkeypatch):
-    # a singleton of a loaded 4,000-argument document: the oracle checks
-    # its member through the profile, then reads the values from the rows
-    names = [f"a{i:04d}" for i in range(4000)]
-    doc = parse_caf("".join(f"arg({n}).\n" for n in names) + "agents(2).\n"
-                    + "".join(f"p({j},{n},0.5).\n"
-                              for j in (1, 2) for n in names))
+@pytest.fixture
+def credal_sets_made(monkeypatch):
+    """The values of every ``CredalSet`` made from a row from now on."""
     made = []
     trusted = CredalSet._trusted.__func__
 
@@ -365,9 +362,30 @@ def test_oracle_makes_no_credal_set_beyond_its_members(monkeypatch):
         return trusted(cls, values)
 
     monkeypatch.setattr(CredalSet, "_trusted", classmethod(counted))
+    return made
+
+
+def test_oracle_makes_no_credal_set_beyond_its_members(credal_sets_made):
+    # a singleton of a loaded 4,000-argument document: the oracle checks
+    # its member against the profile and reads its values from its row
+    names = [f"a{i:04d}" for i in range(4000)]
+    doc = parse_caf("".join(f"arg({n}).\n" for n in names) + "agents(2).\n"
+                    + "".join(f"p({j},{n},0.5).\n"
+                              for j in (1, 2) for n in names))
     interval = agent_valuation_oracle(("a1234",), doc.profile, doc.causality)
     assert pair(interval) == (0.5, 0.5)
-    assert len(made) <= 1
+    assert not credal_sets_made
+
+
+def test_oracle_command_makes_no_credal_set(credal_sets_made, capsys,
+                                            diagnosis_caf):
+    # every conflict-free set of the diagnosis document, each row checked
+    # by the oracle
+    assert main(["bounds", "--input", diagnosis_caf, "--semantics", "cf",
+                 "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" ok\n") > 30 and "MISMATCH" not in out
+    assert not credal_sets_made
 
 
 # SHA-256 of the sweep below, recorded before the grouping was compiled to

@@ -11,8 +11,8 @@ from credalarg import (ArgumentationFramework, CausalCycleError,
                        CausalityGraph, CredalProfile, UnknownArgumentError,
                        ValidationError, agent_valuation_oracle,
                        check_attack_disjointness)
-from randgen import (groups_of, mask_of, names_of, random_causality,
-                     random_framework)
+from randgen import (groups_of, kernel_row, mask_of, names_of,
+                     random_causality, random_framework, random_profile)
 
 CORE = {"C", "D", "E", "F", "G", "H"}
 PICKED = {"A", "F", "H", "D", "E", "G"}
@@ -31,19 +31,53 @@ def descendants(graph, name):
 
 
 def anchors(graph, members):
-    return names_of(graph, graph.anchor_mask(mask_of(graph, members)))
-
-
-def free_causes(graph, members):
-    mask = mask_of(graph, members)
-    return names_of(graph, graph.free_mask(mask, graph.anchor_mask(mask)))
+    """The anchors of the causal groups of ``members``."""
+    return {top for top, _ in groups_of(graph, mask_of(graph, members))}
 
 
 def split(graph):
-    """The effect, cause and isolated names."""
-    return (names_of(graph, graph.effect_mask),
-            names_of(graph, graph.cause_mask),
-            names_of(graph, graph.isolated_mask))
+    """The effect, cause and isolated names; an isolated argument is in
+    neither mask."""
+    effects = names_of(graph, graph.effect_mask)
+    causes = names_of(graph, graph.cause_mask)
+    return effects, causes, set(graph.arguments) - effects - causes
+
+
+def raw_cut(graph, members, up):
+    """The anchors and parts of ``members`` from ``edges`` and ``up``, each
+    name's ancestors, alone: an anchor with its in-set ancestors, then
+    each isolated member and each free cause (no direct effect in the set,
+    no anchor) alone."""
+    effects = {b for _, b in graph.edges}
+    causes = {a for a, _ in graph.edges}
+    tops = {a for a in members & effects
+            if not any(a in up[b] for b in members)}
+    free = {a for a in members & causes
+            if not any((a, b) in graph.edges for b in members)}
+    return tops, [tuple(sorted({t} | up[t] & members)) for t in tops] + [
+        (a,) for a in free - tops | members - effects - causes]
+
+
+def assert_cut(graph, profile, members, parts):
+    """Assert the kernel row of ``members`` is the product of ``parts``,
+    each reduced by its per-agent minimum, in lowest-member order, or a
+    refusal exactly when the parts do not consume every member once.
+    True when the row is refused."""
+    row = kernel_row(members, profile, graph)
+    if sorted(n for part in parts for n in part) != sorted(members):
+        assert isinstance(row, str), (members, parts, row)
+        return True
+    if not members:
+        assert row == (0.0, 1.0, "empty")
+        return False
+    values = dict(zip(profile.arguments, profile.rows))
+    products = [1.0] * profile.agent_count
+    for part in sorted(parts):  # disjoint sorted tuples: by lowest member
+        products = [p * min(values[n][j] for n in part)
+                    for j, p in enumerate(products)]
+    assert row == (min(products), max(products), "singleton"
+                   if len(members) == 1 else "algorithm"), (members, parts)
+    return False
 
 
 class TestPartition:
@@ -134,36 +168,47 @@ class TestGroupAnchors:
     def test_hand_picked_set(self, diagnosis):
         # G is an ancestor of A which is in the set, so only A anchors
         assert anchors(diagnosis.causality, PICKED) == {"A"}
+        assert not assert_cut(diagnosis.causality, diagnosis.profile, PICKED,
+                              [("A", "D", "F", "G", "H"), ("E",)])
 
     def test_no_effect_members_no_anchors(self, diagnosis):
         assert anchors(diagnosis.causality, {"C", "D", "E"}) == set()
+        assert not assert_cut(diagnosis.causality, diagnosis.profile,
+                              {"C", "D", "E"}, [("C",), ("D",), ("E",)])
 
 
 class TestFreeCauses:
     def test_accepted_core(self, diagnosis):
-        assert free_causes(diagnosis.causality, CORE) == {"C", "D", "F"}
+        # C, D and F are free: a factor each, beside E and the group of G
+        assert not assert_cut(diagnosis.causality, diagnosis.profile, CORE,
+                              [("C",), ("D",), ("E",), ("F",), ("G", "H")])
 
     def test_hand_picked_set_has_none(self, diagnosis):
         # every cause in the set reaches A or G inside the set
-        assert free_causes(diagnosis.causality, PICKED) == set()
+        assert not assert_cut(diagnosis.causality, diagnosis.profile, PICKED,
+                              [("A", "D", "F", "G", "H"), ("E",)])
 
     def test_empty_set(self, diagnosis):
-        assert free_causes(diagnosis.causality, set()) == set()
+        assert not assert_cut(diagnosis.causality, diagnosis.profile,
+                              set(), [])
 
 
 def test_anchor_and_free_containment_on_random_graphs():
-    rng = random.Random(99)
+    rng, values = random.Random(99), random.Random(100)
+    refused = 0
     for _ in range(60):
         af = random_framework(rng, max_args=9)
         graph = random_causality(rng, af)
-        effects, causes, _ = split(graph)
+        effects = split(graph)[0]
         pool = list(graph.arguments)
         subset = {a for a in pool if rng.random() < 0.5}
-        tops = anchors(graph, subset)
-        free = free_causes(graph, subset)
-        assert tops <= effects & subset
-        assert free <= causes & subset
-        assert not tops & free
+        up = {a: _reach(sorted(graph.edges), a, forward=False)
+              for a in subset}
+        tops, parts = raw_cut(graph, subset, up)
+        assert anchors(graph, subset) == tops <= effects & subset
+        refused += assert_cut(graph, random_profile(values, af), subset,
+                              parts)
+    assert 0 < refused < 60
 
 
 class TestValidation:
@@ -355,9 +400,10 @@ def _reach(edges, start, forward):
 
 def test_mask_queries_match_a_derivation_from_raw_edges():
     # Every name-level query decodes the closure masks; rebuild each answer
-    # from ``edges`` alone and compare on random member subsets.
-    rng = random.Random(0x3A5C)
-    graphs = closed = 0
+    # from ``edges`` alone and compare, and on random member subsets check
+    # each kernel row against the parts cut from ``edges`` alone.
+    rng, values = random.Random(0x3A5C), random.Random(0x3A5D)
+    graphs = closed = refused = 0
     while graphs < 200:
         af = random_framework(rng, max_args=10, min_args=2)
         graph = random_causality(rng, af, edge_p=rng.choice((0.15, 0.3)))
@@ -370,18 +416,15 @@ def test_mask_queries_match_a_derivation_from_raw_edges():
         closed += any(up.values())
         effects = {b for _, b in edges}
         causes = {a for a, _ in edges}
-        got_effects, got_causes, got_isolated = split(graph)
-        assert (got_effects, got_causes) == (effects, causes)
-        assert got_isolated == set(graph.arguments) - effects - causes
+        assert split(graph)[:2] == (effects, causes)
         for a in graph.arguments:
             assert ancestors(graph, a) == up[a]
             assert descendants(graph, a) == down[a]
+        profile = random_profile(values, af)
         for _ in range(5):
             subset = {a for a in graph.arguments if rng.random() < 0.6}
-            tops = {a for a in subset & effects
-                    if not any(a in up[b] for b in subset)}
-            free = {a for a in subset & causes
-                    if not any((a, b) in graph.edges for b in subset)}
+            tops, parts = raw_cut(graph, subset, up)
             assert anchors(graph, subset) == tops
-            assert free_causes(graph, subset) == free - tops
+            refused += assert_cut(graph, profile, subset, parts)
     assert closed > 50
+    assert 100 < refused < 900

@@ -12,7 +12,7 @@ import pytest
 
 import credalarg
 from credalarg import (ArgumentationFramework, CausalityGraph,
-                       CredalArgError, CredalProfile)
+                       CredalArgError, CredalProfile, agent_valuation_oracle)
 from credalarg.causality import check_attack_disjointness
 
 _FRAMEWORK = ArgumentationFramework(("a", "b", "c"), frozenset({("a", "b")}))
@@ -35,6 +35,12 @@ _CASES = {
     "credal_set, not a string": (
         CredalProfile.of({"a": [0.5]}).credal_set, ["a"],
         "ValidationError: profile has no opinions for argument ['a']"),
+    # members the profile lacks, each also missing from the graph
+    "oracle": (
+        lambda members: agent_valuation_oracle(
+            members, CredalProfile.of({"a": [0.5]}), CausalityGraph(("a",))),
+        ["zz", "a", "xx", "yy", "ww"],
+        "ValidationError: profile has no opinions for argument 'ww'"),
     "profile counts": (
         lambda items: CredalProfile.of(dict(items)),
         [("c", [0.1, 0.2, 0.3]), ("a", [0.1, 0.2]), ("d", [0.4]),

@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DELETED = {"extension_bounds", "BoundsResult", "CausalGroup",
            "rank_extensions", "single_bounds", "dependent_credal_set",
            "_check_same_cardinality", "_check_domains", "_as_extension",
-           "Extension", "is_conflict_free"}
+           "Extension", "is_conflict_free", "anchor_mask", "free_mask",
+           "isolated_mask"}
 
 
 def _code_names(path: Path) -> set:
@@ -46,6 +47,10 @@ def test_public_surface_is_the_readme_list(tmp_path, monkeypatch):
     for profile in (diagnosis_document().profile,
                     credalarg.parse_caf("arg(a).\n").profile):
         assert not hasattr(profile, "assignment")
+    # a graph holds the DAG; the kernel cuts each row itself
+    for graph in (credalarg.CausalityGraph, diagnosis_document().causality,
+                  credalarg.parse_caf("arg(a).\n").causality):
+        assert not {name for name in DELETED if hasattr(graph, name)}
     for path in sorted((ROOT / "tests").iterdir()):
         if path.suffix == ".py" and path.name != Path(__file__).name:
             assert not _code_names(path) & DELETED, path.name
