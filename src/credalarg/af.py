@@ -24,21 +24,24 @@ everything an IN argument attacks is OUT. A queue of arguments whose
 live-attacker count has dropped to zero computes it in O(n + m) for n
 arguments and m attacks, so it needs no cap.
 
-Enumeration is one include/exclude depth-first walk whose stack entries
-carry the chosen set, the set it attacks and the set of its attackers as
-bitmasks, so admissibility and stability are O(1) tests. After Doutre &
-Mengin (IJCAR 2001) and Nofal, Atkinson & Dunne (AIJ 207, 2014), it cuts a
-branch once an argument needs an attacker and none is *choosable* (ahead
-in the walk and in conflict with nothing chosen): for admissible, complete
-and preferred, an attacker of the chosen set not yet attacked back; for
+Enumeration is one include/exclude depth-first walk over the chosen set,
+the set it attacks and the set of its attackers as bitmasks, so
+admissibility and stability are O(1) tests. It follows each include branch
+at once, and its stack holds only the exclude branches still to visit. An
+argument that attacks or is attacked by the chosen set can never join it,
+so the walk steps over it to the next one that can. After Doutre & Mengin
+(IJCAR 2001) and Nofal, Atkinson & Dunne (AIJ 207, 2014), it cuts a branch
+once an argument needs an attacker and none is *choosable* (ahead in the
+walk and in conflict with nothing chosen): for admissible, complete and
+preferred, an attacker of the chosen set not yet attacked back; for
 stable, an argument that can be neither chosen nor attacked any more.
 Complete, preferred and stable extensions contain the grounded extension
 and exclude what it attacks, so their walk starts with its IN arguments
 chosen and its OUT ones banned. Complete and preferred also cut the branch
 that leaves out an argument the chosen set already defends: attacked
 arguments only accumulate, so the set would stay defended and outside. At
-a leaf, completeness is tested only on the free arguments the set does
-not attack, since an admissible set defends no argument it attacks and no
+a leaf, completeness is tested only on the free arguments the set does not
+attack, since an admissible set defends no argument it attacks and no
 self-attacker (Dung's fundamental lemma).
 
 The walk takes the include branch first, over the arguments in
@@ -47,7 +50,10 @@ and the one holding it comes first, so sets of one size come out in
 lexicographic member order and every strict superset of a set comes
 before it. A stable sort by size is then the canonical order, and
 preferred keeps a complete set, inside the walk, only when no set kept so
-far contains it.
+far contains it. An index makes that test a few AND operations: per
+argument, a bitmask over the positions of the kept sets that hold it. A
+set is contained in a kept one exactly when the AND over its members is
+not zero.
 
 A hard argument-count cap (default 25), which counts every argument,
 decided or not, guards against accidental exponential blow-ups.
@@ -314,22 +320,22 @@ class ArgumentationFramework(_Value):
 
     def _walk(self, semantics: str) -> list[int]:
         # Include/exclude DFS over the free arguments: those the grounded
-        # seed leaves undecided, less the self-attackers. An entry is
-        # (k, chosen, attacked, attackers), the last two the OR of _out
-        # and of _in over chosen; ahead[k] masks free[k:]. The include
-        # child is pushed last, so popped first: leaves of one size come
-        # out in member order, and every strict superset of a leaf first.
+        # seed leaves undecided, less the self-attackers. A node is
+        # (pending, chosen, attacked, attackers): the free arguments not
+        # yet decided, the set, and the OR of _out and of _in over it. It
+        # decides its lowest choosable argument, skipping the pending ones
+        # that are not: attacked and attackers only grow, so they never
+        # become choosable. The exclude child is pushed and the include
+        # child followed at once, so leaves of one size come out in member
+        # order, and every strict superset of a leaf first.
         ins, outs = self._in, self._out
         n = len(ins)
         full = (1 << n) - 1
         chosen = banned = 0
         if semantics not in ("conflict-free", "admissible"):
             chosen, banned = self._grounded_labelling()
-        free = [i for i in range(n)
-                if not ((chosen | banned) >> i | outs[i] >> i) & 1]
-        ahead = [0] * (len(free) + 1)
-        for k in range(len(free) - 1, -1, -1):
-            ahead[k] = ahead[k + 1] | 1 << free[k]
+        free = sum(1 << i for i in range(n)
+                   if not ((chosen | banned) >> i | outs[i] >> i) & 1)
         attacked = attackers = 0
         for i in set_bits(chosen):
             attacked |= outs[i]
@@ -338,39 +344,47 @@ class ArgumentationFramework(_Value):
         guard = 0 if semantics == "conflict-free" else full  # cf never cuts
         complete = semantics in ("complete", "preferred")
         preferred = semantics == "preferred"
+        # holders[i]: the positions in found of the kept sets holding i
+        holders = [0] * n
         found: list[int] = []
-        stack = [(0, chosen, attacked, attackers)]
+        stack = [(free, chosen, attacked, attackers)]
         while stack:
-            k, chosen, attacked, attackers = stack.pop()
-            choosable = ahead[k] & ~(attacked | attackers)
-            # cut if an argument needing an attacker has none choosable: for
-            # stable, one that can be neither chosen nor attacked any more,
-            # else an attacker of chosen not yet attacked back
-            need = (full & ~(chosen | attacked | choosable) if stable
-                    else attackers & ~attacked & guard)
-            while need:
-                low = need & -need
-                if not ins[low.bit_length() - 1] & choosable:
+            pending, chosen, attacked, attackers = stack.pop()
+            while True:
+                choosable = pending & ~(attacked | attackers)
+                # cut if an argument needing an attacker has none
+                # choosable: for stable, one that can be neither chosen nor
+                # attacked any more, else an attacker of chosen not yet
+                # attacked back. Complete needs no cut of its own at a
+                # skipped argument chosen defends: it is such an attacker
+                # (were it attacked, chosen would attack its own member)
+                need = (full & ~(chosen | attacked | choosable) if stable
+                        else attackers & ~attacked & guard)
+                while need:
+                    low = need & -need
+                    if not ins[low.bit_length() - 1] & choosable:
+                        break
+                    need ^= low
+                if need or not choosable:
                     break
-                need ^= low
-            if need:
-                continue
-            if choosable:
-                i = free[k]
-                # complete: once chosen defends free[k], it always will
-                # (attacked only grows), so leaving it out finds nothing
+                low = choosable & -choosable
+                i = low.bit_length() - 1
+                pending = choosable ^ low
+                # complete: once chosen defends i, it always will (attacked
+                # only grows), so leaving it out finds nothing
                 if not complete or ins[i] & ~attacked:
-                    stack.append((k + 1, chosen, attacked, attackers))
-                if 1 << i & choosable:
-                    stack.append((k + 1, chosen | 1 << i, attacked | outs[i],
-                                  attackers | ins[i]))
+                    stack.append((pending, chosen, attacked, attackers))
+                chosen |= low
+                attacked |= outs[i]
+                attackers |= ins[i]
+            if need:
                 continue
             # nothing left to choose, so chosen is the only completion;
             # complete also needs no outside argument defended. Chosen is
             # admissible here, so it defends none it attacks and no decided
             # or self-attacking one: only free ones outside both count
             if complete:
-                rest = ahead[0] & ~(chosen | attacked)
+                rest = free & ~(chosen | attacked)
                 while rest:
                     low = rest & -rest
                     if not ins[low.bit_length() - 1] & ~attacked:
@@ -380,14 +394,21 @@ class ArgumentationFramework(_Value):
                     continue
             if preferred:
                 # every strict superset came first, and the maximal ones
-                # among them were kept
-                for m in found:
-                    if chosen | m == m:
-                        break
-                else:
-                    found.append(chosen)
-            else:
-                found.append(chosen)
+                # among them were kept: chosen lies in one exactly when the
+                # AND of holders over its free members is not zero; every
+                # kept set holds the grounded seed, so one with no free
+                # member lies in all
+                hit = (1 << len(found)) - 1
+                rest = chosen & free
+                while rest and hit:
+                    low = rest & -rest
+                    hit &= holders[low.bit_length() - 1]
+                    rest ^= low
+                if hit:
+                    continue
+                for i in set_bits(chosen & free):
+                    holders[i] |= 1 << len(found)
+            found.append(chosen)
         return found
 
     def extension_masks(self, semantics: str,
@@ -410,10 +431,11 @@ class ArgumentationFramework(_Value):
         an argument the chosen set already defends. The walk takes the
         include branch first, in sorted-name order, so sets of one size
         come out in member order, and a stable sort by size gives the
-        canonical order. The same order puts every strict superset of a
-        set before it, so ``preferred`` keeps a complete set only when no
-        set kept so far contains it. The cap counts every argument,
-        whatever the walk visits.
+        canonical order; its stack holds only the exclude branches. The
+        same order puts every strict superset of a set before it, so
+        ``preferred`` keeps a complete set only when no set kept so far
+        contains it, tested through a per-argument index of the kept sets.
+        The cap counts every argument, whatever the walk visits.
         """
         if semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {semantics!r}")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -166,12 +167,24 @@ class TestEnumerate:
         assert len(ext) == 26
 
     def test_mutual_attack_pairs(self):
+        # preferred keeps 2^8 sets, more than fit in one machine word
         pairs = [(f"p{i}", f"q{i}") for i in range(8)]
         attacks = frozenset(pairs) | frozenset((b, a) for a, b in pairs)
         af = ArgumentationFramework(sum(pairs, ()), attacks)
-        assert len(af.enumerate_extensions("complete")) == 3 ** 8
-        assert len(af.enumerate_extensions("preferred")) == 2 ** 8
-        assert len(af.enumerate_extensions("stable")) == 2 ** 8
+
+        def canonical(choices):
+            # a pick per pair ("" for none), as sorted names in row order
+            sets = (tuple(sorted(filter(None, pick)))
+                    for pick in product(*choices))
+            return sorted(sets, key=lambda names: (len(names), names))
+
+        complete = af.enumerate_extensions("complete")
+        assert complete == canonical([(a, b, "") for a, b in pairs])
+        assert len(complete) == 3 ** 8
+        one_each = canonical(pairs)
+        assert len(one_each) == 2 ** 8
+        assert af.enumerate_extensions("preferred") == one_each
+        assert af.enumerate_extensions("stable") == one_each
 
     def test_many_self_attackers_under_a_raised_cap(self):
         # one walk level per argument: deeper than the recursion limit
@@ -415,27 +428,50 @@ class TestAgainstBruteForce:
                     sorted(map(sorted, expected[semantics])), (seed, semantics)
         assert self_attacks > 50
 
+    # code-point order ("B" < "_x" < "a") differs from the order the
+    # names are drawn in, and from their order by length
+    POOL = ("a", "B", "aa", "Ab", "b_", "Z9", "zz", "_x", "c", "C", "ab",
+            "a0")
+
+    @staticmethod
+    def assert_rows_in_brute_force_order(args, attacks, label):
+        af = ArgumentationFramework(args, attacks)
+        for semantics, family in bf_semantics(args, attacks).items():
+            want = sorted((tuple(sorted(s)) for s in family),
+                          key=lambda names: (len(names), names))
+            masks = af.extension_masks(semantics)
+            got = list(map(af.row_decoder(masks), masks))
+            assert got == want, (label, semantics)
+        return af
+
     def test_row_order_is_size_then_members(self):
-        # code-point order ("B" < "_x" < "a") differs from the order the
-        # names are drawn in, and from their order by length
-        pool = ("a", "B", "aa", "Ab", "b_", "Z9", "zz", "_x", "c", "C",
-                "ab", "a0")
         self_attacks = 0
         for seed in range(120):
             rng = random.Random(seed)
-            args = rng.sample(pool, rng.randint(1, 9))
+            args = rng.sample(self.POOL, rng.randint(1, 9))
             attacks = frozenset((a, b) for a in args for b in args
                                 if rng.random() < (0.1, 0.2, 0.35)[seed % 3])
             self_attacks += any(a == b for a, b in attacks)
-            af = ArgumentationFramework(args, attacks)
-            expected = bf_semantics(args, attacks)
-            for semantics, family in expected.items():
-                want = sorted((tuple(sorted(s)) for s in family),
-                              key=lambda names: (len(names), names))
-                masks = af.extension_masks(semantics)
-                got = list(map(af.row_decoder(masks), masks))
-                assert got == want, (seed, semantics)
+            self.assert_rows_in_brute_force_order(args, attacks, seed)
         assert self_attacks > 30
+
+    def test_row_order_with_many_kept_sets(self):
+        # 10-12 arguments, most of them in mutual-attack pairs, so that
+        # preferred keeps many sets; a few extra attacks and self-attacks
+        # break the symmetry
+        kept = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            args = rng.sample(self.POOL, rng.randint(10, 12))
+            pairs = list(zip(args[::2], args[1::2]))
+            attacks = set(pairs) | {(b, a) for a, b in pairs}
+            attacks |= {(a, b) for a in args for b in args
+                        if rng.random() < 0.03}
+            attacks |= {(a, a) for a in rng.sample(args, rng.randint(0, 2))}
+            af = self.assert_rows_in_brute_force_order(
+                args, frozenset(attacks), seed)
+            kept = max(kept, len(af.extension_masks("preferred")))
+        assert kept >= 32
 
     def test_containment_chain(self):
         rng = random.Random(0xBEEF)
