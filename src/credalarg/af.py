@@ -55,6 +55,22 @@ argument, a bitmask over the positions of the kept sets that hold it. A
 set is contained in a kept one exactly when the AND over its members is
 not zero.
 
+Under every semantics but grounded, the extensions of a disjoint union
+of frameworks are the unions of one extension of each: the simplest case
+of SCC-recursiveness (Baroni, Giacomin & Guida, AIJ 168, 2005). So when
+more than 8 arguments are searched (every argument under conflict-free
+and admissible, the undecided ones otherwise), they are split into the
+weakly connected parts of the attack graph, one breadth-first pass over
+the attack masks, and each part is walked alone. Each walk starts from
+the whole grounded labelling, so that an attacker outside the part that
+it labels OUT still counts as attacked. If a part has no extension, the
+framework has none; else every union of one set per part is made,
+through a key that puts it in the walk's order: the mask reversed over
+the n bits, then the mask. The lowest differing bit decides the walk's
+order, so it is the keys' descending order, and the keys of the parts
+combine by OR. A search of at most 8 arguments is walked whole, which
+costs less than the split.
+
 A hard argument-count cap (default 25), which counts every argument,
 decided or not, guards against accidental exponential blow-ups.
 :meth:`ArgumentationFramework.extension_masks` gives the extensions as
@@ -71,6 +87,7 @@ entries their rows touch.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import compress
 
@@ -318,36 +335,51 @@ class ArgumentationFramework(_Value):
                         queue.append(k)
         return in_mask, out_mask
 
-    def _walk(self, semantics: str) -> list[int]:
-        # Include/exclude DFS over the free arguments: those the grounded
-        # seed leaves undecided, less the self-attackers. A node is
-        # (pending, chosen, attacked, attackers): the free arguments not
-        # yet decided, the set, and the OR of _out and of _in over it. It
-        # decides its lowest choosable argument, skipping the pending ones
-        # that are not: attacked and attackers only grow, so they never
-        # become choosable. The exclude child is pushed and the include
-        # child followed at once, so leaves of one size come out in member
-        # order, and every strict superset of a leaf first.
+    def _parts(self, searched: int) -> list[int]:
+        # the weakly connected parts of the attack graph over the arguments
+        # of searched, each grown from its lowest argument, lowest first
         ins, outs = self._in, self._out
-        n = len(ins)
-        full = (1 << n) - 1
-        chosen = banned = 0
-        if semantics not in ("conflict-free", "admissible"):
-            chosen, banned = self._grounded_labelling()
-        free = sum(1 << i for i in range(n)
-                   if not ((chosen | banned) >> i | outs[i] >> i) & 1)
-        attacked = attackers = 0
-        for i in set_bits(chosen):
-            attacked |= outs[i]
-            attackers |= ins[i]
+        parts = []
+        while searched:
+            part = todo = searched & -searched
+            searched ^= part
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                grow = (ins[i] | outs[i]) & searched
+                searched ^= grow
+                part |= grow
+                todo |= grow
+            parts.append(part)
+        return parts
+
+    def _walk(self, semantics: str, seed: tuple[int, int, int],
+              part: int) -> list[int]:
+        # Include/exclude DFS over the free arguments of part, a set of
+        # searched arguments: those not self-attacking. A node is
+        # (pending, chosen, attacked, attackers): the free arguments not
+        # yet decided, the set, and the OR of _out and of _in over it; seed
+        # is the root's last three. It decides its lowest choosable
+        # argument, skipping the pending ones that are not: attacked and
+        # attackers only grow, so they never become choosable. The exclude
+        # child is pushed and the include child followed at once, so
+        # leaves of one size come out in member order, and every strict
+        # superset of a leaf first.
+        ins, outs = self._in, self._out
+        free = part
+        for i in set_bits(part):
+            if outs[i] >> i & 1:
+                free ^= 1 << i
         stable = semantics == "stable"
-        guard = 0 if semantics == "conflict-free" else full  # cf never cuts
+        guard = 0 if semantics == "conflict-free" else part  # cf never cuts
         complete = semantics in ("complete", "preferred")
         preferred = semantics == "preferred"
-        # holders[i]: the positions in found of the kept sets holding i
-        holders = [0] * n
+        # holders[bit]: the positions in found of the kept sets holding
+        # that argument; a dict, so a walk over one small part of many
+        # costs no list over every argument
+        holders: defaultdict[int, int] = defaultdict(int)
         found: list[int] = []
-        stack = [(free, chosen, attacked, attackers)]
+        stack = [(free, *seed)]
         while stack:
             pending, chosen, attacked, attackers = stack.pop()
             while True:
@@ -358,7 +390,7 @@ class ArgumentationFramework(_Value):
                 # attacked back. Complete needs no cut of its own at a
                 # skipped argument chosen defends: it is such an attacker
                 # (were it attacked, chosen would attack its own member)
-                need = (full & ~(chosen | attacked | choosable) if stable
+                need = (part & ~(chosen | attacked | choosable) if stable
                         else attackers & ~attacked & guard)
                 while need:
                     low = need & -need
@@ -402,12 +434,15 @@ class ArgumentationFramework(_Value):
                 rest = chosen & free
                 while rest and hit:
                     low = rest & -rest
-                    hit &= holders[low.bit_length() - 1]
+                    hit &= holders[low]
                     rest ^= low
                 if hit:
                     continue
-                for i in set_bits(chosen & free):
-                    holders[i] |= 1 << len(found)
+                rest = chosen & free
+                while rest:
+                    low = rest & -rest
+                    holders[low] |= 1 << len(found)
+                    rest ^= low
             found.append(chosen)
         return found
 
@@ -421,7 +456,7 @@ class ArgumentationFramework(_Value):
         cap; ``stable`` may yield none. Every check is made, and the walk
         finished, before the list is returned.
 
-        One depth-first walk carries the chosen, attacked and attacker
+        A depth-first walk carries the chosen, attacked and attacker
         masks. ``admissible``, ``complete`` and ``preferred`` cut a branch
         once an attacker of the chosen set is neither attacked nor
         attackable from the arguments still choosable; ``stable`` once an
@@ -435,19 +470,47 @@ class ArgumentationFramework(_Value):
         same order puts every strict superset of a set before it, so
         ``preferred`` keeps a complete set only when no set kept so far
         contains it, tested through a per-argument index of the kept sets.
-        The cap counts every argument, whatever the walk visits.
+        Above 8 searched arguments, each weakly connected part of the
+        attack graph is walked alone from the whole grounded labelling,
+        and the parts multiplied; a key per row (the mask reversed over
+        the n bits, then the mask), sorted descending, gives the walk's
+        order. The cap counts every argument, whatever the walk visits;
+        one that is not an ``int``, a ``bool`` too, is refused.
         """
         if semantics not in SEMANTICS:
             raise ValidationError(f"unknown semantics: {semantics!r}")
         if semantics == "grounded":
             return [self._grounded_labelling()[0]]
+        if type(max_args) is not int:  # a bool is no cap
+            raise ValidationError(
+                f"max_args must be an int, not {_echo(max_args)}")
         if max_args < 1:
             raise ValidationError("max_args must be >= 1")
         n = len(self.arguments)
         if n > max_args:
             raise CapExceededError(
                 f"framework has {n} arguments, enumeration capped at {max_args}")
-        masks = self._walk(semantics)
+        # the walk's root: the chosen set, what it attacks and its
+        # attackers, and the arguments it searches
+        seed, searched = (0, 0, 0), (1 << n) - 1
+        if semantics not in ("conflict-free", "admissible"):
+            chosen, banned = self._grounded_labelling()
+            attacked = attackers = 0
+            for i in set_bits(chosen):
+                attacked |= self._out[i]
+                attackers |= self._in[i]
+            seed = chosen, attacked, attackers
+            searched ^= chosen | banned
+        # a walk over at most 8 arguments (256 leaves) costs less than a
+        # split into parts
+        if searched.bit_count() <= 8:
+            masks = self._walk(semantics, seed, searched)
+        else:
+            walks = [self._walk(semantics, seed, part)
+                     for part in self._parts(searched)]
+            if not all(walks):
+                return []
+            masks = walks[0] if len(walks) == 1 else _walk_product(walks, n)
         # a stable sort keeps the walk's member order within each size
         masks.sort(key=int.bit_count)
         return masks
@@ -459,6 +522,39 @@ class ArgumentationFramework(_Value):
         its order."""
         masks = self.extension_masks(semantics, max_args)
         return list(map(self.row_decoder(masks), masks))
+
+
+def _product(tables: list[list[int]]) -> list[int]:
+    # every OR of one key from each table, the first table's varying
+    # slowest; halved at each level, so the two lists the last step
+    # combines hold about the square root of its rows each
+    if len(tables) == 1:
+        return tables[0]
+    left = _product(tables[:len(tables) // 2])
+    right = _product(tables[len(tables) // 2:])
+    return [a | b for a in left for b in right]
+
+
+def _walk_product(walks: list[list[int]], n: int) -> list[int]:
+    # Every union of one mask from each walk, over n arguments, in the
+    # walk's order. A mask's key is the mask reversed over n bits, then
+    # the mask: the walk's order is the keys' descending order, since the
+    # lowest differing bit decides. Walks share only the seed, so keys
+    # combine by OR, and a walk of one mask only adds its bits
+    fmt = f"0{n}b"
+    fixed, tables = 0, []
+    for walk in walks:
+        if len(walk) == 1:
+            fixed |= walk[0]
+        else:
+            tables.append([int(format(m, fmt)[::-1], 2) << n | m
+                           for m in walk])
+    keys = _product([*tables, [fixed]])
+    keys.sort(reverse=True)
+    full = (1 << n) - 1
+    for i, key in enumerate(keys):  # in place, so no second list is held
+        keys[i] = key & full
+    return keys
 
 
 def _framework(arguments: tuple[str, ...], index: dict[str, int],

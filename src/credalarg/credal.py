@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from operator import mul
 
-from .af import ArgumentationFramework, _Value
+from .af import ArgumentationFramework, _names, _Value
 from .errors import CredalSetError, ValidationError
 
 MAX_AGENTS = 10_000  # caps what an all-ones profile allocates per argument
@@ -74,7 +74,9 @@ class CredalProfile(_Value):
 
     ``arguments`` holds the names sorted, and ``rows`` their opinion values
     in that order, a document's bit order; :meth:`credal_set` makes one
-    name's set from its row. A profile is not hashable.
+    name's set from its row. A profile is not hashable. Its constructors
+    check the names as a framework's are checked: a string, or an
+    invalid name (the lowest by ``repr``), raises ``ValidationError``.
     """
 
     __match_args__ = ("agent_count", "arguments", "rows")
@@ -83,7 +85,7 @@ class CredalProfile(_Value):
     def __init__(self, agent_count: int,
                  assignment: Mapping[str, CredalSet] = {}):  # only read
         _checked_agent_count(agent_count)
-        names = tuple(sorted(assignment))
+        names = tuple(sorted(_names(assignment)))
         for name in names:
             if len(assignment[name]) != agent_count:
                 raise CredalSetError(
@@ -96,7 +98,8 @@ class CredalProfile(_Value):
     def of(cls, table: Mapping[str, Sequence[float]]) -> "CredalProfile":
         """Build from raw value lists, in sorted-name order, taking the
         agent count from the lowest-named list."""
-        sets = {name: CredalSet(tuple(table[name])) for name in sorted(table)}
+        sets = {name: CredalSet(tuple(table[name]))
+                for name in sorted(_names(table))}
         if not sets:
             return cls(1, {})
         return cls(len(next(iter(sets.values()))), sets)
@@ -106,7 +109,7 @@ class CredalProfile(_Value):
                 agent_count: int = 1) -> "CredalProfile":
         """All-ones profile: every agent fully believes every argument."""
         ones = (1.0,) * _checked_agent_count(agent_count)
-        names = tuple(sorted(dict.fromkeys(arguments)))
+        names = tuple(sorted(set(_names(arguments))))
         return _row_profile(agent_count, names, (ones,) * len(names))
 
     def credal_set(self, name: str) -> CredalSet:

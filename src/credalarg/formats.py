@@ -178,7 +178,8 @@ def _parse_canonical(text: str) -> FrameworkDocument | None:
         if profile is None:
             return None
     else:
-        profile = CredalProfile.maximal(arguments, count or 1)
+        ones = (1.0,) * (count or 1)
+        profile = _row_profile(len(ones), arguments, (ones,) * len(arguments))
     try:
         graph = _graph(arguments, index, frozenset(causal))
         framework = _framework(arguments, index, frozenset(attacks))
@@ -333,7 +334,8 @@ def _parse_lines(text: str) -> FrameworkDocument:
             tuple([opinions[j, arg][0] for j in range(1, agents + 1)])
             for arg in arguments))
     else:
-        profile = CredalProfile.maximal(arguments, agents or 1)
+        ones = (1.0,) * (agents or 1)
+        profile = _row_profile(len(ones), arguments, (ones,) * len(arguments))
 
     framework = _framework(arguments, index, frozenset(attacks))
     return FrameworkDocument(framework, profile, graph, *_metadata(comments))

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,71 @@ class TestEnumerate:
             af.enumerate_extensions("conflict-free", max_args=2)
         with pytest.raises(ValidationError, match="max_args must be >= 1"):
             af.extension_masks("conflict-free", max_args=0)
+
+
+class TestParts:
+    """A framework whose attack graph falls apart is walked part by part
+    and the parts multiplied, in the walk's canonical order."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 9, 16])
+    def test_attack_free_rows_are_the_combinations(self, n):
+        af = ArgumentationFramework(tuple(f"a{i}" for i in range(n)))
+        rows = [c for r in range(n + 1)
+                for c in combinations(af.arguments, r)]
+        for semantics in ("conflict-free", "admissible"):
+            assert af.enumerate_extensions(semantics) == rows, semantics
+        for semantics in ("complete", "preferred", "grounded", "stable"):
+            assert af.enumerate_extensions(semantics) == [af.arguments]
+
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    def test_mutual_attack_pairs_multiply(self, k):
+        # p0..p(k-1) sort before q0, so each pair is split in bit order
+        pairs = [(f"p{i}", f"q{i}") for i in range(k)]
+        af = ArgumentationFramework(sum(pairs, ()), frozenset(pairs) | {
+            (b, a) for a, b in pairs})
+
+        def canonical(choices):
+            sets = (tuple(sorted(filter(None, pick)))
+                    for pick in product(*choices))
+            return sorted(sets, key=lambda names: (len(names), names))
+
+        for semantics in ("preferred", "stable"):
+            rows = af.enumerate_extensions(semantics)
+            assert len(rows) == 2 ** k
+            assert rows == canonical(pairs), semantics
+        for semantics in ("admissible", "complete"):
+            rows = af.enumerate_extensions(semantics)
+            assert len(rows) == 3 ** k
+            assert rows == canonical([(a, b, "") for a, b in pairs])
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_attack_free_peak(self):
+        # the walk over the whole framework peaked at 14.2 MiB here
+        af = ArgumentationFramework(tuple(f"a{i}" for i in range(18)))
+        masks, peak = self.traced_peak(
+            lambda: af.extension_masks("conflict-free"))
+        assert len(masks) == 2 ** 18
+        assert peak <= 14 * 2 ** 20
+
+    def test_an_empty_part_ends_before_the_product(self):
+        # 2^32 stable sets of the pairs, none of the trailing 3-cycle, so
+        # neither half of the parts may be multiplied out
+        pairs = [(f"p{i}", f"q{i}") for i in range(32)]
+        af = ArgumentationFramework(
+            sum(pairs, ("x", "y", "z")), frozenset(pairs) | {
+                (b, a) for a, b in pairs} | {("x", "y"), ("y", "z"),
+                                             ("z", "x")})
+        masks, peak = self.traced_peak(
+            lambda: af.extension_masks("stable", max_args=67))
+        assert masks == []
+        assert peak < 2 ** 20
 
 
 def ring(n: int, closed: bool) -> ArgumentationFramework:
@@ -472,6 +538,23 @@ class TestAgainstBruteForce:
                 args, frozenset(attacks), seed)
             kept = max(kept, len(af.extension_masks("preferred")))
         assert kept >= 32
+
+    def test_row_order_of_disjoint_unions(self):
+        # 9-12 names of POOL, interleaved in sorted order, split into 2-3
+        # random parts, isolated arguments and isolated self-attackers
+        for seed in range(100):
+            rng = random.Random(seed)
+            args = rng.sample(self.POOL, rng.randint(9, 12))
+            loners = rng.sample(args, rng.randint(1, 3))
+            owner = {a: rng.randrange(rng.randint(2, 3)) for a in args
+                     if a not in loners}
+            p = (0.15, 0.3, 0.5)[seed % 3]
+            attacks = {(a, b) for a in owner for b in owner
+                       if owner[a] == owner[b] and rng.random() < p}
+            attacks |= {(a, a) for a in loners[1:]}
+            af = self.assert_rows_in_brute_force_order(
+                args, frozenset(attacks), seed)
+            assert len(af._parts((1 << len(args)) - 1)) >= 2, seed
 
     def test_containment_chain(self):
         rng = random.Random(0xBEEF)

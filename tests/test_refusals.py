@@ -12,7 +12,8 @@ import pytest
 
 import credalarg
 from credalarg import (ArgumentationFramework, CausalityGraph,
-                       CredalArgError, CredalProfile, agent_valuation_oracle)
+                       CredalArgError, CredalProfile, CredalSet,
+                       agent_valuation_oracle)
 from credalarg.causality import check_attack_disjointness
 
 _FRAMEWORK = ArgumentationFramework(("a", "b", "c"), frozenset({("a", "b")}))
@@ -46,6 +47,19 @@ _CASES = {
         [("c", [0.1, 0.2, 0.3]), ("a", [0.1, 0.2]), ("d", [0.4]),
          ("b", [0.3])],
         "CredalSetError: credal set for 'b' has 1 opinions, expected 2"),
+    # the names before the opinions, a name that is not a string too
+    "profile names": (
+        lambda items: CredalProfile.of(dict(items)),
+        [("c-3", [0.1]), ("e", [2.0]), (2, [0.5]), ("a-1", ["x"]),
+         ("b-2", [0.5])],
+        "ValidationError: invalid argument name: 'a-1'"),
+    "profile constructor names": (
+        lambda items: CredalProfile(1, dict(items)),
+        [("c-3", CredalSet([0.1])), ("e", CredalSet([0.5])),
+         ("a-1", CredalSet([0.2])), ("", CredalSet([0.3]))],
+        "ValidationError: invalid argument name: ''"),
+    "maximal profile": (CredalProfile.maximal, ["c-3", "e", "a-1", "b-2"],
+                        "ValidationError: invalid argument name: 'a-1'"),
     "profile opinions": (
         lambda items: CredalProfile.of(dict(items)),
         [("c", [2.0, 0.5]), ("a", [0.5, "x"]), ("b", [None, 0.5])],
@@ -87,6 +101,8 @@ for call, members in (
         (framework.extension_mask, unknown | {"b"}),
         (CredalProfile.of, {name: [0.5] * len(name)
                             for name in {"a", "bb", "ccc", "dddd"}}),
+        (CredalProfile.of, dict.fromkeys(invalid, [0.5])),
+        (CredalProfile.maximal, invalid),
         (CredalProfile.of, {name: [value] for name, value in
                             {("a", "x"), ("b", None), ("c", 2), ("d", "y")}})):
     try:
@@ -117,7 +133,33 @@ def test_refusal_does_not_depend_on_the_hash_seed():
         "ValidationError: invalid argument name: 'a-b'",
         "UnknownArgumentError: unknown argument 'ww'",
         "CredalSetError: credal set for 'bb' has 2 opinions, expected 1",
+        "ValidationError: invalid argument name: 'a-1'",
+        "ValidationError: invalid argument name: 'a-1'",
         "CredalSetError: opinion 'x' outside [0, 1]"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CredalProfile.of("ab"), lambda: CredalProfile.maximal("ab"),
+    lambda: CredalProfile(1, "ab")], ids=["of", "maximal", "constructor"])
+def test_profile_names_are_not_a_string(build):
+    # "ab" would otherwise be read as the names a and b
+    assert _message(lambda _: build(), None) == (
+        "ValidationError: members must be a collection of names, not the "
+        "string 'ab'")
+
+
+# a cap that is not an int: NaN compares false both ways, so it would walk
+# uncapped, and a bool would read as the cap 1 or 0
+@pytest.mark.parametrize("max_args, shown", [
+    (float("nan"), "nan"), ("3", "'3'"), ("n" * 100, f"'{'n' * 40}...'"),
+    (True, "True"), (False, "False"), (3.0, "3.0"), (None, "None")],
+    ids=["nan", "str", "long str", "True", "False", "float", "None"])
+def test_cap_that_is_not_an_int_is_refused(max_args, shown):
+    framework = ArgumentationFramework([f"a{i}" for i in range(10)])
+    for semantics in ("conflict-free", "preferred"):
+        assert _message(lambda _: framework.extension_masks(
+            semantics, max_args), None) == \
+            f"ValidationError: max_args must be an int, not {shown}"
 
 
 # a 100,000-letter name and how a library error echoes it: at most 40
