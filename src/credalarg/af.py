@@ -37,12 +37,14 @@ preferred, an attacker of the chosen set not yet attacked back; for
 stable, an argument that can be neither chosen nor attacked any more.
 Complete, preferred and stable extensions contain the grounded extension
 and exclude what it attacks, so their walk starts with its IN arguments
-chosen and its OUT ones banned. Complete and preferred also cut the branch
-that leaves out an argument the chosen set already defends: attacked
-arguments only accumulate, so the set would stay defended and outside. At
-a leaf, completeness is tested only on the free arguments the set does not
-attack, since an admissible set defends no argument it attacks and no
-self-attacker (Dung's fundamental lemma).
+chosen and its OUT ones banned. IN attacks exactly OUT, and every attacker
+of IN is OUT, so the labelling is the walk's root as it is computed.
+Complete and preferred also cut the branch that leaves out an argument the
+chosen set already defends: attacked arguments only accumulate, so the set
+would stay defended and outside. At a leaf, completeness is tested only on
+the free arguments the set does not attack, since an admissible set
+defends no argument it attacks and no self-attacker (Dung's fundamental
+lemma).
 
 The walk takes the include branch first, over the arguments in
 sorted-name order. Two sets part at the first argument where they differ,
@@ -79,9 +81,10 @@ decode the names only to print them, and may do so a chunk of rows at a
 time. An extension's names are the sorted tuple its mask decodes to.
 :meth:`ArgumentationFramework.row_decoder` decodes a list of masks
 through one table per byte of the mask: entry ``b`` of table ``k`` is the
-names of ``arguments[8k:8k+8]`` that byte ``b`` flags, made on first use,
-so a row costs a lookup per byte and small frameworks build only the
-entries their rows touch.
+names of ``arguments[8k:8k+8]`` that byte ``b`` flags, in sorted order.
+Each table is a plain list, built once by doubling (every entry so far,
+then each of them with the next name added), so a row costs a lookup per
+byte. A list of at most 256 masks decodes each mask by itself.
 """
 
 from __future__ import annotations
@@ -106,25 +109,16 @@ NAME_PATTERN = re.compile(NAME_REGEX + r"\Z")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class _ByteNames(dict):
-    # the names of ``names`` (at most 8) that each byte value flags, keyed
-    # by the byte; an entry is made on first use
-    __slots__ = ("names",)
-
-    def __init__(self, names: tuple[str, ...]):
-        super().__init__()
-        self.names = names
-
-    def __missing__(self, byte: int) -> tuple[str, ...]:
-        found = self[byte] = tuple(
-            compress(self.names, bin(byte)[:1:-1].encode().translate(_BITS)))
-        return found
-
-
 def _byte_decoder(arguments: tuple[str, ...]) -> Callable[[int], tuple]:
-    # mask -> names through one _ByteNames per byte of the mask
-    tables = [_ByteNames(arguments[k:k + 8])
-              for k in range(0, len(arguments) or 1, 8)]
+    # mask -> names through one list per byte of the mask: entry b of a
+    # list holds the names of its (at most 8) arguments that byte b flags,
+    # in sorted order, each list built by doubling
+    tables = []
+    for k in range(0, len(arguments) or 1, 8):
+        table = [()]
+        for name in arguments[k:k + 8]:
+            table += [names + (name,) for names in table]
+        tables.append(table)
     if len(tables) == 2:  # 9-16 arguments, about 1.5x as fast as the loop
         low, high = tables
         return lambda mask: low[mask & 255] + high[mask >> 8]
@@ -277,11 +271,11 @@ class ArgumentationFramework(_Value):
                     ) -> Callable[[int], tuple[str, ...]]:
         """A function from each of ``masks`` to its sorted member names.
 
-        Many rows decode through one table per byte of the mask, each
-        entry made on first use. A list shorter than one table (such as
-        the single grounded row) decodes each mask by itself: its rows
-        would share few entries, and one large mask would touch a table
-        per byte.
+        Many rows decode through one table per byte of the mask, each a
+        list of 256 entries built once. A list no longer than one table
+        (such as the single grounded row) decodes each mask by itself: its
+        rows would not repay the tables, and one large mask would need a
+        table per byte.
         """
         if len(masks) <= 256:
             return self._names_of
@@ -300,8 +294,8 @@ class ArgumentationFramework(_Value):
                 f"unknown argument {_echo(min(unknown))}")
         mask = sum(1 << self._index[name] for name in names)
         if any(self._out[i] & mask for i in set_bits(mask)):
-            raise ValidationError("set {%s} is not conflict-free"
-                                  % ",".join(self._names_of(mask)))
+            raise ValidationError("set {%s} is not conflict-free" % ",".join(
+                map(_clip, self._names_of(mask))))
         return mask
 
     # -- semantics --------------------------------------------------------
@@ -359,7 +353,9 @@ class ArgumentationFramework(_Value):
         # searched arguments: those not self-attacking. A node is
         # (pending, chosen, attacked, attackers): the free arguments not
         # yet decided, the set, and the OR of _out and of _in over it; seed
-        # is the root's last three. It decides its lowest choosable
+        # is the root's last three. Attackers is read only outside
+        # attacked, so the seed may leave out the attackers it attacks, as
+        # the grounded one does. It decides its lowest choosable
         # argument, skipping the pending ones that are not: attacked and
         # attackers only grow, so they never become choosable. The exclude
         # child is pushed and the include child followed at once, so
@@ -491,16 +487,14 @@ class ArgumentationFramework(_Value):
             raise CapExceededError(
                 f"framework has {n} arguments, enumeration capped at {max_args}")
         # the walk's root: the chosen set, what it attacks and its
-        # attackers, and the arguments it searches
+        # attackers, and the arguments it searches. The grounded IN attacks
+        # exactly OUT, and every attacker of IN is in OUT, so the walk
+        # needs none of them as attackers
         seed, searched = (0, 0, 0), (1 << n) - 1
         if semantics not in ("conflict-free", "admissible"):
-            chosen, banned = self._grounded_labelling()
-            attacked = attackers = 0
-            for i in set_bits(chosen):
-                attacked |= self._out[i]
-                attackers |= self._in[i]
-            seed = chosen, attacked, attackers
-            searched ^= chosen | banned
+            chosen, attacked = self._grounded_labelling()
+            seed = chosen, attacked, 0
+            searched ^= chosen | attacked
         # a walk over at most 8 arguments (256 leaves) costs less than a
         # split into parts
         if searched.bit_count() <= 8:

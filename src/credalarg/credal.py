@@ -108,9 +108,9 @@ class CredalProfile(_Value):
     def maximal(cls, arguments: Iterable[str],
                 agent_count: int = 1) -> "CredalProfile":
         """All-ones profile: every agent fully believes every argument."""
-        ones = (1.0,) * _checked_agent_count(agent_count)
+        _checked_agent_count(agent_count)
         names = tuple(sorted(set(_names(arguments))))
-        return _row_profile(agent_count, names, (ones,) * len(names))
+        return _ones_profile(agent_count, names)
 
     def credal_set(self, name: str) -> CredalSet:
         """The credal set of ``name``, made from its row."""
@@ -138,6 +138,14 @@ def _row_profile(agent_count: int, arguments: tuple[str, ...],
     object.__setattr__(profile, "arguments", arguments)
     object.__setattr__(profile, "rows", rows)
     return profile
+
+
+def _ones_profile(agent_count: int,
+                  arguments: tuple[str, ...]) -> CredalProfile:
+    # the all-ones profile, for a count in 1..MAX_AGENTS and sorted distinct
+    # names, which the caller checked
+    ones = (1.0,) * agent_count
+    return _row_profile(agent_count, arguments, (ones,) * len(arguments))
 
 
 def agent_minimum(rows: Sequence[tuple[float, ...]]) -> tuple[float, ...]:

@@ -66,7 +66,7 @@ import re
 from .af import (NAME_PATTERN, NAME_REGEX, ArgumentationFramework, _framework,
                  _sorted_index, _Value)
 from .causality import CausalityGraph, _graph, check_attack_disjointness
-from .credal import MAX_AGENTS, CredalProfile, _row_profile
+from .credal import MAX_AGENTS, CredalProfile, _ones_profile, _row_profile
 from .errors import (CausalCycleError, ParseError, UnknownArgumentError,
                      ValidationError, _clip)
 
@@ -178,8 +178,7 @@ def _parse_canonical(text: str) -> FrameworkDocument | None:
         if profile is None:
             return None
     else:
-        ones = (1.0,) * (count or 1)
-        profile = _row_profile(len(ones), arguments, (ones,) * len(arguments))
+        profile = _ones_profile(count or 1, arguments)
     try:
         graph = _graph(arguments, index, frozenset(causal))
         framework = _framework(arguments, index, frozenset(attacks))
@@ -334,8 +333,7 @@ def _parse_lines(text: str) -> FrameworkDocument:
             tuple([opinions[j, arg][0] for j in range(1, agents + 1)])
             for arg in arguments))
     else:
-        ones = (1.0,) * (agents or 1)
-        profile = _row_profile(len(ones), arguments, (ones,) * len(arguments))
+        profile = _ones_profile(agents or 1, arguments)
 
     framework = _framework(arguments, index, frozenset(attacks))
     return FrameworkDocument(framework, profile, graph, *_metadata(comments))

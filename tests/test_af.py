@@ -110,6 +110,21 @@ class TestGrounded:
         [ext] = af.enumerate_extensions("grounded")
         assert set(ext) == set(names[::2])
 
+    def test_labelling_is_the_walk_root(self):
+        # the walk starts from (IN, OUT, no attackers) as the labelling
+        # gives them: IN attacks exactly OUT, and its attackers lie in OUT
+        rng = random.Random(5)
+        for _ in range(600):
+            af = random_framework(rng, max_args=14, min_args=0,
+                                  attack_p=rng.choice((0.05, 0.15, 0.3)))
+            in_mask, out_mask = af._grounded_labelling()
+            attacked = attackers = 0
+            for i in set_bits(in_mask):
+                attacked |= af._out[i]
+                attackers |= af._in[i]
+            assert attacked == out_mask
+            assert attackers & ~out_mask == 0
+
     def test_long_odd_cycle_grounds_to_nothing(self):
         names = [f"o{i}" for i in range(1001)]
         attacks = frozenset(zip(names, names[1:] + names[:1]))
@@ -375,7 +390,7 @@ class TestNamesOf:
 
 
 class TestRowDecoder:
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24, 25])
     def test_agrees_with_names_of(self, n):
         rng = random.Random(n)
         af = ArgumentationFramework(tuple(f"a{i:02d}" for i in range(n)))
@@ -388,10 +403,20 @@ class TestRowDecoder:
                                         for _ in range(300)]
         decode = af.row_decoder(masks)
         assert decode != af._names_of  # a long list decodes by tables
-        # twice, so entries made on first use are read back
+        # twice, so a decode is seen to leave its tables as they were
         for _ in range(2):
             assert [decode(m) for m in masks] == [af._names_of(m)
                                                   for m in masks]
+
+    @pytest.mark.parametrize("n", [0, 5, 24])
+    def test_tables_start_past_256_masks(self, n):
+        rng = random.Random(n)
+        af = ArgumentationFramework(tuple(f"a{i:02d}" for i in range(n)))
+        masks = [rng.getrandbits(n) for _ in range(257)]
+        assert af.row_decoder(masks[:256]) == af._names_of
+        decode = af.row_decoder(masks)
+        assert decode != af._names_of
+        assert list(map(decode, masks)) == list(map(af._names_of, masks))
 
     def test_short_lists_decode_each_mask_by_itself(self):
         af = ArgumentationFramework(tuple(f"a{i:04d}" for i in range(4000)))

@@ -178,6 +178,10 @@ _ECHOES = {
     "invalid non-string": (lambda: ArgumentationFramework([[1] * 50_000]),
                            "ValidationError: invalid argument name: "
                            f"{repr([1] * 14)[:40]}..."),
+    "conflict": (
+        lambda: ArgumentationFramework((_LONG, "y"), {(_LONG, "y")})
+        .extension_mask([_LONG, "y"]),
+        f"ValidationError: set {{{_ECHO},y}} is not conflict-free"),
     "unknown attack end": (
         lambda: ArgumentationFramework(("a",), {("a", _LONG)}),
         f"UnknownArgumentError: attack (a,{_ECHO}) mentions unknown "
