@@ -285,17 +285,20 @@ class ArgumentationFramework(_Value):
         """The mask of the named set ``members``, checked: a string, or an
         invalid name (the lowest by ``repr``), raises ``ValidationError``,
         then the lowest unknown name ``UnknownArgumentError``, then a
-        conflict ``ValidationError``. :meth:`row_decoder` gives the mask's
-        sorted names."""
+        conflict ``ValidationError`` naming the lowest attacking member and
+        the lowest member it attacks (a self-attacker alone).
+        :meth:`row_decoder` gives the mask's sorted names."""
         names = set(_names(members))
         unknown = names - self._index.keys()
         if unknown:
             raise UnknownArgumentError(
                 f"unknown argument {_echo(min(unknown))}")
         mask = sum(1 << self._index[name] for name in names)
-        if any(self._out[i] & mask for i in set_bits(mask)):
-            raise ValidationError("set {%s} is not conflict-free" % ",".join(
-                map(_clip, self._names_of(mask))))
+        for i in set_bits(mask):
+            hit = self._out[i] & mask
+            if hit:  # the lowest attacker and the lowest member it attacks
+                raise ValidationError("set {%s} is not conflict-free" % (
+                    ",".join(map(_clip, self._names_of(1 << i | hit & -hit)))))
         return mask
 
     # -- semantics --------------------------------------------------------

@@ -19,11 +19,19 @@ consumed by exactly one part — anything else is refused with
 meaningless product.
 
 :func:`mask_bounds` is the one kernel, and it owns this cut: a flat loop
-over member masks that finds each mask's anchors, groups, isolated
-members and free causes itself, as ``&``/``|`` on the graph's effect,
-cause, child and ancestor masks, checks the coverage, and yields a row,
+over member masks that cuts each mask itself, as ``&``/``|`` on the
+graph's effect, child and ancestor masks, and yields a row,
 ``(lower, upper, case)`` or the refusal text, with no name decoded, as
-it is computed.
+it is computed. It first finds the covered members, those that are some
+member's causal ancestor. When none is, every member is a part of its own
+(an anchor alone, a free cause or isolated), and the row is the product
+of the members' values in bit order. Otherwise the anchors' groups are
+built and checked for overlap, then each covered member must feed a
+member directly: a covered member lies in some anchor's group, so one
+that feeds none is a free cause as well and is consumed twice. The rest
+are isolated members and free causes. No member is left out of every
+part: a member that is no effect and not covered has no child among the
+members, so it is isolated or a free cause.
 :func:`document_rows` runs it over a document's ``profile.rows``, the
 opinion values by bit, and gives each row with its member names; a
 named set is the one mask that ``framework.extension_mask`` checks.
@@ -32,7 +40,7 @@ named set is the one mask that ``framework.extension_mask`` checks.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .af import _names, set_bits
 from .causality import CausalityGraph
@@ -59,71 +67,79 @@ def mask_bounds(graph: CausalityGraph, rows: Sequence[Sequence[float]],
     at a time.
     """
     names, children = graph.arguments, graph.child_masks
-    ancestors = graph.ancestor_masks
-    effect_mask, cause_mask = graph.effect_mask, graph.cause_mask
+    ancestors, effect_mask = graph.ancestor_masks, graph.effect_mask
     minima: dict[int, Sequence[float]] = {}
     for mask in masks:
         if not mask:
             yield 0.0, 1.0, EMPTY_CASE
             continue
-        # anchors: member effects that are no member's ancestor (only
+        # covered: the members that are some member's ancestor (only
         # effects have ancestors)
-        rest, covered = mask & effect_mask, 0
+        rest = effects = mask & effect_mask
+        covered = 0
         while rest:
             low = rest & -rest
             rest ^= low
             covered |= ancestors[low.bit_length() - 1]
-        anchors = rest = mask & effect_mask & ~covered
-        # (lowest bit, values) per part; parts are disjoint, so ordering by
-        # lowest bit is ordering by sorted members
-        parts = []
-        grouped = clash = 0
-        while rest:
-            top = rest & -rest
-            rest ^= top
-            inside = ancestors[top.bit_length() - 1] & mask | top
-            clash = inside & grouped
-            if clash:  # name the first group that holds the lowest clash
-                low = clash & -clash
-                first = next(t for t in set_bits(anchors)
-                             if (ancestors[t] & mask | 1 << t) & low)
-                yield (f"causal groups anchored at {names[first]!r} and "
-                       f"{names[top.bit_length() - 1]!r} overlap on "
-                       f"{names[low.bit_length() - 1]!r}")
-                break
-            grouped |= inside
-            values = minima.get(inside)
-            if values is None:
-                values = minima[inside] = agent_minimum(
-                    [rows[i] for i in set_bits(inside)])
-            parts.append((inside & -inside, values))
-        if clash:
-            continue
-
-        # singles: members with no causal edge, and free causes, which
-        # feed no member directly; deciding on child_masks, not
-        # ancestor_masks, keeps the direct reading over the transitive one
-        singles = mask & ~(effect_mask | cause_mask)
-        rest = mask & cause_mask & ~anchors
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not children[low.bit_length() - 1] & mask:
-                singles |= low
-        stray = mask & ~(grouped | singles) | grouped & singles
-        if stray:
-            low = stray & -stray
-            name = names[low.bit_length() - 1]
-            yield (f"member {name!r} consumed 2 times by the causal grouping"
-                   if grouped & low else f"member {name!r} not reachable by "
-                   "any causal group, isolated or free part")
-            continue
-        while singles:
-            bit = singles & -singles
-            parts.append((bit, rows[bit.bit_length() - 1]))
-            singles ^= bit
-        parts.sort()
-        products = agent_product(map(itemgetter(1), parts))
+        covered &= mask
+        if not covered:
+            # each member is a part of its own: an anchor alone, a free
+            # cause or isolated; folded as agent_product folds, but inline,
+            # which is cheaper on these rows
+            low = mask & -mask
+            rest = mask ^ low
+            products = rows[low.bit_length() - 1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                products = list(map(mul, products,
+                                    rows[low.bit_length() - 1]))
+        else:
+            # anchors: member effects that are no member's ancestor
+            anchors = rest = effects & ~covered
+            # (lowest bit, values) per part; parts are disjoint, so
+            # ordering by lowest bit is ordering by sorted members
+            parts = []
+            grouped = clash = 0
+            while rest:
+                top = rest & -rest
+                rest ^= top
+                inside = ancestors[top.bit_length() - 1] & mask | top
+                clash = inside & grouped
+                if clash:  # name the first group that holds the lowest clash
+                    low = clash & -clash
+                    first = next(t for t in set_bits(anchors)
+                                 if (ancestors[t] & mask | 1 << t) & low)
+                    yield (f"causal groups anchored at {names[first]!r} and "
+                           f"{names[top.bit_length() - 1]!r} overlap on "
+                           f"{names[low.bit_length() - 1]!r}")
+                    break
+                grouped |= inside
+                values = minima.get(inside)
+                if values is None:
+                    values = minima[inside] = agent_minimum(
+                        [rows[i] for i in set_bits(inside)])
+                parts.append((inside & -inside, values))
+            if clash:
+                continue
+            # every covered member lies in a group; one that feeds no
+            # member directly is a free cause too (child_masks, not
+            # ancestor_masks, keeps the direct reading over the transitive)
+            rest = covered
+            while rest and children[(rest & -rest).bit_length() - 1] & mask:
+                rest &= rest - 1
+            if rest:
+                yield (f"member {names[(rest & -rest).bit_length() - 1]!r} "
+                       "consumed 2 times by the causal grouping")
+                continue
+            # the rest are isolated members and free causes
+            singles = mask & ~grouped
+            while singles:
+                bit = singles & -singles
+                parts.append((bit, rows[bit.bit_length() - 1]))
+                singles ^= bit
+            parts.sort()
+            products = agent_product(map(itemgetter(1), parts))
         lower, upper = min(products), max(products)
         if not 0.0 <= lower <= upper <= 1.0:
             raise ValidationError(

@@ -78,13 +78,11 @@ class CausalityGraph(_Value):
             cycle = list(step)[step[node]:] + [node]  # effect -> cause
             raise CausalCycleError([arguments[i] for i in reversed(cycle)])
         effects = sum(1 << i for i, up in enumerate(parents) if up)
-        causes = sum(1 << i for i, down in enumerate(children) if down)
 
         for name, value in (
                 ("arguments", arguments), ("edges", edges), ("index", index),
                 ("child_masks", children), ("_parents", parents),
-                ("_order", order), ("effect_mask", effects),
-                ("cause_mask", causes)):
+                ("_order", order), ("effect_mask", effects)):
             object.__setattr__(self, name, value)
 
     @cached_property

@@ -13,8 +13,13 @@ writer, :func:`_write_rows`, serves ``solve``, ``bounds``, ``rank`` and
 ``check``: it decodes, renders and writes at most ``CHUNK_ROWS`` rows at
 a time, so an enumerating command holds one int per extension mask and
 not every row's names and text (``rank`` keeps every row, since it sorts
-them). Every check, the cap and the walk run before the first byte is
-written. ``--oracle`` and ``--paper-fixtures`` share one tolerance test.
+them). A renderer turns a whole chunk into its items or lines, and the
+``bounds`` and ``rank`` rows take one %-template per row form: the text
+line, the coverage-error line, the JSON item, the ranked JSON item and
+the error item. Only ``bounds --oracle`` renders row by row, since the
+oracle runs on each row. Every check, the cap and the walk run before the
+first byte is written. ``--oracle`` and ``--paper-fixtures`` share one
+tolerance test.
 Each subcommand declares only the flags it reads, so any other flag is a
 usage error; so are ``--max-args`` beside ``bounds --set`` or
 ``--paper-fixtures``, which enumerate nothing, ``--oracle`` beside
@@ -39,7 +44,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .af import DEFAULT_MAX_ARGS, NAME_REGEX, SEMANTICS
@@ -189,10 +194,6 @@ def _check_args(ns: argparse.Namespace,
     ns.semantics = _resolve_semantics(ns.semantics, parser)
 
 
-def _fmt(lower: float, upper: float) -> str:
-    return f"{lower:.6f} {upper:.6f}"
-
-
 def _braced(names: tuple[str, ...]) -> str:
     return "{%s}" % ",".join(names)
 
@@ -227,18 +228,19 @@ def _write_rows(rows: Iterable, render: Callable[[list], str], sep: str,
     write(tail if wrote else empty)
 
 
-def _write_list(rows: Iterable, render: Callable[..., str]) -> None:
+def _write_list(rows: Iterable, render: Callable[[list], list]) -> None:
     """The ``json.dumps(indent=2)`` text of a list under a top-level key,
-    ``render(row)`` giving each item, written by :func:`_write_rows`."""
-    _write_rows(rows, lambda chunk: _ITEM_SEP.join(map(render, chunk)),
+    ``render(chunk)`` giving the items of a chunk of rows, written by
+    :func:`_write_rows`."""
+    _write_rows(rows, lambda chunk: _ITEM_SEP.join(render(chunk)),
                 _ITEM_SEP, "[\n    ", "\n  ]", "[]")
 
 
-def _write_lines(rows: Iterable, render: Callable[..., str],
+def _write_lines(rows: Iterable, render: Callable[[list], list],
                  empty: str = "") -> None:
-    """The newline-ended line ``render(row)`` of each row, or ``empty``
-    when there are none, written by :func:`_write_rows`."""
-    _write_rows(rows, lambda chunk: "\n".join(map(render, chunk)), "\n",
+    """The newline-ended lines ``render(chunk)`` of each chunk of rows, or
+    ``empty`` when there are none, written by :func:`_write_rows`."""
+    _write_rows(rows, lambda chunk: "\n".join(render(chunk)), "\n",
                 "", "\n", empty)
 
 
@@ -298,19 +300,61 @@ def _oracle_check(ns: argparse.Namespace, doc: FrameworkDocument,
     return oracle, not _deviations(*result[:2], oracle, ns.tolerance)
 
 
-def _bounds_json(names: tuple[str, ...], result, oracle=None, match=None,
-                rank=None) -> str:
-    """The ``json.dumps(indent=2, sort_keys=True)`` text, as an item of
-    :func:`_write_list`, of a row's ``{members, lower, upper, case}`` or
-    ``{members, error}``, plus the oracle's fields and the
-    ``rank`` when given. Names match NAME_REGEX and the bounds are finite
-    floats, so ``%s`` and ``%r`` write them as json.dumps does."""
+# the json.dumps(indent=2, sort_keys=True) items of bounds and rank rows,
+# and their text lines, as %-templates; names match NAME_REGEX and the
+# bounds are finite floats, so %s and %r write them as json.dumps does
+_NAMES_ITEM = '"members": [\n        "%s"\n      ]'
+_ERROR_ITEM = '{\n      "error": %s,\n      ' + _NAMES_ITEM + '\n    }'
+_BOUNDS_ITEM = ('{\n      "case": "%s",\n      "lower": %r,\n      '
+                + _NAMES_ITEM + ',\n      "upper": %r\n    }')
+_RANKED_ITEM = _BOUNDS_ITEM.replace('\n      "upper"',
+                                    '\n      "rank": %d,\n      "upper"')
+# the empty extension is never refused and its row is always (0, 1, empty)
+_EMPTY_ITEM = ('{\n      "case": "empty",\n      "lower": 0.0,\n      '
+               '"members": [],\n      "upper": 1.0\n    }')
+_EMPTY_RANKED = _EMPTY_ITEM.replace('\n      "upper"',
+                                    '\n      "rank": %d,\n      "upper"')
+
+
+def _bounds_items(chunk: list) -> list:
+    return [_ERROR_ITEM % (encode_basestring_ascii(result),
+                           _NAMES_SEP.join(names))
+            if result.__class__ is str else
+            _BOUNDS_ITEM % (result[2], result[0], _NAMES_SEP.join(names),
+                            result[1]) if names else _EMPTY_ITEM
+            for names, result in chunk]
+
+
+def _ranked_items(chunk: list) -> list:
+    return [_RANKED_ITEM % (result[2], result[0], _NAMES_SEP.join(names), i,
+                            result[1]) if names else _EMPTY_RANKED % i
+            for i, (names, result) in chunk]
+
+
+def _bounds_lines(chunk: list) -> list:
+    return ["{%s} coverage-error: %s" % (",".join(names), result)
+            if result.__class__ is str else
+            "{%s} %.6f %.6f %s" % (",".join(names), *result)
+            for names, result in chunk]
+
+
+def _ranked_lines(chunk: list) -> list:
+    # a refused row comes with rank 0, after every ranked one
+    return ["unranked {%s} coverage-error: %s" % (",".join(names), result)
+            if result.__class__ is str else
+            "%d. {%s} %.6f %.6f" % (i, ",".join(names), result[0], result[1])
+            for i, (names, result) in chunk]
+
+
+def _oracle_json(names: tuple[str, ...], result, oracle, match) -> str:
+    """The item of a row of ``bounds --oracle``: that of
+    :func:`_bounds_items` plus the oracle's fields, in key order."""
     if isinstance(result, str):
         fields = ['"error": ' + encode_basestring_ascii(result)]
     else:
         fields = ['"case": "%s"' % result[2], '"lower": %r' % result[0]]
-    fields.append('"members": [\n        "%s"\n      ]'
-                  % '",\n        "'.join(names) if names else '"members": []')
+    fields.append(_NAMES_ITEM % _NAMES_SEP.join(names) if names
+                  else '"members": []')
     if oracle is not None:  # then so is match, see _oracle_check
         verdict = '"oracle_match": ' + ("true" if match else "false")
         if isinstance(oracle, str):
@@ -319,30 +363,20 @@ def _bounds_json(names: tuple[str, ...], result, oracle=None, match=None,
         else:
             fields += ['"oracle_lower": %r' % oracle.lower, verdict,
                        '"oracle_upper": %r' % oracle.upper]
-    if rank is not None:
-        fields.append('"rank": %d' % rank)
     if not isinstance(result, str):
         fields.append('"upper": %r' % result[1])
     return "{\n      " + ",\n      ".join(fields) + "\n    }"
 
 
-def _bounds_line(names: tuple[str, ...], result, oracle=None, match=None,
-                 use_oracle: bool = False) -> str:
-    """The text line of a row, with an oracle column under ``--oracle``."""
-    if isinstance(result, str):
-        text = f"{_braced(names)} coverage-error: {result}"
+def _oracle_column(oracle, match) -> str:
+    """The text a row of ``bounds --oracle`` adds to its line."""
+    if oracle is None:
+        return " oracle=n/a"
+    if isinstance(oracle, str):
+        column = " oracle=coverage-error"
     else:
-        text = f"{_braced(names)} {_fmt(*result[:2])} {result[2]}"
-    if use_oracle:
-        if oracle is None:
-            text += " oracle=n/a"
-        elif isinstance(oracle, str):
-            text += " oracle=coverage-error"
-        else:
-            text += f" oracle={oracle.lower:.6f},{oracle.upper:.6f}"
-        if match is not None:
-            text += " ok" if match else " MISMATCH"
-    return text
+        column = f" oracle={oracle.lower:.6f},{oracle.upper:.6f}"
+    return column + (" ok" if match else " MISMATCH")
 
 
 def cmd_bounds(ns: argparse.Namespace) -> int:
@@ -359,16 +393,20 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
     else:
         pairs = document_rows(doc, doc.framework.extension_masks(
             ns.semantics, ns.max_args))
-    # a chunk of rows is bounded first, then checked and rendered
+    # a chunk of rows is bounded first, then checked and rendered; only
+    # --oracle renders row by row
     if ns.output_format == "json":
         sys.stdout.write('{\n  "extensions": ')
-        _write_list(pairs, lambda pair: _bounds_json(
-            *pair, *_oracle_check(ns, doc, *pair)))
+        _write_list(pairs, (lambda chunk: [
+            _oracle_json(*pair, *_oracle_check(ns, doc, *pair))
+            for pair in chunk]) if ns.use_oracle else _bounds_items)
         sys.stdout.write(',\n  "semantics": %s\n}\n' % (
             '"%s"' % ns.semantics if ns.semantics else "null"))
     else:
-        _write_lines(pairs, lambda pair: _bounds_line(
-            *pair, *_oracle_check(ns, doc, *pair), use_oracle=ns.use_oracle))
+        _write_lines(pairs, (lambda chunk: [
+            line + _oracle_column(*_oracle_check(ns, doc, *pair))
+            for line, pair in zip(_bounds_lines(chunk), chunk)])
+            if ns.use_oracle else _bounds_lines)
     return EXIT_OK
 
 
@@ -423,8 +461,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
                 doc.profile.agent_count, len(doc.framework.arguments),
                 len(doc.framework.attacks), len(doc.causality.edges),
                 "true" if maximal else "false"))
-        _write_list(violations,
-                    lambda v: row % (v[0], v[1], v[3], v[2], v[4]))
+        _write_list(violations, lambda chunk: [
+            row % (v[0], v[1], v[3], v[2], v[4]) for v in chunk])
         sys.stdout.write("\n}\n")
     else:
         header = [f"arguments: {len(doc.framework.arguments)}",
@@ -436,8 +474,9 @@ def cmd_check(ns: argparse.Namespace) -> int:
                   "uniform: yes",
                   f"rationality-violations: {len(violations)}"]
         sys.stdout.write("\n".join(header) + "\n")
-        _write_lines(violations,
-                     "  agent %d: attack (%s,%s) believed %r and %r".__mod__)
+        _write_lines(violations, lambda chunk: [
+            "  agent %d: attack (%s,%s) believed %r and %r" % v
+            for v in chunk])
     if ns.strict and violations:
         return EXIT_INVALID
     return EXIT_OK
@@ -458,18 +497,15 @@ def cmd_rank(ns: argparse.Namespace) -> int:
     refused = [pair for pair in pairs if isinstance(pair[1], str)]
     if ns.output_format == "json":
         sys.stdout.write('{\n  "extensions": ')
-        _write_list(enumerate(ranked, start=1),
-                    lambda item: _bounds_json(*item[1], rank=item[0]))
+        _write_list(enumerate(ranked, start=1), _ranked_items)
         sys.stdout.write(',\n  "semantics": "%s",\n  "unranked": '
                          % ns.semantics)
-        _write_list(refused, lambda row: _bounds_json(*row))
+        _write_list(refused, _bounds_items)
         sys.stdout.write("\n}\n")
     else:
-        _write_lines(chain(
-            (f"{i}. {_braced(names)} {_fmt(*result[:2])}"
-             for i, (names, result) in enumerate(ranked, start=1)),
-            ("unranked " + _bounds_line(*row) for row in refused)),
-            str, "no extensions\n")
+        _write_lines(chain(enumerate(ranked, start=1),
+                           zip(repeat(0), refused)),
+                     _ranked_lines, "no extensions\n")
     return EXIT_OK
 
 

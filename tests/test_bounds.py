@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import namedtuple
 
 import pytest
@@ -13,8 +14,9 @@ from credalarg import (ArgumentationFramework, CausalityGraph,
                        independent_bounds, parse_caf)
 from credalarg.bounds import mask_bounds, rank_key
 from credalarg.cli import main
-from randgen import (groups_of, kernel_row, mask_of, random_causality,
-                     random_document, random_framework, random_profile)
+from randgen import (groups_of, kernel_row, mask_of, names_of,
+                     random_causality, random_document, random_framework,
+                     random_profile)
 
 TOL = 1e-9
 
@@ -117,6 +119,34 @@ class TestCoverage:
     def test_full_chain_is_fine(self):
         row = kernel_row(("x", "y", "z"), self.CHAIN_PROFILE, self.CHAIN)
         assert row[:2] == (0.5, 0.5)
+
+    # a -> b, c -> d and x -> y <- z; two agents, valuing v and 1 - v
+    EDGES = CausalityGraph(("a", "b", "c", "d", "x", "y", "z"), frozenset(
+        {("a", "b"), ("c", "d"), ("x", "y"), ("z", "y")}))
+    VALUES = {"a": 0.5, "b": 0.25, "c": 0.75, "d": 0.625, "x": 0.375,
+              "y": 0.875, "z": 0.125}
+    EDGES_PROFILE = CredalProfile.of(
+        {name: [value, 1 - value] for name, value in VALUES.items()})
+
+    @pytest.mark.parametrize("member", ["a", "b", "y"])
+    def test_single_member_is_its_own_credal_set(self, member):
+        value = self.VALUES[member]
+        assert kernel_row((member,), self.EDGES_PROFILE, self.EDGES) == \
+            (min(value, 1 - value), max(value, 1 - value), "singleton")
+
+    @pytest.mark.parametrize("members", [
+        ("a", "d"), ("b", "d"), ("a", "c"), ("a", "d", "x", "z")],
+        ids=["free cause and lone effect", "lone effects", "free causes",
+             "causes of a shared effect outside"])
+    def test_members_with_no_ancestor_among_them_multiply(self, members):
+        # each member is a part of its own, though each has a causal edge:
+        # the product of their rows in sorted order
+        rows = [(self.VALUES[m], 1 - self.VALUES[m]) for m in members]
+        products = [1.0, 1.0]
+        for row in rows:
+            products = [p * v for p, v in zip(products, row)]
+        assert kernel_row(members, self.EDGES_PROFILE, self.EDGES) == \
+            (min(products), max(products), "algorithm")
 
 
 class TestOracle:
@@ -425,3 +455,63 @@ def test_oracle_sweep_is_bit_for_bit_frozen():
             digest.update(line.encode() + b"\n")
     assert (extensions, refused) == (17905, 1376)
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def _subset_rows():
+    # (graph, mask, row) of every subset of 300 seeded random documents
+    # with causal edges, of 1-9 arguments, in one kernel call a document
+    rng = random.Random(0xC07)
+    docs = 0
+    while docs < 300:
+        doc = random_document(rng, max_args=rng.randint(1, 9))
+        if not doc.causality.edges:
+            continue
+        docs += 1
+        masks = range(1 << len(doc.framework.arguments))
+        for mask, row in zip(masks, mask_bounds(
+                doc.causality, doc.profile.rows, masks)):
+            yield doc.causality, mask, row
+
+
+def _refusal_kinds(graph, mask) -> tuple[bool, bool]:
+    # (overlap, consumed twice), read off the anchors' groups and the raw
+    # edges: groups sharing a member overlap; a grouped member that is no
+    # anchor and has no edge to a member is a free cause as well
+    names = names_of(graph, mask)
+    groups = groups_of(graph, mask)
+    sets = [set(members) for _, members in groups]
+    grouped = set().union(*sets) - {anchor for anchor, _ in groups}
+    return (any(a & b for i, a in enumerate(sets) for b in sets[:i]),
+            any(not any((m, e) in graph.edges for e in names)
+                for m in grouped))
+
+
+def test_every_refusal_is_an_overlap_or_a_double_consumption():
+    kinds = {}
+    for graph, mask, row in _subset_rows():
+        overlap, consumed = kind = _refusal_kinds(graph, mask)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if overlap:  # overlap wins when a row has both
+            assert re.fullmatch("causal groups anchored at '\\w+' and "
+                                "'\\w+' overlap on '\\w+'", row), row
+        elif consumed:
+            assert re.fullmatch("member '\\w+' consumed 2 times by the "
+                                "causal grouping", row), row
+        else:
+            assert not isinstance(row, str), row
+    assert kinds == KERNEL_KINDS
+
+
+# the refusal kinds and the rows of _subset_rows, frozen: a new cut of the
+# kernel must give every row, refusal text included, unchanged
+KERNEL_KINDS = {(False, False): 16920, (True, False): 1402,
+                (False, True): 1825, (True, True): 265}
+KERNEL_DIGEST = \
+    "0da3eac84c42192ac175e9e08d4722dc4fad9ca13369a0b5dfe83d1c6ee57ad5"
+
+
+def test_subset_rows_are_frozen():
+    digest = hashlib.sha256()
+    for _, mask, row in _subset_rows():
+        digest.update(repr((mask, row)).encode() + b"\n")
+    assert digest.hexdigest() == KERNEL_DIGEST

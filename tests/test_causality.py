@@ -36,10 +36,11 @@ def anchors(graph, members):
 
 
 def split(graph):
-    """The effect, cause and isolated names; an isolated argument is in
-    neither mask."""
+    """The effect, cause and isolated names: an effect is in
+    ``effect_mask``, a cause has a child, an isolated argument neither."""
     effects = names_of(graph, graph.effect_mask)
-    causes = names_of(graph, graph.cause_mask)
+    causes = {graph.arguments[i]
+              for i, down in enumerate(graph.child_masks) if down}
     return effects, causes, set(graph.arguments) - effects - causes
 
 

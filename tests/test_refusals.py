@@ -216,3 +216,27 @@ def test_cycle_error_keeps_the_full_names():
                        {("a" + _LONG, _LONG), (_LONG, "a" + _LONG)})
     assert err.value.nodes == ("a" + _LONG, _LONG, "a" + _LONG)
     assert len(str(err.value)) < 200
+
+
+# a set that is not conflict-free is refused naming its lowest attacking
+# member and the lowest member that one attacks, a self-attacker alone
+@pytest.mark.parametrize("attacks, named", [
+    ({("c", "d"), ("b", "a")}, "a,b"),
+    ({("d", "c"), ("c", "a")}, "a,c"),
+    ({("c", "a"), ("b", "b")}, "b"),
+    ({("c", "c"), ("c", "a"), ("d", "b")}, "a,c")],
+    ids=["lower target", "lowest attacker", "self-attacker", "self and lower"])
+def test_conflict_names_the_lowest_pair(attacks, named):
+    framework = ArgumentationFramework(("a", "b", "c", "d"), attacks)
+    assert {_message(framework.extension_mask, list(order))
+            for order in permutations("abcd")} == \
+        {f"ValidationError: set {{{named}}} is not conflict-free"}
+
+
+def test_conflict_refusal_does_not_grow_with_the_set():
+    # 2,000 forty-character names, of which only the first attacks the
+    # second: the refusal names those two, not all 2,000
+    names = ["n" * 36 + f"{i:04d}" for i in range(2000)]
+    framework = ArgumentationFramework(names, {(names[0], names[1])})
+    assert _message(framework.extension_mask, names[::-1]) == \
+        f"ValidationError: set {{{names[0]},{names[1]}}} is not conflict-free"
