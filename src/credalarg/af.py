@@ -79,12 +79,13 @@ decided or not, guards against accidental exponential blow-ups.
 member masks, in the canonical order, so callers that compute over masks
 decode the names only to print them, and may do so a chunk of rows at a
 time. An extension's names are the sorted tuple its mask decodes to.
-:meth:`ArgumentationFramework.row_decoder` decodes a list of masks
-through one table per byte of the mask: entry ``b`` of table ``k`` is the
-names of ``arguments[8k:8k+8]`` that byte ``b`` flags, in sorted order.
-Each table is a plain list, built once by doubling (every entry so far,
-then each of them with the next name added), so a row costs a lookup per
-byte. A list of at most 256 masks decodes each mask by itself.
+A list of masks decodes through one table per byte of the mask, a plain
+list built once by doubling, so a row costs a lookup per byte: for
+:meth:`ArgumentationFramework.row_decoder`, entry ``b`` is the tuple of
+the names that byte ``b`` flags; for the CLI writers, those names joined,
+each led by ``sep``, with a twin table without the lead for the lowest
+byte that flags a name, so no row builds a tuple or a join. A list of at
+most 256 masks decodes each mask by itself.
 """
 
 from __future__ import annotations
@@ -109,26 +110,32 @@ NAME_PATTERN = re.compile(NAME_REGEX + r"\Z")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _byte_decoder(arguments: tuple[str, ...]) -> Callable[[int], tuple]:
-    # mask -> names through one list per byte of the mask: entry b of a
-    # list holds the names of its (at most 8) arguments that byte b flags,
-    # in sorted order, each list built by doubling
+def _byte_decoder(items: list, empty, cut: int = 0) -> Callable:
+    # mask -> the sum of items[i] over its bits i, through one list per
+    # byte of the mask: entry b of a list is the sum of its (at most 8)
+    # items that byte b flags, in bit order, built by doubling. The lowest
+    # byte that flags an item reads a twin list whose entries lose their
+    # first cut characters: the separator a text item starts with
     tables = []
-    for k in range(0, len(arguments) or 1, 8):
-        table = [()]
-        for name in arguments[k:k + 8]:
-            table += [names + (name,) for names in table]
+    for k in range(0, len(items) or 1, 8):
+        table = [empty]
+        for item in items[k:k + 8]:
+            table += [entry + item for entry in table]
         tables.append(table)
-    if len(tables) == 2:  # 9-16 arguments, about 1.5x as fast as the loop
-        low, high = tables
-        return lambda mask: low[mask & 255] + high[mask >> 8]
+    pairs = [(table, [entry[cut:] for entry in table]) for table in tables]
+    if len(pairs) == 2:  # 9-16 arguments, about 1.5x as fast as the loop
+        (_, low), (high, high_first) = pairs
+        if not cut:
+            return lambda mask: low[mask & 255] + high[mask >> 8]
+        return lambda mask: (low[mask & 255] + high[mask >> 8] if mask & 255
+                             else high_first[mask >> 8])
 
-    def decode(mask: int) -> tuple[str, ...]:
-        names = ()
-        for table in tables:
-            names += table[mask & 255]
+    def decode(mask: int):
+        total = empty
+        for table, first in pairs:
+            total += (table if total else first)[mask & 255]
             mask >>= 8
-        return names
+        return total
     return decode
 
 
@@ -279,7 +286,16 @@ class ArgumentationFramework(_Value):
         """
         if len(masks) <= 256:
             return self._names_of
-        return _byte_decoder(self.arguments)
+        return _byte_decoder([(name,) for name in self.arguments], ())
+
+    def _row_text(self, masks: Sequence[int],
+                  sep: str) -> Callable[[int], str]:
+        # each of masks to its sorted member names joined by sep, by the
+        # rule of row_decoder; a table entry is sep + name per name
+        if len(masks) <= 256:
+            return lambda mask: sep.join(self._names_of(mask))
+        return _byte_decoder([sep + name for name in self.arguments], "",
+                             len(sep))
 
     def extension_mask(self, members: Iterable[str]) -> int:
         """The mask of the named set ``members``, checked: a string, or an

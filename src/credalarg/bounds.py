@@ -223,10 +223,10 @@ def agent_valuation_oracle(members: Iterable[str],
     return ProbabilityInterval(min(values), max(values))
 
 
-def rank_key(lower: float, upper: float, members: tuple[str, ...]) -> tuple:
-    """Sort key of ``rank``, best first: midpoint descending, then members.
-
-    Not a principled interval order: it agrees with pairwise dominance
-    whenever both bounds of one interval weakly exceed the other's.
-    """
+def rank_key(lower: float, upper: float, members: tuple | str) -> tuple:
+    """Sort key of ``rank``, best first: midpoint descending, then members:
+    the sorted names, or their text as ``rank`` joins it, by a separator
+    that sorts below every name character, so both give one order. Not a
+    principled interval order: it agrees with pairwise dominance whenever
+    both bounds of one interval weakly exceed the other's."""
     return -((lower + upper) / 2.0), members

@@ -8,18 +8,19 @@ graph diagnostics), ``export-dot`` (render for graphviz) and ``rank``
 Each command renders its rows here, as text lines or as JSON text
 written straight from the rows (only the 5 ``--paper-fixtures`` rows go
 through :func:`~credalarg.formats.emit_json`); ``bounds`` and ``rank``
-draw every row from :func:`~credalarg.bounds.document_rows`. One chunked
+draw every row from :func:`~credalarg.bounds.mask_bounds`. One chunked
 writer, :func:`_write_rows`, serves ``solve``, ``bounds``, ``rank`` and
-``check``: it decodes, renders and writes at most ``CHUNK_ROWS`` rows at
-a time, so an enumerating command holds one int per extension mask and
-not every row's names and text (``rank`` keeps every row, since it sorts
-them). A renderer turns a whole chunk into its items or lines, and the
-``bounds`` and ``rank`` rows take one %-template per row form: the text
-line, the coverage-error line, the JSON item, the ranked JSON item and
-the error item. Only ``bounds --oracle`` renders row by row, since the
-oracle runs on each row. Every check, the cap and the walk run before the
-first byte is written. ``--oracle`` and ``--paper-fixtures`` share one
-tolerance test.
+``check``: it renders and writes at most ``CHUNK_ROWS`` rows at a time,
+so an enumerating command holds one int per extension mask, not every
+row's text (``rank`` keeps every row, since it sorts them). A member
+list is written from its mask through the framework's per-byte tables
+of joined names (by ``","`` in text, the JSON name separator in JSON),
+so no row builds a name tuple; ``rank`` breaks ties on that text, which
+orders as the tuples do. One %-template per row form renders a chunk of
+``bounds`` and ``rank`` rows. Only ``bounds --oracle``, whose oracle
+reads names, decodes name tuples and renders row by row. Every check,
+the cap and the walk run before the first byte is written. ``--oracle``
+and ``--paper-fixtures`` share one tolerance test.
 Each subcommand declares only the flags it reads, so any other flag is a
 usage error; so are ``--max-args`` beside ``bounds --set`` or
 ``--paper-fixtures``, which enumerate nothing, ``--oracle`` beside
@@ -43,12 +44,12 @@ import functools
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .af import DEFAULT_MAX_ARGS, NAME_REGEX, SEMANTICS
-from .bounds import agent_valuation_oracle, document_rows, rank_key
+from .bounds import agent_valuation_oracle, mask_bounds, rank_key
 from .credal import is_maximal, rationality_rows
 from .errors import CapExceededError, CoverageError, CredalArgError, _echo
 from .formats import FrameworkDocument, emit_json, export_dot, load_caf
@@ -194,10 +195,6 @@ def _check_args(ns: argparse.Namespace,
     ns.semantics = _resolve_semantics(ns.semantics, parser)
 
 
-def _braced(names: tuple[str, ...]) -> str:
-    return "{%s}" % ",".join(names)
-
-
 def _deviations(lower: float, upper: float, reference,
                 tolerance: float) -> list[str]:
     """The ends of ``(lower, upper)`` more than ``tolerance`` from
@@ -206,68 +203,43 @@ def _deviations(lower: float, upper: float, reference,
             if abs(value - getattr(reference, end)) > tolerance]
 
 
-def _chunks(rows: Iterable) -> Iterator[list]:
-    """``rows`` as lists of at most ``CHUNK_ROWS``."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        yield chunk
-
-
-def _write_rows(rows: Iterable, render: Callable[[list], str], sep: str,
-                head: str, tail: str, empty: str) -> None:
-    """Write ``rows`` a chunk at a time: ``render`` gives the text of a
-    chunk's rows joined by ``sep``, chunks are joined by ``sep`` too, and
-    the whole stands between ``head`` and ``tail``, or is ``empty`` when
-    there are no rows."""
+def _write_rows(rows: Iterable, render: Callable[[list], list] | None,
+                sep: str, head: str, tail: str, empty: str) -> None:
+    """Write ``rows`` at most ``CHUNK_ROWS`` at a time, as the texts of a
+    chunk, or ``render(chunk)``, all joined by ``sep``, between ``head``
+    and ``tail``, or as ``empty`` when there are no rows."""
     write = sys.stdout.write
-    wrote = False
-    for chunk in _chunks(rows):
+    rows, wrote = iter(rows), False
+    while chunk := list(islice(rows, CHUNK_ROWS)):
         write(sep if wrote else head)
-        write(render(chunk))
+        write(sep.join(render(chunk) if render else chunk))
         wrote = True
     write(tail if wrote else empty)
 
 
-def _write_list(rows: Iterable, render: Callable[[list], list]) -> None:
-    """The ``json.dumps(indent=2)`` text of a list under a top-level key,
-    ``render(chunk)`` giving the items of a chunk of rows, written by
-    :func:`_write_rows`."""
-    _write_rows(rows, lambda chunk: _ITEM_SEP.join(render(chunk)),
-                _ITEM_SEP, "[\n    ", "\n  ]", "[]")
-
-
-def _write_lines(rows: Iterable, render: Callable[[list], list],
-                 empty: str = "") -> None:
-    """The newline-ended lines ``render(chunk)`` of each chunk of rows, or
-    ``empty`` when there are none, written by :func:`_write_rows`."""
-    _write_rows(rows, lambda chunk: "\n".join(render(chunk)), "\n",
-                "", "\n", empty)
+# the last four arguments of _write_rows for the items of a list under a
+# top-level key, as json.dumps(indent=2) writes them, and for lines
+_LIST = (_ITEM_SEP, "[\n    ", "\n  ]", "[]")
+_LINES = ("\n", "", "\n", "")
 
 
 # the json.dumps(indent=2, sort_keys=True) text of a {"members"} row
-# around its names, which match NAME_REGEX and so need no escaping: a
-# chunk of non-empty rows is one join with the text between two rows
+# around its names, which match NAME_REGEX and so need no escaping: the
+# non-empty rows are their member texts joined by the text between two
 _MEMBERS_OPEN = '{\n      "members": [\n        "'
 _MEMBERS_CLOSE = '"\n      ]\n    }'
 _NAMES_SEP = '",\n        "'
 _ROWS_SEP = _MEMBERS_CLOSE + _ITEM_SEP + _MEMBERS_OPEN
-
-
-def _members_json(chunk: list) -> str:
-    return (_MEMBERS_OPEN + _ROWS_SEP.join(map(_NAMES_SEP.join, chunk))
-            + _MEMBERS_CLOSE)
-
-
-def _braced_lines(chunk: list) -> str:
-    return "{" + "}\n{".join(map(",".join, chunk)) + "}"
+# between two member names, by --format
+_SEPS = {"text": ",", "json": _NAMES_SEP}
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
     framework = load_caf(ns.input).framework
     masks = framework.extension_masks(ns.semantics, ns.max_args)
-    rows = map(framework.row_decoder(masks), masks)
+    rows = map(framework._row_text(masks, _SEPS[ns.output_format]), masks)
     if ns.output_format == "text":
-        _write_rows(rows, _braced_lines, "\n", "", "\n", "no extensions\n")
+        _write_rows(rows, None, "}\n{", "{", "}\n", "no extensions\n")
         return EXIT_OK
     sys.stdout.write('{\n  "extensions": ')
     head, empty = "[\n    ", "[]"
@@ -277,7 +249,8 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         head += '{\n      "members": []\n    }'
         empty = head + "\n  ]"
         head += _ITEM_SEP
-    _write_rows(rows, _members_json, _ITEM_SEP, head, "\n  ]", empty)
+    _write_rows(rows, None, _ROWS_SEP, head + _MEMBERS_OPEN,
+                _MEMBERS_CLOSE + "\n  ]", empty)
     sys.stdout.write(',\n  "semantics": "%s"\n}\n' % ns.semantics)
     return EXIT_OK
 
@@ -316,34 +289,35 @@ _EMPTY_RANKED = _EMPTY_ITEM.replace('\n      "upper"',
                                     '\n      "rank": %d,\n      "upper"')
 
 
+# a row of these renderers is (text, result): the member names joined
+# by "," in text, by _NAMES_SEP in JSON, and the mask_bounds row
 def _bounds_items(chunk: list) -> list:
-    return [_ERROR_ITEM % (encode_basestring_ascii(result),
-                           _NAMES_SEP.join(names))
+    return [_ERROR_ITEM % (encode_basestring_ascii(result), text)
             if result.__class__ is str else
-            _BOUNDS_ITEM % (result[2], result[0], _NAMES_SEP.join(names),
-                            result[1]) if names else _EMPTY_ITEM
-            for names, result in chunk]
+            _BOUNDS_ITEM % (result[2], result[0], text, result[1])
+            if text else _EMPTY_ITEM
+            for text, result in chunk]
 
 
 def _ranked_items(chunk: list) -> list:
-    return [_RANKED_ITEM % (result[2], result[0], _NAMES_SEP.join(names), i,
-                            result[1]) if names else _EMPTY_RANKED % i
-            for i, (names, result) in chunk]
+    return [_RANKED_ITEM % (result[2], result[0], text, i, result[1])
+            if text else _EMPTY_RANKED % i
+            for i, (text, result) in chunk]
 
 
 def _bounds_lines(chunk: list) -> list:
-    return ["{%s} coverage-error: %s" % (",".join(names), result)
+    return ["{%s} coverage-error: %s" % (text, result)
             if result.__class__ is str else
-            "{%s} %.6f %.6f %s" % (",".join(names), *result)
-            for names, result in chunk]
+            "{%s} %.6f %.6f %s" % (text, *result)
+            for text, result in chunk]
 
 
 def _ranked_lines(chunk: list) -> list:
     # a refused row comes with rank 0, after every ranked one
-    return ["unranked {%s} coverage-error: %s" % (",".join(names), result)
+    return ["unranked {%s} coverage-error: %s" % (text, result)
             if result.__class__ is str else
-            "%d. {%s} %.6f %.6f" % (i, ",".join(names), result[0], result[1])
-            for i, (names, result) in chunk]
+            "%d. {%s} %.6f %.6f" % (i, text, result[0], result[1])
+            for i, (text, result) in chunk]
 
 
 def _oracle_json(names: tuple[str, ...], result, oracle, match) -> str:
@@ -383,30 +357,36 @@ def cmd_bounds(ns: argparse.Namespace) -> int:
     if ns.paper_fixtures:
         return _cmd_paper_fixtures(ns)
     doc = load_caf(ns.input)
+    framework = doc.framework
     if ns.explicit_set is not None:  # then ns.semantics is None
-        # one named set: a refusal exits 2 before anything is written
-        pairs = list(document_rows(
-            doc, [doc.framework.extension_mask(ns.explicit_set)]))
-        if isinstance(pairs[0][1], str):  # each name echoed clipped
-            raise CoverageError(re.sub(
-                "'(%s)'" % NAME_REGEX, lambda m: _echo(m[1]), pairs[0][1]))
+        masks = [framework.extension_mask(ns.explicit_set)]
     else:
-        pairs = document_rows(doc, doc.framework.extension_masks(
-            ns.semantics, ns.max_args))
+        masks = framework.extension_masks(ns.semantics, ns.max_args)
+    results = mask_bounds(doc.causality, doc.profile.rows, masks)
+    if ns.explicit_set is not None:
+        # one named set: a refusal exits 2 before anything is written
+        results = list(results)
+        if isinstance(results[0], str):  # each name echoed clipped
+            raise CoverageError(re.sub(
+                "'(%s)'" % NAME_REGEX, lambda m: _echo(m[1]), results[0]))
     # a chunk of rows is bounded first, then checked and rendered; only
-    # --oracle renders row by row
+    # --oracle, which reads each row's names, renders row by row
+    pairs = zip(map(framework.row_decoder(masks) if ns.use_oracle else
+                    framework._row_text(masks, _SEPS[ns.output_format]),
+                    masks), results)
     if ns.output_format == "json":
         sys.stdout.write('{\n  "extensions": ')
-        _write_list(pairs, (lambda chunk: [
+        _write_rows(pairs, (lambda chunk: [
             _oracle_json(*pair, *_oracle_check(ns, doc, *pair))
-            for pair in chunk]) if ns.use_oracle else _bounds_items)
+            for pair in chunk]) if ns.use_oracle else _bounds_items, *_LIST)
         sys.stdout.write(',\n  "semantics": %s\n}\n' % (
             '"%s"' % ns.semantics if ns.semantics else "null"))
     else:
-        _write_lines(pairs, (lambda chunk: [
+        _write_rows(pairs, (lambda chunk: [
             line + _oracle_column(*_oracle_check(ns, doc, *pair))
-            for line, pair in zip(_bounds_lines(chunk), chunk)])
-            if ns.use_oracle else _bounds_lines)
+            for line, pair in zip(_bounds_lines(
+                [(",".join(names), result) for names, result in chunk]),
+                chunk)]) if ns.use_oracle else _bounds_lines, *_LINES)
     return EXIT_OK
 
 
@@ -417,8 +397,8 @@ def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
     # none of the bundled sets is refused
     rows = [(f, lower, upper, _deviations(lower, upper, f.reported,
                                           ns.tolerance))
-            for f, (_, (lower, upper, _)) in zip(REPORTED_FIXTURES,
-                                                 document_rows(doc, masks))]
+            for f, (lower, upper, _) in zip(REPORTED_FIXTURES, mask_bounds(
+                doc.causality, doc.profile.rows, masks))]
     if ns.output_format == "json":
         print(emit_json({"fixtures": [
             {"label": f.label, "members": list(f.members),
@@ -435,7 +415,8 @@ def _cmd_paper_fixtures(ns: argparse.Namespace) -> int:
         interval = f"[{lower:.6f},{upper:.6f}]"
         verdict = ("matches" if not deviations
                    else "deviates(%s)" % ",".join(deviations))
-        lines.append(f"{f.label:<10} {_braced(f.members):<16} {reported:<20} "
+        members = "{%s}" % ",".join(f.members)
+        lines.append(f"{f.label:<10} {members:<16} {reported:<20} "
                      f"{interval:<20} {verdict}")
     print("\n".join(lines))
     return EXIT_OK
@@ -461,8 +442,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
                 doc.profile.agent_count, len(doc.framework.arguments),
                 len(doc.framework.attacks), len(doc.causality.edges),
                 "true" if maximal else "false"))
-        _write_list(violations, lambda chunk: [
-            row % (v[0], v[1], v[3], v[2], v[4]) for v in chunk])
+        _write_rows(violations, lambda chunk: [
+            row % (v[0], v[1], v[3], v[2], v[4]) for v in chunk], *_LIST)
         sys.stdout.write("\n}\n")
     else:
         header = [f"arguments: {len(doc.framework.arguments)}",
@@ -474,9 +455,9 @@ def cmd_check(ns: argparse.Namespace) -> int:
                   "uniform: yes",
                   f"rationality-violations: {len(violations)}"]
         sys.stdout.write("\n".join(header) + "\n")
-        _write_lines(violations, lambda chunk: [
+        _write_rows(violations, lambda chunk: [
             "  agent %d: attack (%s,%s) believed %r and %r" % v
-            for v in chunk])
+            for v in chunk], *_LINES)
     if ns.strict and violations:
         return EXIT_INVALID
     return EXIT_OK
@@ -490,22 +471,25 @@ def cmd_export_dot(ns: argparse.Namespace) -> int:
 
 def cmd_rank(ns: argparse.Namespace) -> int:
     doc = load_caf(ns.input)
-    pairs = list(document_rows(doc, doc.framework.extension_masks(
-        ns.semantics, ns.max_args)))
+    masks = doc.framework.extension_masks(ns.semantics, ns.max_args)
+    # the member text breaks ties: both separators sort below every name
+    # character, so the texts order as the name tuples do
+    pairs = list(zip(
+        map(doc.framework._row_text(masks, _SEPS[ns.output_format]), masks),
+        mask_bounds(doc.causality, doc.profile.rows, masks)))
     ranked = sorted([pair for pair in pairs if not isinstance(pair[1], str)],
                     key=lambda pair: rank_key(*pair[1][:2], pair[0]))
     refused = [pair for pair in pairs if isinstance(pair[1], str)]
     if ns.output_format == "json":
         sys.stdout.write('{\n  "extensions": ')
-        _write_list(enumerate(ranked, start=1), _ranked_items)
+        _write_rows(enumerate(ranked, start=1), _ranked_items, *_LIST)
         sys.stdout.write(',\n  "semantics": "%s",\n  "unranked": '
                          % ns.semantics)
-        _write_list(refused, _bounds_items)
+        _write_rows(refused, _bounds_items, *_LIST)
         sys.stdout.write("\n}\n")
     else:
-        _write_lines(chain(enumerate(ranked, start=1),
-                           zip(repeat(0), refused)),
-                     _ranked_lines, "no extensions\n")
+        _write_rows(chain(enumerate(ranked, start=1), zip(repeat(0), refused)),
+                    _ranked_lines, "\n", "", "\n", "no extensions\n")
     return EXIT_OK
 
 

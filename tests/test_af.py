@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from credalarg import (ArgumentationFramework, CapExceededError,
                        UnknownArgumentError, ValidationError)
+from credalarg import cli
 from credalarg.af import set_bits
 from bruteforce import bf_semantics
 from randgen import random_framework
@@ -417,6 +418,23 @@ class TestRowDecoder:
         decode = af.row_decoder(masks)
         assert decode != af._names_of
         assert list(map(decode, masks)) == list(map(af._names_of, masks))
+
+    @pytest.mark.parametrize("n", [0, 5, 8, 9, 16, 17, 25])
+    def test_text_is_the_joined_names(self, n):
+        # names of 1-3 characters, many of them prefixes of others, so a
+        # row's text is seen to keep every name's own end
+        rng = random.Random(200 + n)
+        pool = sorted({"".join(rng.choice("Aa0_z9") for _ in range(k))
+                       for k in (1, 2, 3) for _ in range(40)})
+        af = ArgumentationFramework(rng.sample(pool, n))
+        full = (1 << n) - 1
+        for count in (256, 257):  # both sides of the 256-mask rule
+            masks = [0, full] + [rng.getrandbits(n) for _ in range(count - 2)]
+            decode = af.row_decoder(masks)
+            for sep in (",", cli._NAMES_SEP):
+                text = af._row_text(masks, sep)
+                assert [text(m) for m in masks] == \
+                    [sep.join(decode(m)) for m in masks]
 
     def test_short_lists_decode_each_mask_by_itself(self):
         af = ArgumentationFramework(tuple(f"a{i:04d}" for i in range(4000)))

@@ -379,6 +379,52 @@ def _expected_json(command: str, doc, semantics: str) -> str:
     return _rank_json(semantics, pairs)
 
 
+def _expected_text(command: str, doc, semantics: str) -> str:
+    """The text output of ``solve``, ``bounds`` or ``rank``, built as
+    :func:`_expected_json` builds its JSON."""
+    extensions = doc.framework.enumerate_extensions(semantics)
+    if command == "solve":
+        return "".join("{%s}\n" % ",".join(names)
+                       for names in extensions) or "no extensions\n"
+    rows = [(",".join(names), names,
+             kernel_row(names, doc.profile, doc.causality))
+            for names in extensions]
+    if command == "bounds":
+        return "".join("{%s} coverage-error: %s\n" % (text, result)
+                       if isinstance(result, str) else
+                       "{%s} %.6f %.6f %s\n" % (text, *result)
+                       for text, _, result in rows)
+    ranked = sorted((row for row in rows if not isinstance(row[2], str)),
+                    key=lambda row: rank_key(*row[2][:2], row[1]))
+    return "".join(["%d. {%s} %.6f %.6f\n" % (i, text, *result[:2])
+                    for i, (text, _, result) in enumerate(ranked, start=1)]
+                   + ["unranked {%s} coverage-error: %s\n" % (text, result)
+                      for text, _, result in rows if isinstance(result, str)]
+                   ) or "no extensions\n"
+
+
+def _table_doc(free: int, clique: int = 0, hub: str = "") -> str:
+    """Six causally linked arguments (s -> t1, s -> t2, x -> y -> z, whose
+    sets hold both refusals: an overlap and a double consumption), beside
+    ``free`` isolated ones and a ``clique`` of mutual attackers, under 2
+    agents. A ``hub`` h attacks every other argument; under "self" it
+    attacks itself too, so it joins no conflict-free set, else one."""
+    names = ["s", "t1", "t2", "x", "y", "z", *(f"f{i}" for i in range(free)),
+             *(f"k{i}" for i in range(clique))]
+    attacks = [(a, b) for a in names[6 + free:] for b in names[6 + free:]
+               if a != b]
+    if hub:
+        attacks += [("h", b) for b in names] + [("h", "h")] * (hub == "self")
+        names.append("h")
+    lines = [f"arg({name})." for name in names]
+    lines += [f"att({a},{b})." for a, b in attacks]
+    lines += ["cau(s,t1).", "cau(s,t2).", "cau(x,y).", "cau(y,z).",
+              "agents(2)."]
+    lines += [f"p({j},{name},{(7 * i + 3 * j) % 10 / 10 + 0.05:g})."
+              for j in (1, 2) for i, name in enumerate(names)]
+    return "\n".join(lines) + "\n"
+
+
 class _Sink(io.TextIOBase):
     """A stdout that keeps only the size of each write."""
 
@@ -420,6 +466,38 @@ class TestStreamedOutput:
                            "--semantics", code, "--format", "json")
         assert (rc, err) == (0, "")
         assert out == _expected_json(command, parse_caf(text), semantics)
+
+    # (document, arguments, cf rows): past 256 rows each list of member
+    # names is written from the per-byte tables of joined names, led by
+    # one to four tables
+    @pytest.mark.parametrize("text, n, rows", [
+        pytest.param(_table_doc(4), 10, 1024, id="10-args"),
+        pytest.param(_table_doc(0, clique=11), 17, 768, id="17-args"),
+        pytest.param(_table_doc(0, clique=19), 25, 1280, id="25-args"),
+        pytest.param(_table_doc(2, hub="self"), 9, 256, id="256-rows"),
+        pytest.param(_table_doc(2, hub="plain"), 9, 257, id="257-rows"),
+    ])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["solve", "bounds", "rank"])
+    def test_rows_past_the_table_threshold_match_the_reference(
+            self, capsys, tmp_path, monkeypatch, command, fmt, chunk, text,
+            n, rows):
+        doc = parse_caf(text)
+        masks = doc.framework.extension_masks("conflict-free")
+        assert (len(doc.framework.arguments), len(masks)) == (n, rows)
+        if chunk is not None:
+            monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        path = tmp_path / "doc.caf"
+        path.write_text(text)
+        rc, out, err = run(capsys, command, "--input", str(path),
+                           "--semantics", "cf", "--format", fmt)
+        assert (rc, err) == (0, "")
+        expected = (_expected_json if fmt == "json" else _expected_text)(
+            command, doc, "conflict-free")
+        assert out == expected
+        if command != "solve":  # both refusals are written
+            assert "overlap on" in out and "consumed 2 times" in out
 
     def test_text_lines_span_chunks(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
@@ -715,6 +793,36 @@ class TestRank:
                                             rank_key(*row))]
         midpoints = [(e["lower"] + e["upper"]) / 2 for e in ranked]
         assert midpoints.count(0.5) == 7
+
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param((), id="64-rows"),
+        pytest.param(("a00", "a_0", "b"), id="512-rows"),
+    ])
+    def test_prefix_names_tie_in_the_rank_key_order(self, capsys, tmp_path,
+                                                    extra):
+        # no opinions, so every non-empty set has the interval (1, 1) and
+        # one midpoint: only the member lists order the rows, across
+        # sizes, and many of the names are prefixes of others. 6 names
+        # decode one mask at a time, 9 through the per-byte tables
+        names = ("a", "a0", "a_", "aa", "A", "Z9", *extra)
+        text = "".join(f"arg({name}).\n" for name in names)
+        path = tmp_path / "prefixes.caf"
+        path.write_text(text)
+        doc = parse_caf(text)
+        extensions = doc.framework.enumerate_extensions("conflict-free")
+        assert len(extensions) == 2 ** len(names)
+        order = sorted(extensions, key=lambda members: rank_key(*kernel_row(
+            members, doc.profile, doc.causality)[:2], members))
+        assert {kernel_row(members, doc.profile, doc.causality)[:2]
+                for members in order[:-1]} == {(1.0, 1.0)}
+        src = ("--input", str(path), "--semantics", "cf")
+        _, out, _ = run(capsys, "rank", *src, "--format", "json")
+        assert [tuple(e["members"]) for e in json.loads(out)["extensions"]] \
+            == order
+        _, out, _ = run(capsys, "rank", *src)
+        assert [tuple(filter(None, line.split()[1][1:-1].split(",")))
+                for line in out.splitlines()] == order
 
 
 MALFORMED_DOCUMENTS = [
