@@ -65,13 +65,24 @@ and admissible, the undecided ones otherwise), they are split into the
 weakly connected parts of the attack graph, one breadth-first pass over
 the attack masks, and each part is walked alone. Each walk starts from
 the whole grounded labelling, so that an attacker outside the part that
-it labels OUT still counts as attacked. If a part has no extension, the
-framework has none; else every union of one set per part is made,
-through a key that puts it in the walk's order: the mask reversed over
-the n bits, then the mask. The lowest differing bit decides the walk's
-order, so it is the keys' descending order, and the keys of the parts
-combine by OR. A search of at most 8 arguments is walked whole, which
-costs less than the split.
+it labels OUT still counts as attacked. A part whose every argument
+attacks itself is not walked: its only row is the seed, and under stable
+it has none. If a part has no extension, the framework has none; else
+every union of one set per part is made. When each part lies wholly
+below the next in bit order, the rows of one size are each set of the
+lowest part, in walk order, joined to the rest's rows of the size that
+completes it: the canonical order, with no sort. Interleaving parts are
+multiplied through a key that puts each union in the walk's order: the
+mask reversed over the n bits, then the mask. The lowest differing bit
+decides the walk's order, so it is the keys' descending order, and the
+keys of the parts combine by OR. A search of at most 8 arguments is
+walked whole, which costs less than the split.
+
+In a symmetric framework with no self-attack, the preferred extensions
+are the stable ones (Coste-Marquis, Devred & Marquis, ECSQARU 2005). So
+under preferred, a part (or a whole walk) whose every argument attacks
+exactly its attackers, decided ones included, and not itself, is walked
+as stable, whose cut comes far sooner.
 
 A hard argument-count cap (default 25), which counts every argument,
 decided or not, guards against accidental exponential blow-ups.
@@ -93,7 +104,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import compress
+from itertools import compress, count
 
 from .errors import (CapExceededError, UnknownArgumentError, ValidationError,
                      _clip, _echo)
@@ -350,19 +361,23 @@ class ArgumentationFramework(_Value):
 
     def _parts(self, searched: int) -> list[int]:
         # the weakly connected parts of the attack graph over the arguments
-        # of searched, each grown from its lowest argument, lowest first
+        # of searched that hold a free argument (one that does not attack
+        # itself), each grown from its lowest free argument, in that order.
+        # No step per part reads all of searched
         ins, outs = self._in, self._out
-        parts = []
-        while searched:
-            part = todo = searched & -searched
-            searched ^= part
+        parts, taken = [], 0
+        for start in compress(count(), bin(searched)[:1:-1].encode()
+                              .translate(_BITS)):
+            if outs[start] >> start & 1 or taken >> start & 1:
+                continue
+            part = todo = 1 << start
             while todo:
                 i = (todo & -todo).bit_length() - 1
                 todo &= todo - 1
-                grow = (ins[i] | outs[i]) & searched
-                searched ^= grow
+                grow = (ins[i] | outs[i]) & searched & ~part
                 part |= grow
                 todo |= grow
+            taken |= part
             parts.append(part)
         return parts
 
@@ -486,10 +501,15 @@ class ArgumentationFramework(_Value):
         ``preferred`` keeps a complete set only when no set kept so far
         contains it, tested through a per-argument index of the kept sets.
         Above 8 searched arguments, each weakly connected part of the
-        attack graph is walked alone from the whole grounded labelling,
-        and the parts multiplied; a key per row (the mask reversed over
-        the n bits, then the mask), sorted descending, gives the walk's
-        order. The cap counts every argument, whatever the walk visits;
+        attack graph is walked alone from the whole grounded labelling
+        (one of self-attackers alone needs no walk), and the parts
+        multiplied: a size at a time, with no sort, when each lies below
+        the next in bit order; else through a key per row (the mask
+        reversed over the n bits, then the mask), sorted descending, then
+        by size. Under ``preferred``, a part whose every argument attacks
+        exactly its attackers and not itself is walked as ``stable``, as
+        the two coincide there (Coste-Marquis, Devred & Marquis, ECSQARU
+        2005). The cap counts every argument, whatever the walk visits;
         one that is not an ``int``, a ``bool`` too, is refused.
         """
         if semantics not in SEMANTICS:
@@ -514,16 +534,36 @@ class ArgumentationFramework(_Value):
             chosen, attacked = self._grounded_labelling()
             seed = chosen, attacked, 0
             searched ^= chosen | attacked
+        ins, outs = self._in, self._out
         # a walk over at most 8 arguments (256 leaves) costs less than a
         # split into parts
         if searched.bit_count() <= 8:
-            masks = self._walk(semantics, seed, searched)
+            parts = [searched]
         else:
-            walks = [self._walk(semantics, seed, part)
-                     for part in self._parts(searched)]
-            if not all(walks):
+            # the parts leave out each whose every argument attacks itself:
+            # it adds only the seed to each row, and has no stable set
+            parts = self._parts(searched)
+            if semantics == "stable" and sum(
+                    map(int.bit_count, parts)) < searched.bit_count():
                 return []
-            masks = walks[0] if len(walks) == 1 else _walk_product(walks, n)
+        walks = []
+        for part in parts:
+            # a symmetric part with no self-attack: its preferred sets are
+            # its stable ones
+            symmetric = semantics == "preferred" and all(
+                ins[i] == outs[i] and not outs[i] >> i & 1
+                for i in set_bits(part))
+            walk = self._walk("stable" if symmetric else semantics, seed,
+                              part)
+            if not walk:
+                return []
+            walks.append(walk)
+        if len(walks) == 1:
+            masks = walks[0]
+        elif all(p < q & -q for p, q in zip(parts, parts[1:])):
+            return _size_product(walks, seed[0])
+        else:
+            masks = _walk_product(walks, n)
         # a stable sort keeps the walk's member order within each size
         masks.sort(key=int.bit_count)
         return masks
@@ -568,6 +608,30 @@ def _walk_product(walks: list[list[int]], n: int) -> list[int]:
     for i, key in enumerate(keys):  # in place, so no second list is held
         keys[i] = key & full
     return keys
+
+
+def _size_product(walks: list[list[int]], chosen: int) -> list[int]:
+    # Every union of one mask from each walk, in the canonical order, when
+    # each walk's part lies wholly below the next one's; sizes count past
+    # the seed's IN set chosen, which every mask holds. Built from the
+    # highest part down, a size at a time, dropping each size of the tail
+    # once no later size reads it
+    tail = [[chosen]]
+    for walk in reversed(walks):
+        sized = [(m, (m ^ chosen).bit_count()) for m in walk]
+        top, end = max(k for _, k in sized), len(tail)
+        level = []
+        for s in range(end + top):
+            level.append([m | r for m, k in sized if 0 <= s - k < end
+                          for r in tail[s - k]])
+            if s >= top:
+                tail[s - top] = None
+        tail = level
+    masks = []
+    for s, rows in enumerate(tail):
+        masks += rows
+        tail[s] = None
+    return masks
 
 
 def _framework(arguments: tuple[str, ...], index: dict[str, int],

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations, product
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from credalarg import (ArgumentationFramework, CapExceededError,
                        UnknownArgumentError, ValidationError)
 from credalarg import cli
-from credalarg.af import set_bits
+from credalarg.af import _walk_product, set_bits
 from bruteforce import bf_semantics
-from randgen import random_framework
+from labelling import labelling_semantics
+from randgen import (FAMILIES, family_framework, grid_attacks,
+                     random_framework, symmetric_attacks, twist)
 
 THREE_CYCLE = ArgumentationFramework(
     ("A", "B", "C"), frozenset({("A", "B"), ("B", "C"), ("C", "A")}))
@@ -19,6 +22,46 @@ THREE_CYCLE = ArgumentationFramework(
 
 def members(extensions):
     return [set(e) for e in extensions]
+
+
+def canonical_rows(family):
+    """The sorted names of each set of ``family``, by size, then names."""
+    return sorted((tuple(sorted(s)) for s in family),
+                  key=lambda names: (len(names), names))
+
+
+def walk_root(af, semantics):
+    """The walk's seed (chosen, attacked, attackers) and the searched
+    arguments: all of them from nothing under conflict-free and
+    admissible, else those the grounded labelling leaves undecided."""
+    searched = (1 << len(af.arguments)) - 1
+    if semantics in ("conflict-free", "admissible"):
+        return (0, 0, 0), searched
+    chosen, attacked = af._grounded_labelling()
+    return (chosen, attacked, 0), searched ^ (chosen | attacked)
+
+
+def per_part_masks(af, semantics):
+    """``af.extension_masks(semantics)`` rebuilt without its shortcuts:
+    every weakly connected part of the searched arguments (self-attackers
+    alone too) walked under ``semantics`` itself, the walks multiplied
+    through the keys of ``_walk_product``, and the rows sorted by size."""
+    seed, searched = walk_root(af, semantics)
+    left, walks = set(set_bits(searched)), []
+    while left:
+        part, todo = 0, [min(left)]
+        while todo:
+            i = todo.pop()
+            if i in left:
+                left.discard(i)
+                part |= 1 << i
+                todo += set_bits(af._in[i] | af._out[i])
+        walks.append(af._walk(semantics, seed, part))
+    if not all(walks):
+        return []
+    masks = _walk_product(walks, len(af.arguments)) if walks else [seed[0]]
+    masks.sort(key=int.bit_count)
+    return masks
 
 
 def names(af, members):
@@ -214,6 +257,25 @@ class TestEnumerate:
                 semantics, max_args=2000)) == [set()], semantics
         assert af.enumerate_extensions("stable", max_args=2000) == []
 
+    def test_isolated_self_attackers_take_linear_time(self):
+        # a part of self-attackers alone is set aside unwalked, and no step
+        # per part reads a mask over every argument, so twice the
+        # self-attackers take about twice the time
+        for semantics in ("admissible", "complete", "preferred", "stable"):
+            times = []
+            for n in (2400, 4800):
+                names = tuple(f"s{i}" for i in range(n))
+                af = ArgumentationFramework(names, frozenset(zip(names,
+                                                                 names)))
+                best = float("inf")
+                for _ in range(3):
+                    start = time.perf_counter()
+                    masks = af.extension_masks(semantics, max_args=n)
+                    best = min(best, time.perf_counter() - start)
+                assert masks == ([] if semantics == "stable" else [0])
+                times.append(best)
+            assert times[1] <= 3 * times[0] + 0.001, (semantics, times)
+
     def test_cap_is_configurable(self):
         af = ArgumentationFramework(("a", "b", "c"))
         with pytest.raises(CapExceededError):
@@ -272,6 +334,35 @@ class TestParts:
             lambda: af.extension_masks("conflict-free"))
         assert len(masks) == 2 ** 18
         assert peak <= 14 * 2 ** 20
+
+    def test_size_product_agrees_with_the_key_product(self):
+        # unions of parts of every shape, under their own name prefixes
+        # (no part interleaves with another) or dealt one set of names
+        seen = set()
+        for seed in range(120):
+            rng = random.Random(seed)
+            af = family_framework(rng, rng.randint(9, 14),
+                                  ("union", "interleaved")[seed % 2])
+            for semantics in ("conflict-free", "admissible", "complete",
+                              "preferred", "stable"):
+                masks = af.extension_masks(semantics)
+                assert masks == per_part_masks(af, semantics), (
+                    seed, semantics)
+                root, searched = walk_root(af, semantics)
+                parts = af._parts(searched)
+                if searched.bit_count() <= 8 or len(parts) < 2:
+                    continue
+                seen.add("apart" if all(p < q & -q for p, q in zip(
+                    parts, parts[1:])) else "interleaved")
+                if root[0]:
+                    seen.add("grounded seed")
+                if semantics == "stable" and not masks:
+                    seen.add("no stable set")
+                if any(len(af._walk(semantics, root, part)) == 1
+                       for part in parts):
+                    seen.add("one-mask part")
+        assert seen == {"apart", "interleaved", "grounded seed",
+                        "no stable set", "one-mask part"}
 
     def test_an_empty_part_ends_before_the_product(self):
         # 2^32 stable sets of the pairs, none of the trailing 3-cycle, so
@@ -546,11 +637,9 @@ class TestAgainstBruteForce:
     def assert_rows_in_brute_force_order(args, attacks, label):
         af = ArgumentationFramework(args, attacks)
         for semantics, family in bf_semantics(args, attacks).items():
-            want = sorted((tuple(sorted(s)) for s in family),
-                          key=lambda names: (len(names), names))
             masks = af.extension_masks(semantics)
             got = list(map(af.row_decoder(masks), masks))
-            assert got == want, (label, semantics)
+            assert got == canonical_rows(family), (label, semantics)
         return af
 
     def test_row_order_is_size_then_members(self):
@@ -599,6 +688,30 @@ class TestAgainstBruteForce:
                 args, frozenset(attacks), seed)
             assert len(af._parts((1 << len(args)) - 1)) >= 2, seed
 
+    def test_symmetric_families(self):
+        # grids up to 3x4, cliques and symmetric random graphs, whose
+        # preferred sets are their stable ones, each also with one attack
+        # made one-way or one self-attack added, which keep the preferred
+        # walk; whole walks of at most 8 arguments and split ones
+        cases = [(f"grid-{r}x{c}", r * c, c) for r in (1, 2, 3)
+                 for c in (1, 2, 3, 4)]
+        cases += [(f"clique-{n}", n, None) for n in range(1, 11)]
+        cases += [(f"symmetric-{k}", None, None) for k in range(40)]
+        for label, n, cols in cases:
+            rng = random.Random(label)
+            args = rng.sample(self.POOL, n or rng.randint(2, 12))
+            if label.startswith("grid"):
+                attacks = grid_attacks(args, cols)
+            elif label.startswith("clique"):
+                attacks = {(a, b) for a in args for b in args if a != b}
+            else:
+                attacks = symmetric_attacks(rng, args, rng.choice((0.1, 0.2,
+                                                                   0.4)))
+            for kind in (None, "one-way", "self-attack"):
+                self.assert_rows_in_brute_force_order(
+                    args, frozenset(twist(rng, args, attacks, kind)),
+                    (label, kind))
+
     def test_containment_chain(self):
         rng = random.Random(0xBEEF)
         for _ in range(40):
@@ -613,6 +726,69 @@ class TestAgainstBruteForce:
             assert by_sem["stable"] <= by_sem["preferred"]
             [ext] = af.enumerate_extensions("grounded")
             assert all(set(ext) <= c for c in by_sem["complete"])
+
+
+class TestAgainstLabellings:
+    """``tests/labelling.py`` enumerates complete labellings from their
+    definition, sharing no code with the walk, so it reaches frameworks
+    beyond brute force."""
+
+    def test_reference_agrees_with_brute_force(self):
+        for seed in range(160):
+            rng = random.Random(seed)
+            if seed % 2:
+                af = random_framework(rng, max_args=12,
+                                      attack_p=(0.1, 0.2, 0.35)[seed % 3])
+            else:
+                af = family_framework(rng, rng.randint(2, 12),
+                                      FAMILIES[seed // 2 % len(FAMILIES)])
+            expected = bf_semantics(af.arguments, af.attacks)
+            for semantics, family in labelling_semantics(
+                    af.arguments, af.attacks).items():
+                assert canonical_rows(family) == canonical_rows(
+                    expected[semantics]), (seed, semantics)
+
+    @staticmethod
+    def assert_walk_agrees(af, label):
+        reference = labelling_semantics(af.arguments, af.attacks)
+        for semantics in ("complete", "preferred", "stable"):
+            masks = af.extension_masks(semantics)
+            assert list(map(af.row_decoder(masks), masks)) == \
+                canonical_rows(reference[semantics]), (label, semantics)
+
+    @pytest.mark.parametrize("rows, cols", [(3, 7), (4, 5)])
+    def test_grids(self, rows, cols):
+        # unpadded names: the sorted order is not the grid's row order
+        names = [f"g{i}" for i in range(rows * cols)]
+        self.assert_walk_agrees(ArgumentationFramework(
+            names, frozenset(grid_attacks(names, cols))), (rows, cols))
+
+    def test_clique_and_pairs(self):
+        names = [f"k{i}" for i in range(25)]
+        self.assert_walk_agrees(ArgumentationFramework(
+            names, frozenset((a, b) for a in names for b in names
+                             if a != b)), "clique-25")
+        names = [f"p{i}" for i in range(14)]
+        self.assert_walk_agrees(ArgumentationFramework(
+            names, frozenset(zip(names[::2], names[1::2])) | frozenset(
+                zip(names[1::2], names[::2]))), "pairs-7")
+
+    def test_random_frameworks(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            self.assert_walk_agrees(family_framework(
+                rng, rng.randint(13, 20), FAMILIES[seed % len(FAMILIES)]),
+                seed)
+
+    def test_parts_attacked_by_decided_arguments(self):
+        # each part's undecided arguments are attacked, one way, by ones
+        # the grounded labelling makes OUT: a part walked with only its
+        # own share of the labelling would take them as undefended
+        for seed in range(40):
+            rng = random.Random(seed)
+            self.assert_walk_agrees(family_framework(
+                rng, rng.randint(13, 20), ("union", "interleaved")[seed % 2],
+                ("fed",)), seed)
 
 
 @settings(max_examples=60, deadline=None)
